@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout:
 
-    python3 bench/run.py --workload doubling --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload doubling --seed 1 --seconds 25 --trace 0
 
 The load is a closed loop: one client runs one job at a time and starts the
 next when the last one finished.  After set-up the workload's fixed job list
@@ -10,17 +10,37 @@ runs pass after pass until ``--seconds`` have gone by.  Only the job calls are
 timed; every job's output is checked after its call, and a job that raises
 or fails a check counts as failed.
 
-Each job is timed by its fastest wall time over the passes of the run.  On
-a shared machine other tenants slow random passes, and sometimes a whole
-run, by up to half; they never speed one up.  Over five 25-second runs of
-``doubling`` the median pass time spread by 26% (quartile distance over
-median) and the fastest pass by 2%.
+Times are scaled to a fixed host speed.  The shared 2-vCPU machine this
+was written on runs the same code at a speed that drifts by up to half
+within seconds to minutes (CPU time tracks wall time, so the process is not
+descheduled; it runs slower or faster): a pass of ``many-small`` took
+0.5 s in some stretches and 0.95 s in others.  Neither the fastest pass
+nor the median of a run escapes that: over ten runs of one code the
+fastest pass of ``analysis`` spread by 14% to 24% (quartile distance over
+median).  So ``Pace.sample`` runs a fixed reference kernel before a pass
+and after each job, outside the timed region.  It calls no nare code and
+mixes the three kinds of work the jobs are made of: a pure-Python loop,
+sixty rounds of small numpy calls on a 256-vector (a dot product,
+elementwise arithmetic, a sign) and four 96 x 96 matrix products.  Each
+job time of a pass is multiplied by ``REFERENCE_KERNEL_S`` over the median
+kernel time of that pass, so it reads as the wall time on a host where the
+kernel takes ``REFERENCE_KERNEL_S``.  A change to nare moves a scaled time
+as much as the wall time; a drift of the host moves the job and the kernel
+together.  No kernel tracks every workload in every state of the host: in
+two sets of six and seven 25 s runs per workload that timed the parts side
+by side, the loop alone tracked ``doubling`` best (spread of
+``jobs_per_s`` 0.013 and 0.047) and the numpy calls alone ``analysis``
+(0.022 and 0.027), but each failed elsewhere (0.139 on ``many-small``,
+0.135 on ``doubling``).  The mix kept every workload at or below 0.096 in
+both sets, against 0.075 to 0.45 unscaled.  The unscaled figures are printed as
+comments.  Each job's time is the median of its scaled times over the
+passes of the run.
 
 ``--trace 0`` prints the end-to-end metrics:
 
-* ``jobs_per_s``: jobs in the list over the sum of their best times;
+* ``jobs_per_s``: jobs in the list over the sum of their job times;
 * ``job_ms.p50`` and ``job_ms.p90``: percentiles over the jobs of the list
-  of their best times.  Only ``many-small`` (108 jobs) has ten jobs beyond
+  of their job times.  Only ``many-small`` (108 jobs) has ten jobs beyond
   its ``p90``; on the other workloads (3 to 10 jobs) ``p90`` interpolates
   between the slowest jobs;
 * ``iterations_total``: ``Solution.iterations`` summed over one pass (on
@@ -28,14 +48,15 @@ median) and the fastest pass by 2%.
 * ``peak_rss_mb``: peak resident memory of this process;
 * ``setup_s``: import time, plus the median of three set-ups (problem
   builds, reference solutions, dense eigenvalue references), plus one
-  warm-up pass over the job list.
+  warm-up pass over the job list, scaled by the median kernel time over
+  the set-up.
 
 ``--trace 1`` interleaves untraced passes with ``TRACED_PASSES`` traced ones,
 prints the per-layer metrics of ``tracing.py`` (totals over the traced
 passes) and writes every span to ``bench/out/``.  Traced and untraced
 passes must give bitwise-identical solutions and iteration counts, and
-``trace.overhead_ratio`` is the sum of best traced job times over the sum
-of best untraced ones.
+``trace.overhead_ratio`` is the sum of traced job times over the sum of
+untraced ones.
 
 Nothing is read from an installed nare: the package is imported from the
 ``src`` directory of the checkout this script lives in.
@@ -59,6 +80,13 @@ BLAS_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
 WORKLOAD_NAMES = ("doubling", "vector", "many-small", "analysis")
 SETUP_REPEATS = 3
 TRACED_PASSES = 3
+# the reference kernel; its time on the host the scaled times refer to
+KERNEL_LOOP = 6000
+KERNEL_VECTOR = 256
+KERNEL_STEPS = 60
+KERNEL_MATRIX = 96
+KERNEL_PRODUCTS = 4
+REFERENCE_KERNEL_S = 0.8e-3
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT_DIR = Path(__file__).resolve().parent / "out"
@@ -105,22 +133,58 @@ def environment():
     }
 
 
+def medians(per_job):
+    """Each job's median over the passes, from a list of per-job times."""
+    return [statistics.median(times) for times in per_job]
+
+
+class Pace:
+    """Host speed, read from a fixed kernel that calls no nare code."""
+
+    def __init__(self):
+        import numpy
+        rng = numpy.random.default_rng(0)
+        self.np = numpy
+        self.vector = rng.random(KERNEL_VECTOR)
+        self.matrix = rng.random((KERNEL_MATRIX, KERNEL_MATRIX))
+        self.samples = []
+
+    def sample(self):
+        np, v, m = self.np, self.vector, self.matrix
+        t0 = time.perf_counter()
+        acc = 0
+        for i in range(KERNEL_LOOP):
+            acc += i * i
+        for _ in range(KERNEL_STEPS):
+            np.sign(v * 0.5 + 1.0 - np.dot(v, v))
+        for _ in range(KERNEL_PRODUCTS):
+            m @ m
+        self.samples.append(time.perf_counter() - t0)
+
+    def scale(self, since):
+        """Factor from wall time to scaled time over ``samples[since:]``."""
+        return REFERENCE_KERNEL_S / statistics.median(self.samples[since:])
+
+
 class Runner:
     """Runs passes over a job list and checks every output."""
 
-    def __init__(self, jobs):
+    def __init__(self, jobs, pace):
         self.jobs = jobs
+        self.pace = pace
         self.reference = {}          # job index -> digest from the warm-up pass
         self.failures = {}           # execution number -> (label, reasons)
         self.attempted = 0
         self.passes = {"untraced": 0, "traced": 0}
-        self.seconds = {mode: [[] for _ in jobs] for mode in self.passes}
+        self.seconds = {mode: [[] for _ in jobs] for mode in self.passes}  # scaled
+        self.wall = {mode: [[] for _ in jobs] for mode in self.passes}
         self.traced_executions = []  # tracer job id -> execution number
 
     def warm_up(self):
         for i, job in enumerate(self.jobs):
             out, _ = self._call(job)
             self.reference[i] = None if out is None else job.digest(out)
+            self.pace.sample()
         gc.collect()
 
     def _call(self, job, tracer=None):
@@ -143,6 +207,9 @@ class Runner:
         """One pass over the job list; returns the iterations of the pass."""
         mode = "traced" if tracer is not None else "untraced"
         iterations = 0
+        first_sample = len(self.pace.samples)
+        self.pace.sample()
+        wall = []
         for i, job in enumerate(self.jobs):
             execution = self.attempted
             self.attempted += 1
@@ -160,18 +227,19 @@ class Runner:
                 for reason in bad:
                     self.fail(execution, f"[{mode}] {job.label}", reason)
                 iterations += job.iterations(out)
-            self.seconds[mode][i].append(seconds)
+            wall.append(seconds)
             del out
+            self.pace.sample()
+        factor = self.pace.scale(first_sample)
+        for i, seconds in enumerate(wall):
+            self.wall[mode][i].append(seconds)
+            self.seconds[mode][i].append(seconds * factor)
         # A built problem and its coefficient quadruple refer to each other,
         # so only the cyclic collector frees them; collecting once per pass
         # keeps peak memory independent of how many passes fit in the run.
         gc.collect()
         self.passes[mode] += 1
         return iterations
-
-    def best_seconds(self, mode):
-        """Each job's fastest wall time over the passes of ``mode``."""
-        return [min(times) for times in self.seconds[mode]]
 
     @property
     def failed(self):
@@ -181,8 +249,7 @@ class Runner:
 def measure(runner, seconds):
     """Untraced passes until ``seconds`` have gone by; end-to-end values.
 
-    Other tenants of a shared machine slow random passes by up to half, and
-    only ever slow them, so each job is timed by its fastest pass.  A pass
+    Each job is timed by the median of its scaled times.  A pass
     whose outputs differ from the warm-up pass is counted as failed, so the
     iteration count of the last pass stands for every pass.
     """
@@ -191,11 +258,11 @@ def measure(runner, seconds):
         iterations = runner.run_pass()
         if time.perf_counter() >= deadline:
             break
-    best_ms = [s * 1e3 for s in runner.best_seconds("untraced")]
+    job_ms = [s * 1e3 for s in medians(runner.seconds["untraced"])]
     return {
-        "jobs_per_s": 1e3 * len(best_ms) / sum(best_ms),
-        "job_ms.p50": statistics.median(best_ms),
-        "job_ms.p90": statistics.quantiles(best_ms, n=10, method="inclusive")[8],
+        "jobs_per_s": 1e3 * len(job_ms) / sum(job_ms),
+        "job_ms.p50": statistics.median(job_ms),
+        "job_ms.p90": statistics.quantiles(job_ms, n=10, method="inclusive")[8],
         "iterations_total": iterations,
     }
 
@@ -215,7 +282,8 @@ def measure_traced(runner, seconds, tracer):
         job = runner.jobs[execution % len(runner.jobs)]
         runner.fail(execution, f"[traced] {job.label}",
                     "span self times do not add up to the job time")
-    overhead = sum(runner.best_seconds("traced")) / sum(runner.best_seconds("untraced"))
+    overhead = (sum(medians(runner.seconds["traced"]))
+                / sum(medians(runner.seconds["untraced"])))
     return tracer.layer_metrics(overhead)
 
 
@@ -237,17 +305,21 @@ def main(argv=None):
     import tracing
     import_s = time.perf_counter() - t0
 
+    pace = Pace()
+    pace.sample()
     build = jobs.WORKLOADS[args.workload]
     prep_s = []
     for _ in range(SETUP_REPEATS):
         t = time.perf_counter()
         job_list = build(args.seed)
         prep_s.append(time.perf_counter() - t)
-    runner = Runner(job_list)
+        pace.sample()
+    runner = Runner(job_list, pace)
     t = time.perf_counter()
     runner.warm_up()
     warm_s = time.perf_counter() - t
-    setup_s = import_s + statistics.median(prep_s) + warm_s
+    setup_wall_s = import_s + statistics.median(prep_s) + warm_s
+    setup_s = setup_wall_s * pace.scale(0)
 
     print(f"# workload={args.workload} seed={args.seed} seconds={args.seconds} "
           f"trace={args.trace}")
@@ -277,11 +349,16 @@ def main(argv=None):
         units = {"jobs_per_s": "1/s", "job_ms.p50": "ms", "job_ms.p90": "ms",
                  "iterations_total": "count", "peak_rss_mb": "MB", "setup_s": "s"}
         metrics = {k: {"value": v, "unit": units[k]} for k, v in values.items()}
+        wall_s = medians(runner.wall["untraced"])
         print(f"# {runner.passes['untraced']} passes of {len(job_list)} jobs; "
-              f"percentiles over the {len(job_list)} best job times")
-        print("# job ms (best, median): " + ", ".join(
-            f"{min(t) * 1e3:.2f} {statistics.median(t) * 1e3:.2f}"
-            for t in runner.seconds["untraced"]))
+              f"percentiles over the {len(job_list)} job times")
+        print(f"# reference kernel ms: median {statistics.median(pace.samples) * 1e3:.3f}, "
+              f"quartiles {', '.join(f'{q * 1e3:.3f}' for q in statistics.quantiles(pace.samples, n=4))}")
+        print(f"# unscaled: jobs_per_s {len(wall_s) / sum(wall_s):.4g}, "
+              f"setup_s {setup_wall_s:.4g}")
+        print("# job ms (scaled median, wall median, wall fastest): " + ", ".join(
+            f"{statistics.median(t) * 1e3:.2f} {statistics.median(w) * 1e3:.2f} {min(w) * 1e3:.2f}"
+            for t, w in zip(runner.seconds["untraced"], runner.wall["untraced"])))
         for name, m in metrics.items():
             print(f"{name:20s} {m['value']:>16.6g} {m['unit']}")
 
