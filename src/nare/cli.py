@@ -152,6 +152,7 @@ def cmd_solve(args, out):
             "iterations": sol.iterations,
             "res": sol.res_final, "err_final": sol.err_final,
             "wall_ms": wall_ms, "converged": sol.converged,
+            "stop_reason": sol.stop_reason,
             "res_normalized": report.res,
             "identity_gaps": report.identity_gaps,
             "m_matrix_certificates": report.m_matrix_certificates,
@@ -168,6 +169,7 @@ def cmd_solve(args, out):
         print(f"residual    : {sol.res_final:.1e}", file=out)
         print(f"update err  : {sol.err_final:.1e}", file=out)
         print(f"converged   : {sol.converged}", file=out)
+        print(f"stop reason : {sol.stop_reason}", file=out)
         for key, val in report.identity_gaps.items():
             print(f"{key:<12s}: {val:.1e}", file=out)
         for key, val in report.m_matrix_certificates.items():

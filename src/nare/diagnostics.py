@@ -60,15 +60,18 @@ def relative_residual(problem, x):
 def relative_update_error(pairs):
     """max over (prev, curr) pairs of ||curr - prev|| / ||curr||.
 
-    A zero-norm current iterate reports +inf: an iterate collapsing to
-    zero must never be read as convergence.
+    A zero-norm current iterate reports +inf and a NaN in either iterate
+    reports NaN: neither must ever be read as convergence.
     """
     worst = 0.0
     for prev, curr in pairs:
         den = inf_norm(curr)
         if den == 0.0:
             return math.inf
-        worst = max(worst, inf_norm(np.asarray(curr) - np.asarray(prev)) / den)
+        ratio = inf_norm(np.asarray(curr) - np.asarray(prev)) / den
+        if math.isnan(ratio):  # max() would drop it
+            return math.nan
+        worst = max(worst, ratio)
     return worst
 
 

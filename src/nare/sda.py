@@ -19,15 +19,14 @@ drives H to the minimal nonnegative solution of the Riccati equation and
 G to the minimal nonnegative solution of its dual.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
-from .diagnostics import relative_residual, relative_update_error
 from .errors import Breakdown, SingularMatrix
 from .linalg import lu_solve
-from .solution import Solution, resolve_tol, stop_hit
+from .solution import iterate
 
 
 @dataclass(frozen=True)
@@ -47,15 +46,13 @@ class SdaConfig:
 
 @dataclass
 class SdaState:
-    """Doubling iterates E, F, G, H at step k, with per-step histories."""
+    """Doubling iterates E, F, G, H at step k."""
 
     E: np.ndarray
     F: np.ndarray
     G: np.ndarray
     H: np.ndarray
     k: int = 0
-    err_history: list = field(default_factory=list)
-    res_history: list = field(default_factory=list)
 
 
 def resolve_gamma(quad, config):
@@ -124,35 +121,8 @@ def sda_solve(quad, config=None):
     original-equation solution (which the shift preserves).
     """
     config = config or SdaConfig()
-    problem = quad.problem
-    if problem is None:
+    if quad.problem is None:
         raise ValueError("quadruple is not attached to a problem")
-    tol = resolve_tol(config.tol, quad.n)
-    state = sda_init(quad, config)
-    method = f"sda[{quad.tag}]"
-    converged = False
-    best = (np.inf, state.H, state.G)
-    while state.k < config.max_iter:
-        prev_g, prev_h = state.G, state.H
-        state = sda_step(state)
-        err = relative_update_error([(prev_g, state.G), (prev_h, state.H)])
-        res = relative_residual(problem, state.H)
-        state.err_history.append(err)
-        state.res_history.append(res)
-        if res < best[0]:
-            best = (res, state.H, state.G)
-        if stop_hit(config.stop_rule, err, res, tol):
-            converged = True
-            break
-        if not np.isfinite(res):
-            # past the attainable accuracy the critical-case inner systems
-            # turn numerically singular and the iterates blow up; keep the
-            # best iterate seen instead of the garbage state (err alone may
-            # be +inf legitimately, from an identically-zero dual iterate)
-            break
-    x, y = (state.H, state.G) if converged else (best[1], best[2])
-    return Solution(
-        x=x, y=y, iterations=state.k, converged=converged,
-        method=method, err_history=state.err_history,
-        res_history=state.res_history,
-    )
+    return iterate(quad.problem, sda_init(quad, config), sda_step,
+                   lambda s: (s.G, s.H), lambda s: s.H, config,
+                   f"sda[{quad.tag}]", y_of=lambda s: s.G)

@@ -8,18 +8,17 @@ vector fixed point
 
 The shifted variant iterates rank-two factors M_k = [m1, m2],
 N_k = [n1, n2] with Z_k = T o (M_k N_k^T); every step touches Z_k only
-through matrix-vector products plus one rank-2 Hadamard update, keeping
-the cost at O(n^2) per step.
+through two n x 2 products with the shifted quadruple's low-rank factors
+plus one rank-2 Hadamard update, keeping the cost at O(n^2) per step.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
-from .diagnostics import relative_residual, relative_update_error
-from .shift import validate_shift
-from .solution import Solution, resolve_tol, stop_hit
+from .shift import low_rank_factors
+from .solution import iterate
 
 
 @dataclass(frozen=True)
@@ -45,9 +44,6 @@ class HadamardKernel:
 class SiState:
     m: np.ndarray
     n: np.ndarray
-    k: int = 0
-    err_history: list = field(default_factory=list)
-    res_history: list = field(default_factory=list)
 
 
 @dataclass
@@ -57,9 +53,7 @@ class SiShiftState:
     M: np.ndarray
     N: np.ndarray
     Z: np.ndarray
-    k: int = 0
-    err_history: list = field(default_factory=list)
-    res_history: list = field(default_factory=list)
+    low_rank: tuple  # (Q1, Q2, E1, E2) of shift.low_rank_factors, fixed per solve
 
 
 def build_kernel(problem):
@@ -78,7 +72,7 @@ def si_step(kernel, state):
     """One sweep of the coupled vector iteration (simultaneous update)."""
     m_next = state.m * (kernel.P @ state.n) + 1.0
     n_next = state.n * (kernel.Qm @ state.m) + 1.0
-    return replace(state, m=m_next, n=n_next, k=state.k + 1)
+    return replace(state, m=m_next, n=n_next)
 
 
 def si_solution(kernel, m, n):
@@ -92,25 +86,10 @@ def si_solve(problem, config=None):
     Converges linearly off the critical case and sublinearly at it, in
     which case the iteration is expected to hit max_iter.
     """
-    config = config or SiConfig()
-    tol = resolve_tol(config.tol, problem.n)
     kernel = build_kernel(problem)
-    state = si_init(problem)
-    converged = False
-    while state.k < config.max_iter:
-        prev_m, prev_n = state.m, state.n
-        state = si_step(kernel, state)
-        err = relative_update_error([(prev_m, state.m), (prev_n, state.n)])
-        res = relative_residual(problem, si_solution(kernel, state.m, state.n))
-        state.err_history.append(err)
-        state.res_history.append(res)
-        if stop_hit(config.stop_rule, err, res, tol):
-            converged = True
-            break
-    x = si_solution(kernel, state.m, state.n)
-    return Solution(x=x, y=None, iterations=state.k, converged=converged,
-                    method="si", err_history=state.err_history,
-                    res_history=state.res_history)
+    return iterate(problem, si_init(problem), lambda s: si_step(kernel, s),
+                   lambda s: (s.m, s.n), lambda s: si_solution(kernel, s.m, s.n),
+                   config or SiConfig(), "si")
 
 
 def factors_to_solution(kernel, m_fac, n_fac):
@@ -119,55 +98,39 @@ def factors_to_solution(kernel, m_fac, n_fac):
 
 
 def si_shift_init(problem, shift):
+    """Zero iterate of the shifted scheme; validates the relaxed shift region."""
     n = problem.n
-    return SiShiftState(M=np.zeros((n, 2)), N=np.zeros((n, 2)), Z=np.zeros((n, n)))
+    return SiShiftState(M=np.zeros((n, 2)), N=np.zeros((n, 2)), Z=np.zeros((n, n)),
+                        low_rank=low_rank_factors(problem, shift))
 
 
-def si_shift_step(problem, shift, state, kernel=None):
-    """One step of the shifted rank-two iteration:
+def si_shift_step(kernel, state):
+    """One step of the shifted rank-two iteration in factored form:
 
-        m2 <- Z q + e
-        m1 <- Z (I - eta Gamma^-1) q + (I + eta Delta^-1) e
-        n1 <- Z^T q + e
-        n2 <- -xi (Gamma^-1 e - Z^T Delta^-1 q)
-        Z  <- T o (m1 n1^T + m2 n2^T)
+        M <- Z Q1 + E2,   N <- Z^T Q2 + E1,   Z <- T o (M N^T)
+
+    with the factors of ``shift.low_rank_factors``.  Column by column,
+    M = [m1, m2] and N = [n1, n2] with
+
+        m1 = Z (I - eta Gamma^-1) q + (I + eta Delta^-1) e
+        m2 = Z q + e
+        n1 = Z^T q + e
+        n2 = -xi (Gamma^-1 e - Z^T Delta^-1 q)
 
     At xi = 0 the second dual column vanishes identically and the scheme
     degenerates to the classic fixed point on Z.
     """
-    kernel = kernel or build_kernel(problem)
-    q, e = problem.q, problem.e
-    eta, xi = shift.eta, shift.xi
-    z = state.Z
-    m2 = z @ q + e
-    m1 = z @ ((1.0 - eta / problem.gamma) * q) + (1.0 + eta / problem.delta) * e
-    n1 = z.T @ q + e
-    n2 = -xi * (e / problem.gamma - z.T @ (q / problem.delta))
-    m_fac = np.column_stack([m1, m2])
-    n_fac = np.column_stack([n1, n2])
-    z_next = kernel.T * (np.outer(m1, n1) + np.outer(m2, n2))
-    return replace(state, M=m_fac, N=n_fac, Z=z_next, k=state.k + 1)
+    q1, q2, e1, e2 = state.low_rank
+    m_fac = state.Z @ q1 + e2
+    n_fac = state.Z.T @ q2 + e1
+    return replace(state, M=m_fac, N=n_fac,
+                   Z=factors_to_solution(kernel, m_fac, n_fac))
 
 
 def si_shifted_solve(problem, shift, config=None):
     """Shifted low-rank iteration from M = N = 0 (closure of the region allowed)."""
-    config = config or SiConfig()
-    validate_shift(shift.eta, shift.xi, shift.mode, float(problem.omegas[0]),
-                   relaxed=True)
-    tol = resolve_tol(config.tol, problem.n)
-    kernel = build_kernel(problem)
     state = si_shift_init(problem, shift)
-    converged = False
-    while state.k < config.max_iter:
-        prev_m, prev_n = state.M, state.N
-        state = si_shift_step(problem, shift, state, kernel)
-        err = relative_update_error([(prev_m, state.M), (prev_n, state.N)])
-        res = relative_residual(problem, state.Z)
-        state.err_history.append(err)
-        state.res_history.append(res)
-        if stop_hit(config.stop_rule, err, res, tol):
-            converged = True
-            break
-    return Solution(x=state.Z, y=None, iterations=state.k, converged=converged,
-                    method=f"si-{shift.mode}", err_history=state.err_history,
-                    res_history=state.res_history)
+    kernel = build_kernel(problem)
+    return iterate(problem, state, lambda s: si_shift_step(kernel, s),
+                   lambda s: (s.M, s.N), lambda s: s.Z,
+                   config or SiConfig(), f"si-{shift.mode}")

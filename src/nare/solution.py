@@ -1,4 +1,4 @@
-"""Shared solver plumbing: result container, tolerance and stop-rule handling."""
+"""Shared solver plumbing: result container, stop rules and the iteration driver."""
 
 import math
 from dataclasses import dataclass, field
@@ -6,9 +6,11 @@ from typing import Optional
 
 import numpy as np
 
+from . import diagnostics
 from .linalg import EPS
 
 STOP_RULES = ("error", "residual", "either")
+STOP_REASONS = ("converged", "max_iter", "nonfinite")
 
 
 @dataclass
@@ -18,16 +20,24 @@ class Solution:
     ``x`` is the minimal nonnegative solution iterate; ``y`` the dual
     iterate when the method produces one (the dual of the quadruple that
     was actually solved, so the shifted dual for shifted runs).
-    Histories hold one entry per iteration.
+    Histories hold one entry per iteration; ``x`` is the iterate of the
+    last entry.  ``stop_reason`` is one of ``STOP_REASONS``.
     """
 
     x: np.ndarray
     y: Optional[np.ndarray]
-    iterations: int
-    converged: bool
     method: str
+    stop_reason: str
     err_history: list = field(default_factory=list)
     res_history: list = field(default_factory=list)
+
+    @property
+    def iterations(self):
+        return len(self.res_history)
+
+    @property
+    def converged(self):
+        return self.stop_reason == "converged"
 
     @property
     def err_final(self):
@@ -60,3 +70,37 @@ def stop_hit(rule, err, res, tol):
     if rule == "either":
         return err < tol or res < tol
     raise ValueError(f"stop rule must be one of {STOP_RULES}, got {rule!r}")
+
+
+def iterate(problem, state, step, factors, x_of, config, method, y_of=None):
+    """Run ``state = step(state)`` to the stopping rule of ``config``.
+
+    Each step is measured by the update error of the arrays ``factors(state)``
+    and the residual of ``x_of(state)`` on ``problem``.  A step whose residual
+    is not finite (critical-case doubling blows up past its attainable
+    accuracy) ends the run on the iterate before it; otherwise the run returns
+    the last iterate.  The metrics are looked up on ``diagnostics`` at every
+    call, so instrumentation patched onto that module sees them.
+    """
+    tol = resolve_tol(config.tol, problem.n)
+    x = None
+    errs, ress = [], []
+    reason = "max_iter"
+    for _ in range(config.max_iter):
+        nxt = step(state)
+        x_next = x_of(nxt)
+        err = diagnostics.relative_update_error(zip(factors(state), factors(nxt)))
+        res = diagnostics.relative_residual(problem, x_next)
+        if not math.isfinite(res):
+            reason = "nonfinite"
+            break
+        state, x = nxt, x_next
+        errs.append(err)
+        ress.append(res)
+        if stop_hit(config.stop_rule, err, res, tol):
+            reason = "converged"
+            break
+    if x is None:  # no step was accepted
+        x = x_of(state)
+    return Solution(x=x, y=y_of(state) if y_of else None, method=method,
+                    stop_reason=reason, err_history=errs, res_history=ress)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketFailure, NotCriticalCase, PoleHit, ShiftOutOfRegion
+from .sda import SdaConfig, resolve_gamma
 
 POLE_GUARD = 1e-14
 BRACKET_WIDTH_FACTOR = 1e-12
@@ -469,8 +470,7 @@ def sda_rate_bound(problem, shift=None, gamma=None):
     """
     _require_critical(problem)
     if gamma is None:
-        quad = problem.quad
-        gamma = max(float(np.max(np.diag(quad.A))), float(np.max(np.diag(quad.D))))
+        gamma = resolve_gamma(problem.quad, SdaConfig())
     lams = closed_loop_spectrum(problem)[1:]
     if shift is None:
         primal = np.concatenate([[0.0], lams])

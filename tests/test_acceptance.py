@@ -244,15 +244,15 @@ def test_criterion_7_rate_properties(prob32, ref32):
     assert order >= 1.7, order
 
     spec = default_shift(prob32, "double")
+    kernel = build_kernel(prob32)
     zstate = si_shift_init(prob32, spec)
     errs_z = []
     for _ in range(60):
-        zstate = si_shift_step(prob32, spec, zstate)
+        zstate = si_shift_step(kernel, zstate)
         errs_z.append(inf_norm(zstate.Z - ref32) / scale)
     late = [errs_z[i + 1] / errs_z[i] for i in range(30, 55)]
     assert all(0.0 < r < 0.95 for r in late), late
 
-    kernel = build_kernel(prob32)
     vstate = si_init(prob32)
     e_prev = e_curr = None
     for k in range(1, 1002):
@@ -282,9 +282,9 @@ def test_criterion_8_monotonicity_and_dominance(prob32, ref32):
     bound_slack = 1e-10
     for k in range(1, 201):
         prev2 = s2.Z
-        s0 = si_shift_step(prob32, spec0, s0, kernel)
-        s1 = si_shift_step(prob32, spec1, s1, kernel)
-        s2 = si_shift_step(prob32, spec2, s2, kernel)
+        s0 = si_shift_step(kernel, s0)
+        s1 = si_shift_step(kernel, s1)
+        s2 = si_shift_step(kernel, s2)
         slack = 1e-13 * max(1.0, inf_norm(s2.Z))
         assert np.min(s1.Z - s0.Z) >= -slack, f"dominance (eta,0) at k={k}"
         assert np.min(s2.Z - s1.Z) >= -slack, f"dominance (eta,xi) at k={k}"

@@ -36,7 +36,7 @@ def test_solve_csv_converged(capsys):
 def test_solve_table_format(capsys):
     code, out, _ = run_cli(capsys, "solve", "--n", "8", "--solver", "sda")
     assert code == 0
-    assert "iterations" in out and "converged" in out
+    assert "iterations" in out and "converged" in out and "stop reason" in out
 
 
 def test_solve_json_fields(capsys):
@@ -45,11 +45,22 @@ def test_solve_json_fields(capsys):
     assert code == 0
     payload = json.loads(out)
     for key in ("n", "solver", "eta", "xi", "gamma", "iterations", "res",
-                "err_final", "wall_ms", "converged", "identity_gaps"):
+                "err_final", "wall_ms", "converged", "stop_reason",
+                "identity_gaps"):
         assert key in payload
     assert payload["converged"] is True
+    assert payload["stop_reason"] == "converged"
     assert "Xv1_minus_v2" in payload["identity_gaps"]
     assert "shift_equivalence_gap" in payload["identity_gaps"]
+
+
+def test_solve_below_attainable_tolerance_is_not_converged(capsys):
+    code, out, _ = run_cli(capsys, "solve", "--n", "8", "--tol", "1e-300",
+                           "--format", "json")
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["converged"] is False
+    assert payload["stop_reason"] == "nonfinite"
 
 
 def test_solve_si_critical_hits_cap(capsys):

@@ -61,6 +61,9 @@ def test_relative_update_error_cases():
     assert relative_update_error([(a, a)]) == 0.0
     assert relative_update_error([(np.zeros((1, 1)), np.array([[1.0]]))]) == 1.0
     assert relative_update_error([(a, np.zeros((2, 2)))]) == math.inf
+    nan = np.full((2, 2), np.nan)
+    assert math.isnan(relative_update_error([(a, nan)]))
+    assert math.isnan(relative_update_error([(a, a), (nan, a)]))
 
 
 def test_solution_identities_scalar(prob1):
@@ -167,3 +170,21 @@ def test_convergence_order_uses_trailing_run():
     errs = [0.01, 0.02] + [2.0 ** -k for k in range(10)]
     rate, _ = convergence_order(errs)
     assert rate == pytest.approx(0.5, rel=1e-10)
+
+
+@pytest.mark.parametrize("solver", ["sda", "si", "si-double"])
+def test_stopping_metrics_looked_up_on_diagnostics(solver, prob8, monkeypatch):
+    # per-layer tracing patches the metrics on the diagnostics module, so
+    # the solvers must reach them through that module's attributes
+    from nare import diagnostics
+    from nare.cli import run_solver
+
+    calls = {}
+    for name in ("relative_residual", "relative_update_error"):
+        def counted(*args, _fn=getattr(diagnostics, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(diagnostics, name, counted)
+    sol, _, _ = run_solver(prob8, solver, max_iter=5)
+    assert sol.iterations == 5
+    assert calls == {"relative_residual": 5, "relative_update_error": 5}

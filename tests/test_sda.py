@@ -4,8 +4,11 @@ import pytest
 from nare import (
     Breakdown,
     SingularMatrix,
+    build_problem,
     default_shift,
     inf_norm,
+    quadrature_params,
+    relative_residual,
     shifted_coefficients,
 )
 from nare.problem import CoefficientQuadruple
@@ -132,6 +135,7 @@ def test_converged_solution_symmetric(prob32):
 def test_max_iter_returns_unconverged(prob32):
     sol = sda_solve(prob32.quad, SdaConfig(max_iter=3))
     assert not sol.converged
+    assert sol.stop_reason == "max_iter"
     assert sol.iterations == 3
     assert len(sol.err_history) == 3
 
@@ -199,3 +203,23 @@ def test_unshifted_dual_left_identity(prob32):
     sol = sda_solve(prob32.quad, SdaConfig(tol=1e-300, max_iter=40))
     gap = inf_norm(vec.u1 @ sol.y + vec.u2) / inf_norm(vec.u2)
     assert gap <= 1e-4
+
+
+@pytest.mark.parametrize("rule", ["either", "error"])
+def test_blown_up_run_returns_last_finite_iterate(rule):
+    # below the attainable floor the critical-case doubling iterates turn
+    # NaN; the run must end on the iterate before that, not converge on it
+    problem = build_problem(quadrature_params(8))
+    sol = sda_solve(problem.quad, SdaConfig(tol=1e-300, stop_rule=rule))
+    assert sol.stop_reason == "nonfinite"
+    assert not sol.converged
+    assert np.all(np.isfinite(sol.x)) and np.all(np.isfinite(sol.y))
+    assert sol.res_final == relative_residual(problem, sol.x)
+
+
+@pytest.mark.parametrize("n", [4, 32])
+def test_final_residual_describes_returned_iterate(n):
+    problem = build_problem(quadrature_params(n))
+    sol = sda_solve(problem.quad, SdaConfig(tol=1e-300, stop_rule="residual"))
+    assert sol.res_final == relative_residual(problem, sol.x)
+    assert sol.iterations == len(sol.res_history)

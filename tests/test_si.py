@@ -111,9 +111,10 @@ def test_si_shifted_double_count(prob32):
 
 def test_si_single_second_dual_column_vanishes(prob8):
     spec = default_shift(prob8, "single")
+    kernel = build_kernel(prob8)
     state = si_shift_init(prob8, spec)
     for _ in range(10):
-        state = si_shift_step(prob8, spec, state)
+        state = si_shift_step(kernel, state)
         assert np.all(state.N[:, 1] == 0.0)
 
 
@@ -123,7 +124,7 @@ def test_zero_shift_matches_classic_iteration(prob8):
     z_state = si_shift_init(prob8, spec)
     v_state = si_init(prob8)
     for _ in range(25):
-        z_state = si_shift_step(prob8, spec, z_state, kernel)
+        z_state = si_shift_step(kernel, z_state)
         v_state = si_step(kernel, v_state)
         x_classic = si_solution(kernel, v_state.m, v_state.n)
         assert np.max(np.abs(z_state.Z - x_classic)) < 1e-13
@@ -138,9 +139,9 @@ def test_shift_dominance_small(prob8):
     s2 = si_shift_init(prob8, spec2)
     kernel = build_kernel(prob8)
     for _ in range(40):
-        s0 = si_shift_step(prob8, spec0, s0, kernel)
-        s1 = si_shift_step(prob8, spec1, s1, kernel)
-        s2 = si_shift_step(prob8, spec2, s2, kernel)
+        s0 = si_shift_step(kernel, s0)
+        s1 = si_shift_step(kernel, s1)
+        s2 = si_shift_step(kernel, s2)
         slack = 1e-13 * max(1.0, inf_norm(s2.Z))
         assert np.min(s1.Z - s0.Z) >= -slack
         assert np.min(s2.Z - s1.Z) >= -slack
@@ -160,7 +161,7 @@ def test_monotone_increase_random_admissible_shifts(prob8, rng):
         state = si_shift_init(prob8, spec)
         prev = state.Z
         for _ in range(30):
-            state = si_shift_step(prob8, spec, state, kernel)
+            state = si_shift_step(kernel, state)
             assert np.min(state.Z - prev) > 0.0
             prev = state.Z
 
@@ -168,10 +169,11 @@ def test_monotone_increase_random_admissible_shifts(prob8, rng):
 def test_monotone_increase_and_upper_bound(prob8):
     spec = default_shift(prob8, "double")
     ref = sda_solve(shifted_coefficients(prob8, spec), SdaConfig(tol=1e-14))
+    kernel = build_kernel(prob8)
     state = si_shift_init(prob8, spec)
     prev = state.Z
     for _ in range(60):
-        state = si_shift_step(prob8, spec, state)
+        state = si_shift_step(kernel, state)
         gap = inf_norm(state.Z - ref.x)
         if gap <= 10 * 64 * 2.0 ** -52:
             break
@@ -184,9 +186,10 @@ def test_component_limits(prob32):
     # 300 sweeps puts the iterate at its floating-point floor (the limit
     # cycles in the last bit, so exact stationarity never happens)
     spec = default_shift(prob32, "double")
+    kernel = build_kernel(prob32)
     state = si_shift_init(prob32, spec)
     for _ in range(300):
-        state = si_shift_step(prob32, spec, state)
+        state = si_shift_step(kernel, state)
     x = state.Z
     m1, m2 = state.M[:, 0], state.M[:, 1]
     n1, n2 = state.N[:, 0], state.N[:, 1]
