@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import InsufficientHistory, SingularMatrix
 from .linalg import inf_norm, lu_inverse
-from .problem import critical_eigenvectors
+from .problem import block_matrix, critical_eigenvectors
 
 Z_PATTERN_TOL = 1e-14
 INVERSE_SIGN_TOL = 1e-12
@@ -187,8 +187,7 @@ def solution_report(problem, solution, shifted_quad=None):
     quad = shifted_quad if shifted_quad is not None else problem.quad
     certs = {
         "closed_loop": certify_m_matrix(quad.D - quad.C @ x).status,
-        "block_matrix": certify_m_matrix(
-            np.block([[quad.D, -quad.C], [-quad.B, quad.A]])).status,
+        "block_matrix": certify_m_matrix(block_matrix(quad)).status,
     }
     try:
         rate, order = convergence_order(solution.err_history)

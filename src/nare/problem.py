@@ -206,10 +206,14 @@ def build_problem(params):
     return problem
 
 
+def block_matrix(quad):
+    """The 2n x 2n block matrix [[D, -C], [-B, A]] of a coefficient quadruple."""
+    return np.block([[quad.D, -quad.C], [-quad.B, quad.A]])
+
+
 def assemble_blocks(problem):
     """Return (M, H): the block matrix [[D, -C], [-B, A]] and J M, J = diag(I, -I)."""
-    quad = problem.quad
-    m_block = np.block([[quad.D, -quad.C], [-quad.B, quad.A]])
+    m_block = block_matrix(problem.quad)
     h_block = m_block.copy()
     h_block[problem.n:, :] *= -1.0
     return m_block, h_block

@@ -95,22 +95,22 @@ def default_shift(problem, mode):
 def shifted_coefficients(problem, shift, check=True):
     """Coefficient quadruple of the shifted equation.
 
-    double mode:
-        Dbar = D + eta v1 r1^T + xi s1 u1^T    Cbar = C - eta v1 r2^T - xi s1 u2^T
-        Bbar = B + eta v2 r1^T + xi s2 u1^T    Abar = A - eta v2 r2^T - xi s2 u2^T
-    single mode is the xi = 0 specialization.  ``check=False`` skips region
+    Assembled from the rank-two factors of ``low_rank_factors``:
+        Dbar = Gamma - Q1 E1^T    Cbar = Q1 Q2^T
+        Bbar = E2 E1^T            Abar = Delta - E2 Q2^T
+    which equal D + eta v1 r1^T + xi s1 u1^T, C - eta v1 r2^T - xi s1 u2^T,
+    B + eta v2 r1^T + xi s2 u1^T and A - eta v2 r2^T - xi s2 u2^T; single
+    mode is the xi = 0 specialization.  ``check=False`` skips region
     validation so that out-of-region quadruples can be probed (the block
     matrix then need not be a Z-matrix).
     """
     if check:
         validate_shift(shift.eta, shift.xi, shift.mode, float(problem.omegas[0]))
-    vec = shift.vectors
-    eta, xi = shift.eta, shift.xi
-    quad = problem.quad
-    d = quad.D + eta * np.outer(vec.v1, vec.r1) + xi * np.outer(vec.s1, vec.u1)
-    c = quad.C - eta * np.outer(vec.v1, vec.r2) - xi * np.outer(vec.s1, vec.u2)
-    b = quad.B + eta * np.outer(vec.v2, vec.r1) + xi * np.outer(vec.s2, vec.u1)
-    a = quad.A - eta * np.outer(vec.v2, vec.r2) - xi * np.outer(vec.s2, vec.u2)
+    q1, q2, e1, e2 = _rank_two_factors(problem, shift)
+    d = np.diag(problem.gamma) - q1 @ e1.T
+    c = q1 @ q2.T
+    b = e2 @ e1.T
+    a = np.diag(problem.delta) - e2 @ q2.T
     tag = "single-shift" if shift.mode == "single" else "double-shift"
     return CoefficientQuadruple(A=a, B=b, C=c, D=d, tag=tag, shift=shift,
                                 problem=problem)
@@ -128,6 +128,10 @@ def low_rank_factors(problem, shift):
     """
     validate_shift(shift.eta, shift.xi, shift.mode, float(problem.omegas[0]),
                    relaxed=True)
+    return _rank_two_factors(problem, shift)
+
+
+def _rank_two_factors(problem, shift):
     q, e = problem.q, problem.e
     gamma, delta = problem.gamma, problem.delta
     eta, xi = shift.eta, shift.xi

@@ -1,22 +1,23 @@
 """Secular-equation machinery: eigenvalue location by bisection, Cayley rates.
 
-The critical-case block matrix has determinant
-
-    det(M - lam I) = -lam * prod_i(1/om_i - lam) * sum_j c_j prod_{k!=j}(1/om_k - lam)
-
-so its eigenvalues are 0, the n poles 1/om_i, and the n-1 roots of the
-interior polynomial, one per pole gap.  Products of up to 2n factors with
-magnitudes up to 1/om_n overflow doubles near the spectrum edges, hence
-the signed-log representation.
-
 The double-shifted block matrix factors as
 
     det(Mbar - lam I) = -prod_i(1/om_i - lam)^2 * (g1 + eta*xi*g2*g3)(lam)
 
-with the rational sums g1, g2, g3 below.  (Deriving the determinant of the
-diagonal-plus-rank-2 form gives g1, not lam*g1, in the first term; the
-n=1 case with the boundary shift confirms it: the shifted matrix has the
-double eigenvalue 1/(2*om_1), which is a root of g1 + eta*xi*g2*g3 only.)
+with the rational sums g1, g2, g3 below, and the critical-case block
+matrix is its eta*xi = 0 case,
+
+    det(M - lam I) = -prod_i(1/om_i - lam)^2 * g1(lam),
+
+so the eigenvalues of M are 0 (g1 carries the factor lam), the n poles
+1/om_i (the squared prefactor cancels each simple pole of g1) and one root
+of g1 per pole gap.  The rational sums stay finite at any n, so every root
+is bisected on their sign; only the product prefactor, which overflows
+doubles near the spectrum edges, is kept in signed-log form, and only by
+``secular_det``.  (Deriving the determinant of the diagonal-plus-rank-2
+form gives g1, not lam*g1, in the first term; the n=1 case with the
+boundary shift confirms it: the shifted matrix has the double eigenvalue
+1/(2*om_1), which is a root of g1 + eta*xi*g2*g3 only.)
 """
 
 import math
@@ -65,20 +66,6 @@ class SignedLog:
             return self.sign * math.inf
 
 
-def _signed_log_sum(signs, log_mags):
-    """Sum of signed-log terms via max-shifted accumulation."""
-    signs = np.asarray(signs, dtype=np.float64)
-    log_mags = np.asarray(log_mags, dtype=np.float64)
-    live = signs != 0.0
-    if not np.any(live):
-        return SignedLog(0, -math.inf)
-    m = float(np.max(log_mags[live]))
-    total = float(np.sum(signs[live] * np.exp(log_mags[live] - m)))
-    if total == 0.0:
-        return SignedLog(0, -math.inf)
-    return SignedLog(1 if total > 0 else -1, m + math.log(abs(total)))
-
-
 @dataclass(frozen=True)
 class SpectrumReport:
     """Located eigenvalues with their brackets and secular residuals.
@@ -116,86 +103,47 @@ def _check_poles(problem, lam):
         raise PoleHit(f"lambda = {lam!r} collides with a pole 1/omega_i")
 
 
-def _interior_terms(problem, lam):
-    """Signed-log terms c_j prod_{k!=j}(1/om_k - lam), as (signs, logs).
+def _secular_evaluator(problem):
+    """Return ``sums``: lams -> (g1, g2, g3), each an array over ``lams``.
 
-    The polynomial is entire in lam, so evaluation exactly at the poles
-    is safe: a vanishing factor kills every term except the one that
-    skips it.
+    g1 = lam * sum c_i/(1/om_i - lam)
+    g2 = sum c_i om_i/(1/om_i - lam)
+    g3 = sum c_i/(om_i (1/om_i - lam))
+
+    The poles and numerators are formed once per problem, so each call
+    costs three n x len(lams) divisions and their column sums.
     """
-    poles = 1.0 / problem.omegas
-    factors = poles - lam
-    signs = np.sign(factors)
-    zero = signs == 0.0
-    log_c = np.log(problem.weights)
-    n_zero = int(np.count_nonzero(zero))
-    if n_zero == 0:
-        logs = np.log(np.abs(factors))
-        total_log = float(np.sum(logs))
-        total_sign = float(np.prod(signs))
-        return total_sign * signs, log_c + total_log - logs
-    term_signs = np.zeros(problem.n)
-    term_logs = np.full(problem.n, -math.inf)
-    if n_zero == 1:
-        j = int(np.nonzero(zero)[0][0])
-        live = ~zero
-        term_signs[j] = float(np.prod(signs[live]))
-        term_logs[j] = log_c[j] + float(np.sum(np.log(np.abs(factors[live]))))
-    return term_signs, term_logs
+    om, c = problem.omegas, problem.weights
+    poles = (1.0 / om)[:, None]
+    num1, num2, num3 = c[:, None], (c * om)[:, None], (c / om)[:, None]
+
+    def sums(lams):
+        lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
+        den = poles - lams[None, :]
+        return (lams * np.sum(num1 / den, axis=0),
+                np.sum(num2 / den, axis=0),
+                np.sum(num3 / den, axis=0))
+
+    return sums
 
 
-def _interior_poly(problem, lam):
-    """sum_j c_j prod_{k!=j}(1/om_k - lam) in signed-log form."""
-    return _signed_log_sum(*_interior_terms(problem, lam))
-
-
-def _interior_residual(problem, lam):
-    """|interior polynomial| scaled by its largest term: a cancellation level.
-
-    The raw polynomial value overflows doubles at large n, so residuals
-    are reported relative to the dominant term magnitude.
-    """
-    term_signs, term_logs = _interior_terms(problem, lam)
-    sl = _signed_log_sum(term_signs, term_logs)
-    if sl.sign == 0:
-        return 0.0
-    scale = float(np.max(term_logs[term_signs != 0.0]))
-    return math.exp(min(sl.log_mag - scale, 700.0))
+def secular_sums(problem, lam):
+    """The three rational sums (g1, g2, g3) at ``lam``, as floats."""
+    _require_critical(problem)
+    lam = float(lam)
+    _check_poles(problem, lam)
+    return tuple(float(g[0]) for g in _secular_evaluator(problem)(lam))
 
 
 def secular_det(problem, lam):
     """det(M - lam I) for the critical block matrix, as a SignedLog.
 
-    Uses the factored form -lam * prod(1/om_i - lam) * interior(lam);
-    raises PoleHit within 1e-14 of any pole.
+    Uses the factored form -prod(1/om_i - lam)^2 * g1(lam); raises
+    PoleHit within 1e-14 of any pole.
     """
-    _require_critical(problem)
-    lam = float(lam)
-    if lam == 0.0:
-        return SignedLog(0, -math.inf)
-    _check_poles(problem, lam)
-    factors = 1.0 / problem.omegas - lam
-    prod = SignedLog(int(np.prod(np.sign(factors))),
-                     float(np.sum(np.log(np.abs(factors)))))
-    return SignedLog.from_value(-lam) * prod * _interior_poly(problem, lam)
-
-
-def secular_sums(problem, lam):
-    """The three rational sums (g1, g2, g3) of the shifted secular analysis.
-
-    g1 = lam * sum c_i/(1/om_i - lam)
-    g2 = sum c_i om_i/(1/om_i - lam)
-    g3 = sum c_i/(om_i (1/om_i - lam))
-    """
-    _require_critical(problem)
-    lam = float(lam)
-    _check_poles(problem, lam)
-    om, c = problem.omegas, problem.weights
-    den = 1.0 / om - lam
-    g1 = lam * float(np.sum(c / den))
-    g2 = float(np.sum(c * om / den))
-    g3 = float(np.sum(c / (om * den)))
-    return g1, g2, g3
+    g1, _, _ = secular_sums(problem, lam)
+    log_prod = float(np.sum(np.log(np.abs(1.0 / problem.omegas - float(lam)))))
+    return SignedLog(-1, 2.0 * log_prod) * SignedLog.from_value(g1)
 
 
 def shifted_secular(problem, shift, lam):
@@ -214,8 +162,12 @@ def shifted_secular(problem, shift, lam):
     return g1 + shift.eta * shift.xi * g2 * g3
 
 
-def _bisect(fn, a, b, sa, sb, width):
-    """Bisection on sign values; returns (root, final half-bracket)."""
+def _bisect(fn, a, b, sa, width):
+    """Bisection on sign values, ``sa`` the sign just right of ``a``.
+
+    Only midpoints are evaluated, so ``a`` and ``b`` may be poles.
+    Returns (root, final half-bracket).
+    """
     for _ in range(MAX_BISECT):
         if b - a <= width:
             break
@@ -233,28 +185,28 @@ def _bisect(fn, a, b, sa, sb, width):
 def interlaced_spectrum(problem):
     """Eigenvalues of the critical block matrix M.
 
-    Returns 0, the n poles 1/om_i, and one bisected root strictly inside
-    each pole gap, with the strict interlacing verified.
+    Returns 0, the n poles 1/om_i, and one bisected root of g1 strictly
+    inside each pole gap, with the strict interlacing verified.  g1 falls
+    to -inf just right of each pole and rises to +inf just left of the
+    next, which fixes the starting signs.  The residual of a root is
+    |sum_j t_j| / max_j |t_j| with t_j = c_j/(1/om_j - lam): the level of
+    cancellation left in g1/lam.
     """
     _require_critical(problem)
     poles = np.sort(1.0 / problem.omegas)
     width = BRACKET_WIDTH_FACTOR * poles[-1]
+    sums = _secular_evaluator(problem)
 
     def sgn(lam):
-        return _interior_poly(problem, lam).sign
+        return np.sign(sums(lam)[0][0])
 
     roots, brackets, residuals, widths = [], [], [], []
     for k in range(problem.n - 1):
-        a, b = poles[k], poles[k + 1]
-        sa, sb = sgn(a), sgn(b)
-        if sa == 0 or sb == 0 or sa == sb:
-            raise BracketFailure(
-                f"no sign change of the interior polynomial on ({a}, {b})"
-            )
-        root, (lo, hi) = _bisect(sgn, a, b, sa, sb, width)
+        root, (lo, hi) = _bisect(sgn, poles[k], poles[k + 1], -1.0, width)
+        terms = problem.weights / (1.0 / problem.omegas - root)
         roots.append(root)
         brackets.append((lo, hi))
-        residuals.append(_interior_residual(problem, root))
+        residuals.append(abs(sums(root)[0][0]) / (root * np.max(np.abs(terms))))
         widths.append(hi - lo)
 
     values = np.array(roots)
@@ -281,22 +233,10 @@ def _chebyshev_points(a, b, m):
     return np.sort(0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta))
 
 
-def _g3_level_point(problem, a, b, target):
+def _g3_level_point(sums, a, b, target):
     """Point in (a, b) where g3 reaches ``target``; g3 rises from -inf to +inf."""
-    om, c = problem.omegas, problem.weights
-
-    def g3(lam):
-        return float(np.sum(c / (om * (1.0 / om - lam))))
-
-    lo = a + (b - a) * 1e-13
-    hi = b - (b - a) * 1e-13
-    for _ in range(MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if g3(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    root, _ = _bisect(lambda lam: np.sign(sums(lam)[2][0] - target), a, b, -1.0, 0.0)
+    return root
 
 
 def shifted_interlaced_spectrum(problem, shift):
@@ -308,7 +248,9 @@ def shifted_interlaced_spectrum(problem, shift):
     an analytically guaranteed point (the midpoint 1/(2 om_1) for the
     first interval, the g3 level-set point for the gaps).  A vanishing
     probe value marks a coalesced double root, which occurs exactly on
-    the boundary of the admissible region.
+    the boundary of the admissible region.  The function is negative at
+    0 and tends to -inf at every pole (eta*xi*g2*g3 has double poles), so
+    each hump is bracketed by a rising and a falling sign change.
     """
     from .shift import omega_lower_bound, validate_shift
 
@@ -321,15 +263,10 @@ def shifted_interlaced_spectrum(problem, shift):
             "shifted spectrum needs eta > 0 and xi < 0 (double shift)"
         )
     on_boundary = abs(xi - omega_lower_bound(eta, om1)) <= 1e-12 * abs(xi)
-
-    omv, cv = problem.omegas, problem.weights
+    sums = _secular_evaluator(problem)
 
     def gbar_many(lams):
-        lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
-        den = (1.0 / omv)[:, None] - lams[None, :]
-        g1 = lams * np.sum(cv[:, None] / den, axis=0)
-        g2 = np.sum((cv * omv)[:, None] / den, axis=0)
-        g3 = np.sum((cv / omv)[:, None] / den, axis=0)
+        g1, g2, g3 = sums(lams)
         return g1 + eta * xi * g2 * g3
 
     def gbar(lam):
@@ -343,17 +280,14 @@ def shifted_interlaced_spectrum(problem, shift):
     for k in range(problem.n):
         a = 0.0 if k == 0 else poles[k - 1]
         b = poles[k]
-        off = (b - a) * 1e-13
-        a_eff = a + (off if k > 0 else 0.0)  # gbar(0) is finite and negative
-        b_eff = b - off
         pair = None
         for m in CHEB_SAMPLES:
-            pts = _chebyshev_points(a_eff, b_eff, m)
+            pts = _chebyshev_points(a, b, m)
             signs = np.sign(gbar_many(pts))
             idx = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
             if len(idx) >= 2:
-                pair = ((pts[idx[0]], pts[idx[0] + 1]),
-                        (pts[idx[-1]], pts[idx[-1] + 1]))
+                pair = ((pts[idx[0]], pts[idx[0] + 1], signs[idx[0]]),
+                        (pts[idx[-1]], pts[idx[-1] + 1], signs[idx[-1]]))
                 break
         if pair is None:
             # analytically guaranteed positive probe inside the interval
@@ -361,10 +295,10 @@ def shifted_interlaced_spectrum(problem, shift):
                 probe = 1.0 / (2.0 * om1)
             else:
                 target = 4.0 * om1 ** 2 / (problem.omegas[k - 1] * problem.omegas[k])
-                probe = _g3_level_point(problem, a, b, target)
+                probe = _g3_level_point(sums, a, b, target)
             gp = gbar(probe)
             if gp > 0.0:
-                pair = ((a_eff, probe), (probe, b_eff))
+                pair = ((a, probe, -1.0), (probe, b, 1.0))
             elif on_boundary and abs(gp) <= 1e-9:
                 # double root on the region boundary
                 free.extend([probe, probe])
@@ -378,11 +312,8 @@ def shifted_interlaced_spectrum(problem, shift):
                     f"no positive value of the shifted secular function found "
                     f"in interval {k} ({a}, {b})"
                 )
-        for lo0, hi0 in pair:
-            sa, sb = np.sign(gbar(lo0)), np.sign(gbar(hi0))
-            if sa == sb:
-                raise BracketFailure(f"bracket lost its sign change in interval {k}")
-            root, (lo, hi) = _bisect(lambda x: np.sign(gbar(x)), lo0, hi0, sa, sb, width)
+        for lo0, hi0, sa in pair:
+            root, (lo, hi) = _bisect(lambda x: np.sign(gbar(x)), lo0, hi0, sa, width)
             free.append(root)
             brackets.append((lo, hi))
             residuals.append(abs(gbar(root)))
@@ -426,7 +357,8 @@ def closed_loop_spectrum(problem):
 
     These are the nonnegative eigenvalues of the signed block matrix H,
     located as roots of the even secular function
-    1 - sum c_j / (1 - om_j^2 lam^2), one per pole gap.
+    1 - sum c_j / (1 - om_j^2 lam^2), one per pole gap, where it falls
+    from +inf just right of one pole to -inf just left of the next.
     """
     _require_critical(problem)
     om, c = problem.omegas, problem.weights
@@ -438,13 +370,8 @@ def closed_loop_spectrum(problem):
     width = BRACKET_WIDTH_FACTOR * poles[-1]
     roots = [0.0]
     for k in range(problem.n - 1):
-        a, b = poles[k], poles[k + 1]
-        off = (b - a) * 1e-13
-        a_eff, b_eff = a + off, b - off
-        sa, sb = np.sign(even_secular(a_eff)), np.sign(even_secular(b_eff))
-        if sa == sb:
-            raise BracketFailure(f"even secular function has no root in ({a}, {b})")
-        root, _ = _bisect(lambda x: np.sign(even_secular(x)), a_eff, b_eff, sa, sb, width)
+        root, _ = _bisect(lambda x: np.sign(even_secular(x)), poles[k], poles[k + 1],
+                          1.0, width)
         roots.append(root)
     return np.array(roots)
 

@@ -105,6 +105,26 @@ def transport_arrays(alpha, c, weights, omegas):
     return q, delta, d
 
 
+def shifted_quadruple_by_eigenvectors(problem, eta, xi):
+    """(Abar, Bbar, Cbar, Dbar) as rank-one corrections by the critical null vectors.
+
+    Dbar = D + eta v1 r1^T + xi s1 u1^T    Cbar = C - eta v1 r2^T - xi s1 u2^T
+    Bbar = B + eta v2 r1^T + xi s2 u1^T    Abar = A - eta v2 r2^T - xi s2 u2^T
+    with v = (q/gamma, e/delta), u = (e/gamma, -q/delta), r = (e, q) and
+    s = (q, -e).
+    """
+    q, e = problem.q, problem.e
+    v1, v2 = q / problem.gamma, e / problem.delta
+    u1, u2 = e / problem.gamma, -q / problem.delta
+    r1, r2, s1, s2 = e, q, q, -e
+    quad = problem.quad
+    d = quad.D + eta * np.outer(v1, r1) + xi * np.outer(s1, u1)
+    c = quad.C - eta * np.outer(v1, r2) - xi * np.outer(s1, u2)
+    b = quad.B + eta * np.outer(v2, r1) + xi * np.outer(s2, u1)
+    a = quad.A - eta * np.outer(v2, r2) - xi * np.outer(s2, u2)
+    return a, b, c, d
+
+
 def si_shifted_reference(alpha, c, weights, omegas, eta, xi, max_iter=10 ** 6):
     """Direct transcription of the shifted fixed-point iteration.
 

@@ -170,9 +170,12 @@ def test_low_rank_factors_reconstruct(prob32, rng):
         eta = rng.uniform(0.0, 1.0) / om1
         xi = rng.uniform(omega_lower_bound(eta, om1), 0.0)
         spec = make_shift(prob32, eta, xi, "double", relaxed=True)
-        quad = shifted_coefficients(prob32, spec, check=False)
+        a, b, c, d = oracles.shifted_quadruple_by_eigenvectors(prob32, eta, xi)
         q1, q2, e1, e2 = low_rank_factors(prob32, spec)
-        assert np.max(np.abs(np.diag(prob32.gamma) - q1 @ e1.T - quad.D)) < 1e-13
-        assert np.max(np.abs(q1 @ q2.T - quad.C)) < 1e-13
-        assert np.max(np.abs(e2 @ e1.T - quad.B)) < 1e-13
-        assert np.max(np.abs(np.diag(prob32.delta) - e2 @ q2.T - quad.A)) < 1e-13
+        assert np.max(np.abs(np.diag(prob32.gamma) - q1 @ e1.T - d)) < 1e-13
+        assert np.max(np.abs(q1 @ q2.T - c)) < 1e-13
+        assert np.max(np.abs(e2 @ e1.T - b)) < 1e-13
+        assert np.max(np.abs(np.diag(prob32.delta) - e2 @ q2.T - a)) < 1e-13
+        quad = shifted_coefficients(prob32, spec, check=False)
+        for mine, ref in zip((quad.A, quad.B, quad.C, quad.D), (a, b, c, d)):
+            assert np.max(np.abs(mine - ref)) < 1e-13

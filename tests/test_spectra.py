@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nare import (
     NotCriticalCase,
     PoleHit,
     SignedLog,
+    TransportParams,
     assemble_blocks,
+    build_problem,
     cayley,
     closed_loop_spectrum,
     default_shift,
     interlaced_spectrum,
+    quadrature_params,
     sda_rate_bound,
     secular_det,
     secular_sums,
@@ -68,7 +73,10 @@ def test_secular_det_sign_against_lu_oracle(prob8, rng):
         if lam == 0.0 or np.min(np.abs(poles - lam)) < 1e-6:
             continue
         count += 1
-        assert secular_det(prob8, lam).sign == oracles.det_sign(m_block - lam * eye)
+        det = secular_det(prob8, lam)
+        sign, log_mag = np.linalg.slogdet(m_block - lam * eye)
+        assert det.sign == oracles.det_sign(m_block - lam * eye)
+        assert abs(det.log_mag - log_mag) <= 1e-10 * abs(log_mag)
 
 
 def test_secular_det_midgap_sign(prob32):
@@ -161,8 +169,6 @@ def test_interlaced_spectrum_n2_frozen(prob2):
 
 @pytest.mark.parametrize("n", [8, 32, 64])
 def test_interlaced_spectrum_ordering_and_oracle(n):
-    from nare import build_problem, quadrature_params
-
     problem = build_problem(quadrature_params(n))
     report = interlaced_spectrum(problem)
     eigs = report.eigenvalues
@@ -220,10 +226,8 @@ def test_shifted_spectrum_pattern(prob32):
 
 
 def test_spectra_at_largest_benchmark_size():
-    # signed-log evaluation keeps the secular machinery finite at n = 256,
-    # where raw products overflow doubles
-    from nare import build_problem, quadrature_params
-
+    # the rational secular sums stay finite at n = 256, where the products
+    # of the determinant's factored form overflow doubles
     problem = build_problem(quadrature_params(256))
     report = interlaced_spectrum(problem)
     eigs = report.eigenvalues
@@ -234,6 +238,47 @@ def test_spectra_at_largest_benchmark_size():
     shifted = shifted_interlaced_spectrum(problem, default_shift(problem, "double"))
     assert len(shifted.free_roots) == 512
     assert np.all(shifted.free_roots > 0)
+
+
+def test_closed_loop_spectrum_and_rate_bound_at_n512():
+    # bisection starts at the poles themselves: an endpoint offset of 1e-13
+    # of the gap width rounds back onto the pole at this size
+    problem = build_problem(quadrature_params(512))
+    lams = closed_loop_spectrum(problem)
+    poles = np.sort(1.0 / problem.omegas)
+    assert len(lams) == 512 and lams[0] == 0.0
+    assert np.all(lams[1:] > poles[:-1]) and np.all(lams[1:] < poles[1:])
+    assert 0.0 < sda_rate_bound(problem, default_shift(problem, "double")) < 1.0
+
+
+@st.composite
+def direction_sets(draw):
+    n = draw(st.integers(1, 12))
+    omegas = sorted(draw(st.lists(st.floats(0.01, 0.99), min_size=n, max_size=n)),
+                    reverse=True)
+    assume(np.all(-np.diff(omegas) >= 1e-4))
+    # below ~1e-3, dense eigvals (the oracle) loses accuracy near the poles
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    return build_problem(TransportParams(alpha=0.0, c=1.0, weights=weights / weights.sum(),
+                                         omegas=np.array(omegas)))
+
+
+def assert_same_spectrum(mine, block):
+    dense = np.sort(np.linalg.eigvals(block).real)
+    assert np.all(np.abs(np.sort(mine) - dense) <= 1e-9 * np.maximum(np.abs(dense), 1.0))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(direction_sets())
+def test_spectra_match_dense_eigenvalues(problem):
+    assert_same_spectrum(interlaced_spectrum(problem).eigenvalues,
+                         assemble_blocks(problem)[0])
+    # an interior double shift: on the region boundary the shifted matrix has
+    # defective double eigenvalues, which dense eigvals finds only to sqrt(eps)
+    om1 = float(problem.omegas[0])
+    spec = make_shift(problem, 1.0 / (2.0 * om1), -1.0 / (4.0 * om1), "double")
+    assert_same_spectrum(shifted_interlaced_spectrum(problem, spec).eigenvalues,
+                         shifted_block(problem, spec))
 
 
 def test_shifted_spectrum_rejects_single_shift(prob8):
