@@ -19,8 +19,8 @@ def inf_norm(a):
     if a.size == 0:
         return 0.0
     if a.ndim <= 1:
-        return float(np.max(np.abs(a)))
-    return float(np.max(np.abs(a).sum(axis=1)))
+        return float(np.abs(a).max())
+    return float(np.abs(a).sum(axis=1).max())
 
 
 def lu_solve(a, b):

@@ -24,6 +24,7 @@ from typing import Union
 
 import numpy as np
 
+from . import diagnostics
 from .errors import Breakdown, SingularMatrix
 from .linalg import lu_solve
 from .solution import iterate
@@ -123,6 +124,6 @@ def sda_solve(quad, config=None):
     config = config or SdaConfig()
     if quad.problem is None:
         raise ValueError("quadruple is not attached to a problem")
-    return iterate(quad.problem, sda_init(quad, config), sda_step,
-                   lambda s: (s.G, s.H), lambda s: s.H, config,
-                   f"sda[{quad.tag}]", y_of=lambda s: s.G)
+    return iterate(quad.problem, sda_init(quad, config), sda_step, lambda s: (s.G, s.H),
+                   lambda s: diagnostics.relative_residual(quad.problem, s.H),
+                   lambda s: s.H, config, f"sda[{quad.tag}]", y_of=lambda s: s.G)

@@ -21,7 +21,7 @@ def omega_lower_bound(eta, omega1):
 
 @dataclass(frozen=True)
 class ShiftSpec:
-    """Validated shift parameters plus the null-vector data they act on.
+    """Validated shift parameters.
 
     single mode: 0 < eta <= 1/omega1 and xi = 0.
     double mode: 0 < eta < 1/omega1 and (-1 + eta*omega1)/omega1 <= xi < 0.
@@ -32,7 +32,6 @@ class ShiftSpec:
     eta: float
     xi: float
     mode: str
-    vectors: "object"  # CriticalEigenvectors
 
 
 def validate_shift(eta, xi, mode, omega1, relaxed=False):
@@ -74,10 +73,10 @@ def validate_shift(eta, xi, mode, omega1, relaxed=False):
 
 def make_shift(problem, eta, xi, mode, relaxed=False):
     """Build a validated ShiftSpec for ``problem`` (critical case only)."""
-    vectors = critical_eigenvectors(problem)
+    critical_eigenvectors(problem)  # raises NotCriticalCase off the critical point
     validate_shift(float(eta), float(xi), mode, float(problem.omegas[0]),
                    relaxed=relaxed)
-    return ShiftSpec(eta=float(eta), xi=float(xi), mode=mode, vectors=vectors)
+    return ShiftSpec(eta=float(eta), xi=float(xi), mode=mode)
 
 
 def default_shift(problem, mode):

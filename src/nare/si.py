@@ -6,17 +6,21 @@ vector fixed point
 
     m = m o (P n) + e,   n = n o (Q m) + e.
 
-The shifted variant iterates rank-two factors M_k = [m1, m2],
-N_k = [n1, n2] with Z_k = T o (M_k N_k^T); every step touches Z_k only
-through two n x 2 products with the shifted quadruple's low-rank factors
-plus one rank-2 Hadamard update, keeping the cost at O(n^2) per step.
+The shifted variant iterates rank-two factors M = [m1, m2], N = [n1, n2]
+of Z = T o (M N^T) through two thin GEMMs with T per sweep, O(n^2).  X and Z
+are not formed in the loop (Z only for ||Z|| if a factor entry turns negative):
+X Gamma + Delta X = M N^T, and Xq + e, X^T q + e are columns a, b of the next
+sweep, which each state carries, so the residual is R = M N^T - a b^T, exact
+up to rounding (``diagnostics.factored_residual``: O(n) for monotone classic
+iterates, O(n^2) row sums otherwise).  The iterate is built once, at return.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
+from . import diagnostics
 from .shift import low_rank_factors
 from .solution import iterate
 
@@ -42,18 +46,24 @@ class HadamardKernel:
 
 @dataclass
 class SiState:
+    """Iterate vectors (m, n) and the next sweep's, (Xq + e, X^T q + e)."""
+
     m: np.ndarray
     n: np.ndarray
+    m_next: np.ndarray
+    n_next: np.ndarray
 
 
 @dataclass
 class SiShiftState:
-    """Rank-two factors and the materialized iterate of the shifted scheme."""
+    """Factors of Z = T o (M N^T), the next sweep's factors, and Z's row sums."""
 
     M: np.ndarray
     N: np.ndarray
-    Z: np.ndarray
-    low_rank: tuple  # (Q1, Q2, E1, E2) of shift.low_rank_factors, fixed per solve
+    M_next: np.ndarray
+    N_next: np.ndarray
+    z_rows: np.ndarray
+    low_rank: tuple  # [Q1 e]^T, Q2^T (with a broadcast axis), E1^T, E2^T
 
 
 def build_kernel(problem):
@@ -65,14 +75,14 @@ def build_kernel(problem):
 
 
 def si_init(problem):
-    return SiState(m=np.zeros(problem.n), n=np.zeros(problem.n))
+    zero, one = np.zeros(problem.n), np.ones(problem.n)
+    return SiState(m=zero, n=zero, m_next=one, n_next=one)
 
 
 def si_step(kernel, state):
-    """One sweep of the coupled vector iteration (simultaneous update)."""
-    m_next = state.m * (kernel.P @ state.n) + 1.0
-    n_next = state.n * (kernel.Qm @ state.m) + 1.0
-    return replace(state, m=m_next, n=n_next)
+    """Make the next sweep's vectors current and run the sweep after them."""
+    m, n = state.m_next, state.n_next
+    return SiState(m, n, m * (kernel.P @ n) + 1.0, n * (kernel.Qm @ m) + 1.0)
 
 
 def si_solution(kernel, m, n):
@@ -88,8 +98,10 @@ def si_solve(problem, config=None):
     """
     kernel = build_kernel(problem)
     return iterate(problem, si_init(problem), lambda s: si_step(kernel, s),
-                   lambda s: (s.m, s.n), lambda s: si_solution(kernel, s.m, s.n),
-                   config or SiConfig(), "si")
+                   lambda s: (s.m, s.n),
+                   lambda s: diagnostics.factored_residual(
+                       s.m, s.n, s.m_next, s.n_next, s.m * (kernel.T @ s.n)),
+                   lambda s: si_solution(kernel, s.m, s.n), config or SiConfig(), "si")
 
 
 def factors_to_solution(kernel, m_fac, n_fac):
@@ -99,32 +111,40 @@ def factors_to_solution(kernel, m_fac, n_fac):
 
 def si_shift_init(problem, shift):
     """Zero iterate of the shifted scheme; validates the relaxed shift region."""
-    n = problem.n
-    return SiShiftState(M=np.zeros((n, 2)), N=np.zeros((n, 2)), Z=np.zeros((n, n)),
-                        low_rank=low_rank_factors(problem, shift))
+    q1, q2, e1, e2 = low_rank_factors(problem, shift)
+    q1e = np.vstack([q1.T, problem.e])[:, None]
+    zero = np.zeros((2, problem.n))
+    return SiShiftState(zero.T, zero.T, e2, e1, zero[0],
+                        (q1e, q2.T[:, None], e1.T.copy(), e2.T.copy()))
 
 
 def si_shift_step(kernel, state):
-    """One step of the shifted rank-two iteration in factored form:
+    """Make the next sweep's factors current and run the shifted sweep after them:
 
-        M <- Z Q1 + E2,   N <- Z^T Q2 + E1,   Z <- T o (M N^T)
+        M_next = Z Q1 + E2,   N_next = Z^T Q2 + E1,   Z = T o (M N^T)
 
-    with the factors of ``shift.low_rank_factors``.  Column by column,
-    M = [m1, m2] and N = [n1, n2] with
-
-        m1 = Z (I - eta Gamma^-1) q + (I + eta Delta^-1) e
-        m2 = Z q + e
-        n1 = Z^T q + e
-        n2 = -xi (Gamma^-1 e - Z^T Delta^-1 q)
-
-    At xi = 0 the second dual column vanishes identically and the scheme
-    degenerates to the classic fixed point on Z.
+    with the factors of ``shift.low_rank_factors``.  Z is never formed:
+    Z Q1 = sum_k M_k o T (N_k o Q1) and Z^T Q2 = sum_k N_k o T^T (M_k o Q2) take
+    one thin GEMM per side, and e beside Q1 gives the row sums Z e.  Column
+    by column, m1 = Z (I - eta Gamma^-1) q + (I + eta Delta^-1) e, m2 = Z q + e,
+    n1 = Z^T q + e and n2 = -xi (Gamma^-1 e - Z^T Delta^-1 q); at xi = 0 the
+    second dual column vanishes identically and the scheme degenerates to the
+    classic fixed point on Z.
     """
-    q1, q2, e1, e2 = state.low_rank
-    m_fac = state.Z @ q1 + e2
-    n_fac = state.Z.T @ q2 + e1
-    return replace(state, M=m_fac, N=n_fac,
-                   Z=factors_to_solution(kernel, m_fac, n_fac))
+    q1e, q2, e1, e2 = state.low_rank
+    # factors as 2 x n rows: a k x n by n x n GEMM ran faster than n x n by n x k
+    m_fac, n_fac = state.M_next, state.N_next
+    m_t, n_t = m_fac.T, n_fac.T
+    n = m_t.shape[1]
+    t_nq = ((q1e * n_t).reshape(6, n) @ kernel.T.T).reshape(3, 2, n)  # T (N_k o [Q1 e])
+    zq = (t_nq * m_t).sum(axis=1)  # rows (Z Q1)^T and (Z e)^T
+    tt_mq = ((q2 * m_t).reshape(4, n) @ kernel.T).reshape(2, 2, n)  # T^T (M_k o Q2)
+    ztq = (tt_mq * n_t).sum(axis=1)
+    z_rows = zq[2]
+    if min(m_t.min(), n_t.min()) < 0.0:  # Z may hold negative entries
+        z_rows = np.abs(factors_to_solution(kernel, m_fac, n_fac)).sum(axis=1)
+    return SiShiftState(m_fac, n_fac, (zq[:2] + e2).T, (ztq + e1).T, z_rows,
+                        state.low_rank)
 
 
 def si_shifted_solve(problem, shift, config=None):
@@ -132,5 +152,8 @@ def si_shifted_solve(problem, shift, config=None):
     state = si_shift_init(problem, shift)
     kernel = build_kernel(problem)
     return iterate(problem, state, lambda s: si_shift_step(kernel, s),
-                   lambda s: (s.M, s.N), lambda s: s.Z,
+                   lambda s: (s.M, s.N),
+                   lambda s: diagnostics.factored_residual(
+                       s.M, s.N, s.M_next[:, 1], s.N_next[:, 0], s.z_rows),
+                   lambda s: factors_to_solution(kernel, s.M, s.N),
                    config or SiConfig(), f"si-{shift.mode}")

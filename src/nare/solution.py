@@ -72,35 +72,32 @@ def stop_hit(rule, err, res, tol):
     raise ValueError(f"stop rule must be one of {STOP_RULES}, got {rule!r}")
 
 
-def iterate(problem, state, step, factors, x_of, config, method, y_of=None):
+def iterate(problem, state, step, factors, residual, x_of, config, method, y_of=None):
     """Run ``state = step(state)`` to the stopping rule of ``config``.
 
     Each step is measured by the update error of the arrays ``factors(state)``
-    and the residual of ``x_of(state)`` on ``problem``.  A step whose residual
-    is not finite (critical-case doubling blows up past its attainable
-    accuracy) ends the run on the iterate before it; otherwise the run returns
-    the last iterate.  The metrics are looked up on ``diagnostics`` at every
-    call, so instrumentation patched onto that module sees them.
+    and by ``residual(state)``, the relative residual of the state's iterate;
+    ``x_of`` builds the returned iterate once.  A step whose residual is not
+    finite (critical-case doubling blows up past its attainable accuracy) ends
+    the run on the iterate before it; otherwise the run returns the last one.
+    Metrics are looked up on ``diagnostics`` at every call, so instrumentation
+    patched onto that module sees them.
     """
     tol = resolve_tol(config.tol, problem.n)
-    x = None
     errs, ress = [], []
     reason = "max_iter"
     for _ in range(config.max_iter):
         nxt = step(state)
-        x_next = x_of(nxt)
         err = diagnostics.relative_update_error(zip(factors(state), factors(nxt)))
-        res = diagnostics.relative_residual(problem, x_next)
+        res = residual(nxt)
         if not math.isfinite(res):
             reason = "nonfinite"
             break
-        state, x = nxt, x_next
+        state = nxt
         errs.append(err)
         ress.append(res)
         if stop_hit(config.stop_rule, err, res, tol):
             reason = "converged"
             break
-    if x is None:  # no step was accepted
-        x = x_of(state)
-    return Solution(x=x, y=y_of(state) if y_of else None, method=method,
+    return Solution(x=x_of(state), y=y_of(state) if y_of else None, method=method,
                     stop_reason=reason, err_history=errs, res_history=ress)

@@ -21,6 +21,7 @@ from nare import (
     certify_m_matrix,
     convergence_order,
     default_shift,
+    factors_to_solution,
     inf_norm,
     interlaced_spectrum,
     quadrature_params,
@@ -249,7 +250,8 @@ def test_criterion_7_rate_properties(prob32, ref32):
     errs_z = []
     for _ in range(60):
         zstate = si_shift_step(kernel, zstate)
-        errs_z.append(inf_norm(zstate.Z - ref32) / scale)
+        z = factors_to_solution(kernel, zstate.M, zstate.N)
+        errs_z.append(inf_norm(z - ref32) / scale)
     late = [errs_z[i + 1] / errs_z[i] for i in range(30, 55)]
     assert all(0.0 < r < 0.95 for r in late), late
 
@@ -280,16 +282,18 @@ def test_criterion_8_monotonicity_and_dominance(prob32, ref32):
     m_lim = ref32 @ prob32.q + 1.0
     n_lim = ref32.T @ prob32.q + 1.0
     bound_slack = 1e-10
+    z2 = factors_to_solution(kernel, s2.M, s2.N)
     for k in range(1, 201):
-        prev2 = s2.Z
+        prev2 = z2
         s0 = si_shift_step(kernel, s0)
         s1 = si_shift_step(kernel, s1)
         s2 = si_shift_step(kernel, s2)
-        slack = 1e-13 * max(1.0, inf_norm(s2.Z))
-        assert np.min(s1.Z - s0.Z) >= -slack, f"dominance (eta,0) at k={k}"
-        assert np.min(s2.Z - s1.Z) >= -slack, f"dominance (eta,xi) at k={k}"
-        if inf_norm(s2.Z - ref32) > 10 * tol * inf_norm(ref32):
-            assert np.min(s2.Z - prev2) > 0.0, f"strict increase at k={k}"
+        z0, z1, z2 = (factors_to_solution(kernel, s.M, s.N) for s in (s0, s1, s2))
+        slack = 1e-13 * max(1.0, inf_norm(z2))
+        assert np.min(z1 - z0) >= -slack, f"dominance (eta,0) at k={k}"
+        assert np.min(z2 - z1) >= -slack, f"dominance (eta,xi) at k={k}"
+        if inf_norm(z2 - ref32) > 10 * tol * inf_norm(ref32):
+            assert np.min(z2 - prev2) > 0.0, f"strict increase at k={k}"
         m1, m2 = s2.M[:, 0], s2.M[:, 1]
         n1, n2 = s2.N[:, 0], s2.N[:, 1]
         assert np.all(m1 >= 1.0 - bound_slack) and np.all(m2 >= 1.0 - bound_slack)
@@ -307,10 +311,8 @@ def test_criterion_9_zmatrix_sharpness(prob32):
     from nare.shift import ShiftSpec
 
     om1 = float(prob32.omegas[0])
-    vec = default_shift(prob32, "double").vectors
-
     def block(eta, xi, mode):
-        spec = ShiftSpec(eta=eta, xi=xi, mode=mode, vectors=vec)
+        spec = ShiftSpec(eta=eta, xi=xi, mode=mode)
         quad = shifted_coefficients(prob32, spec, check=False)
         return np.block([[quad.D, -quad.C], [-quad.B, quad.A]])
 

@@ -17,7 +17,8 @@ from nare import (
     shifted_coefficients,
     solution_identities,
 )
-from nare.diagnostics import residual_matrix
+from nare.diagnostics import factored_residual, residual_matrix
+from nare.si import build_kernel, si_solution
 from nare.sda import SdaConfig, sda_solve
 
 
@@ -54,6 +55,27 @@ def test_residual_rank_structure_identity(prob32, prob_noncrit32, rng):
             packed = residual_matrix(problem, x)
             assert abs(inf_norm(packed) - inf_norm(direct)) <= 1e-12 * inf_norm(direct)
             assert np.max(np.abs(packed + direct)) <= 1e-12 * inf_norm(direct)
+
+
+def test_factored_residual_exact_path_for_non_monotone_factors(prob8, rng):
+    # factors that are not iterates: a = Xq + e falls below m in some rows,
+    # so R = m n^T - a b^T has entries of both signs and the O(n) row sums
+    # a_i sum(b) - m_i sum(n) would be wrong
+    kernel = build_kernel(prob8)
+    m, n = rng.uniform(0.5, 4.0, (2, prob8.n))
+    x = si_solution(kernel, m, n)
+    a, b = x @ prob8.q + 1.0, prob8.q @ x + 1.0
+    assert np.any(a < m)
+    dense = relative_residual(prob8, x)
+    one_sign = np.max(a * b.sum() - m * n.sum()) / (2.0 * inf_norm(x))
+    assert abs(one_sign - dense) > 0.1 * dense
+    factored = factored_residual(m, n, a, b, x.sum(axis=1))
+    assert factored == pytest.approx(dense, rel=1e-12)
+
+
+def test_factored_residual_of_zero_iterate_is_infinite():
+    zero, one = np.zeros(3), np.ones(3)
+    assert factored_residual(zero, zero, one, one, zero) == math.inf
 
 
 def test_relative_update_error_cases():
@@ -175,16 +197,18 @@ def test_convergence_order_uses_trailing_run():
 @pytest.mark.parametrize("solver", ["sda", "si", "si-double"])
 def test_stopping_metrics_looked_up_on_diagnostics(solver, prob8, monkeypatch):
     # per-layer tracing patches the metrics on the diagnostics module, so
-    # the solvers must reach them through that module's attributes
+    # the solvers must reach them through that module's attributes; the
+    # vector solvers read their residual off the factors, never off X
     from nare import diagnostics
     from nare.cli import run_solver
 
+    residual = "relative_residual" if solver == "sda" else "factored_residual"
     calls = {}
-    for name in ("relative_residual", "relative_update_error"):
+    for name in ("relative_residual", "factored_residual", "relative_update_error"):
         def counted(*args, _fn=getattr(diagnostics, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
         monkeypatch.setattr(diagnostics, name, counted)
     sol, _, _ = run_solver(prob8, solver, max_iter=5)
     assert sol.iterations == 5
-    assert calls == {"relative_residual": 5, "relative_update_error": 5}
+    assert calls == {residual: 5, "relative_update_error": 5}

@@ -7,6 +7,7 @@ from nare import (
     ShiftOutOfRegion,
     assemble_blocks,
     certify_m_matrix,
+    critical_eigenvectors,
     default_shift,
     inf_norm,
     low_rank_factors,
@@ -83,9 +84,8 @@ def test_double_shift_coefficients_n1(prob1):
 
 def test_zmatrix_boundary_single(prob32):
     om1 = float(prob32.omegas[0])
-    vec = default_shift(prob32, "single").vectors
-    at_edge = ShiftSpec(eta=1 / om1, xi=0.0, mode="single", vectors=vec)
-    over_edge = ShiftSpec(eta=1.0001 / om1, xi=0.0, mode="single", vectors=vec)
+    at_edge = ShiftSpec(eta=1 / om1, xi=0.0, mode="single")
+    over_edge = ShiftSpec(eta=1.0001 / om1, xi=0.0, mode="single")
     m_at = block_of(shifted_coefficients(prob32, at_edge, check=False))
     m_over = block_of(shifted_coefficients(prob32, over_edge, check=False))
     assert certify_m_matrix(m_at).status != "z_matrix_violation"
@@ -96,9 +96,8 @@ def test_zmatrix_boundary_double(prob32):
     om1 = float(prob32.omegas[0])
     eta = 1 / (2 * om1)
     xi_edge = omega_lower_bound(eta, om1)
-    vec = default_shift(prob32, "double").vectors
-    at_edge = ShiftSpec(eta=eta, xi=xi_edge, mode="double", vectors=vec)
-    over_edge = ShiftSpec(eta=eta, xi=1.01 * xi_edge, mode="double", vectors=vec)
+    at_edge = ShiftSpec(eta=eta, xi=xi_edge, mode="double")
+    over_edge = ShiftSpec(eta=eta, xi=1.01 * xi_edge, mode="double")
     m_at = block_of(shifted_coefficients(prob32, at_edge, check=False))
     m_over = block_of(shifted_coefficients(prob32, over_edge, check=False))
     assert certify_m_matrix(m_at).status != "z_matrix_violation"
@@ -107,8 +106,7 @@ def test_zmatrix_boundary_double(prob32):
 
 def test_out_of_region_rejected_by_default(prob32):
     om1 = float(prob32.omegas[0])
-    vec = default_shift(prob32, "double").vectors
-    bad = ShiftSpec(eta=1.5 / om1, xi=0.0, mode="single", vectors=vec)
+    bad = ShiftSpec(eta=1.5 / om1, xi=0.0, mode="single")
     with pytest.raises(ShiftOutOfRegion):
         shifted_coefficients(prob32, bad)
 
@@ -126,9 +124,10 @@ def test_spectrum_preserved_by_single_shift(prob8):
 
 def test_single_shift_relocates_null_vector(prob32):
     spec = default_shift(prob32, "single")
+    vec = critical_eigenvectors(prob32)
     _, h_block = assemble_blocks(prob32)
-    h_hat = h_block + spec.eta * np.outer(spec.vectors.v, spec.vectors.r)
-    v = spec.vectors.v
+    h_hat = h_block + spec.eta * np.outer(vec.v, vec.r)
+    v = vec.v
     assert inf_norm(h_hat @ v - spec.eta * v) <= 1e-12 * inf_norm(v)
 
 

@@ -1,12 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from nare import (
     build_kernel,
+    build_problem,
     default_shift,
     factors_to_solution,
     inf_norm,
+    quadrature_params,
+    relative_residual,
     shifted_coefficients,
     si_init,
     si_shift_init,
@@ -16,8 +23,10 @@ from nare import (
     si_solve,
     si_step,
 )
+from nare.cli import run_solver
+from nare.linalg import EPS
 from nare.sda import SdaConfig, sda_solve
-from nare.shift import make_shift
+from nare.shift import make_shift, omega_lower_bound
 from nare.si import SiConfig
 
 
@@ -127,7 +136,8 @@ def test_zero_shift_matches_classic_iteration(prob8):
         z_state = si_shift_step(kernel, z_state)
         v_state = si_step(kernel, v_state)
         x_classic = si_solution(kernel, v_state.m, v_state.n)
-        assert np.max(np.abs(z_state.Z - x_classic)) < 1e-13
+        z = factors_to_solution(kernel, z_state.M, z_state.N)
+        assert np.max(np.abs(z - x_classic)) < 1e-13
 
 
 def test_shift_dominance_small(prob8):
@@ -142,9 +152,10 @@ def test_shift_dominance_small(prob8):
         s0 = si_shift_step(kernel, s0)
         s1 = si_shift_step(kernel, s1)
         s2 = si_shift_step(kernel, s2)
-        slack = 1e-13 * max(1.0, inf_norm(s2.Z))
-        assert np.min(s1.Z - s0.Z) >= -slack
-        assert np.min(s2.Z - s1.Z) >= -slack
+        z0, z1, z2 = (factors_to_solution(kernel, s.M, s.N) for s in (s0, s1, s2))
+        slack = 1e-13 * max(1.0, inf_norm(z2))
+        assert np.min(z1 - z0) >= -slack
+        assert np.min(z2 - z1) >= -slack
 
 
 def test_monotone_increase_random_admissible_shifts(prob8, rng):
@@ -159,11 +170,12 @@ def test_monotone_increase_random_admissible_shifts(prob8, rng):
         xi = rng.uniform(omega_lower_bound(eta, om1), 0.0)
         spec = make_shift(prob8, eta, xi, "double", relaxed=True)
         state = si_shift_init(prob8, spec)
-        prev = state.Z
+        prev = factors_to_solution(kernel, state.M, state.N)
         for _ in range(30):
             state = si_shift_step(kernel, state)
-            assert np.min(state.Z - prev) > 0.0
-            prev = state.Z
+            z = factors_to_solution(kernel, state.M, state.N)
+            assert np.min(z - prev) > 0.0
+            prev = z
 
 
 def test_monotone_increase_and_upper_bound(prob8):
@@ -171,15 +183,16 @@ def test_monotone_increase_and_upper_bound(prob8):
     ref = sda_solve(shifted_coefficients(prob8, spec), SdaConfig(tol=1e-14))
     kernel = build_kernel(prob8)
     state = si_shift_init(prob8, spec)
-    prev = state.Z
+    prev = factors_to_solution(kernel, state.M, state.N)
     for _ in range(60):
         state = si_shift_step(kernel, state)
-        gap = inf_norm(state.Z - ref.x)
+        z = factors_to_solution(kernel, state.M, state.N)
+        gap = inf_norm(z - ref.x)
         if gap <= 10 * 64 * 2.0 ** -52:
             break
-        assert np.min(state.Z - prev) > 0.0  # strict entrywise increase
-        assert np.max(state.Z - ref.x) <= 1e-12  # never exceeds the limit
-        prev = state.Z
+        assert np.min(z - prev) > 0.0  # strict entrywise increase
+        assert np.max(z - ref.x) <= 1e-12  # never exceeds the limit
+        prev = z
 
 
 def test_component_limits(prob32):
@@ -190,7 +203,7 @@ def test_component_limits(prob32):
     state = si_shift_init(prob32, spec)
     for _ in range(300):
         state = si_shift_step(kernel, state)
-    x = state.Z
+    x = factors_to_solution(kernel, state.M, state.N)
     m1, m2 = state.M[:, 0], state.M[:, 1]
     n1, n2 = state.N[:, 0], state.N[:, 1]
     m_lim = x @ prob32.q + 1.0
@@ -230,3 +243,63 @@ def test_si_solution_reference_loop_agreement(prob8):
     z_ref, _ = oracles.si_shifted_reference(
         0.0, 1.0, prob8.weights, prob8.omegas, spec.eta, spec.xi, max_iter=2000)
     assert inf_norm(sol.x - z_ref) <= 1e-12 * inf_norm(z_ref)
+
+
+@pytest.mark.parametrize("n", [4, 32])
+@pytest.mark.parametrize("solver", ["si", "si-single", "si-double"])
+def test_vector_final_residual_describes_returned_iterate(solver, n):
+    # si hits the cap, the shifted schemes converge; either way res_final is
+    # the residual of the returned x, which the solver builds only at return
+    problem = build_problem(quadrature_params(n))
+    sol, _, _ = run_solver(problem, solver, max_iter=500)
+    assert abs(sol.res_final - relative_residual(problem, sol.x)) <= 10 * n * EPS
+
+
+@st.composite
+def vector_runs(draw):
+    """si anywhere in the valid (alpha, c) range, or a shifted scheme under an
+    admissible single or double shift at the critical point."""
+    n = draw(st.sampled_from(range(4, 33, 4)))
+    mode = draw(st.sampled_from(["none", "single", "double"]))
+    if mode == "none":
+        alpha, c = draw(st.floats(0.0, 0.99)), draw(st.floats(0.01, 1.0))
+        return build_problem(quadrature_params(n, alpha, c)), None
+    problem = build_problem(quadrature_params(n))
+    om1 = float(problem.omegas[0])
+    eta = draw(st.floats(0.0, 1.0)) / om1
+    xi = 0.0 if mode == "single" else draw(st.floats(omega_lower_bound(eta, om1), 0.0))
+    return problem, make_shift(problem, eta, xi, mode, relaxed=True)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(vector_runs())
+def test_factored_residual_matches_dense_residual(run):
+    problem, spec = run
+    kernel = build_kernel(problem)
+    config = SiConfig(tol=1e-300, max_iter=40)
+    if spec is None:
+        sol = si_solve(problem, config)
+        state, step = si_init(problem), si_step
+        x_of = lambda s: si_solution(kernel, s.m, s.n)  # noqa: E731
+    else:
+        sol = si_shifted_solve(problem, spec, config)
+        state, step = si_shift_init(problem, spec), si_shift_step
+        x_of = lambda s: factors_to_solution(kernel, s.M, s.N)  # noqa: E731
+    # both metrics round at the scale of Gamma and Delta, 1/(c (1 -+ alpha))
+    tol = 4 * problem.n * EPS / (problem.params.c * (1.0 - problem.params.alpha))
+    for res in sol.res_history:
+        state = step(kernel, state)
+        assert abs(res - relative_residual(problem, x_of(state))) <= tol
+
+
+def test_shift_step_row_sums_of_z_with_negative_factor_entries(prob8, rng):
+    # a negative factor entry can make Z negative somewhere; the row sums that
+    # scale the residual must then be those of |Z|
+    kernel = build_kernel(prob8)
+    state = si_shift_init(prob8, default_shift(prob8, "double"))
+    m_fac, n_fac = rng.uniform(0.5, 2.0, (2, prob8.n, 2))
+    n_fac[:, 1] *= -4.0
+    state = si_shift_step(kernel, replace(state, M_next=m_fac, N_next=n_fac))
+    z = factors_to_solution(kernel, m_fac, n_fac)
+    assert np.min(z) < 0.0
+    assert state.z_rows == pytest.approx(np.abs(z).sum(axis=1), rel=1e-14)
