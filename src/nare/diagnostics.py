@@ -22,7 +22,10 @@ def residual_matrix(problem, x):
     """
     m = x @ problem.q + problem.e
     n = problem.q @ x + problem.e
-    return x * problem.gamma[None, :] + problem.delta[:, None] * x - np.outer(m, n)
+    r = np.multiply(x, problem.gamma)
+    r += (tmp := problem.delta[:, None] * x)
+    r -= np.multiply.outer(m, n, out=tmp)
+    return r
 
 
 def normalized_residual(problem, x):
@@ -34,7 +37,8 @@ def normalized_residual(problem, x):
     ||e^T|| = n).  Equals 1 at X = 0.
     """
     x = np.asarray(x, dtype=np.float64)
-    num = inf_norm(residual_matrix(problem, x))
+    r = residual_matrix(problem, x)
+    num = float(np.abs(r, out=r).sum(axis=1).max())
     nx = inf_norm(x)
     den = (nx * inf_norm(problem.gamma) + nx * inf_norm(problem.delta)
            + (nx * float(np.max(np.abs(problem.q))) + 1.0)
@@ -55,7 +59,8 @@ def relative_residual(problem, x):
     nx = inf_norm(x)
     if nx == 0.0:
         return math.inf
-    return inf_norm(residual_matrix(problem, x)) / (2.0 * nx)
+    r = residual_matrix(problem, x)
+    return float(np.abs(r, out=r).sum(axis=1).max()) / (2.0 * nx)
 
 
 def factored_residual(m_fac, n_fac, a, b, x_rows):

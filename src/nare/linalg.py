@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: LU solves with breakdown detection, infinity norms.
+"""Dense linear-algebra kernel: checked LU factors, solves, inverses, infinity norms.
 
 All matrices are numpy float64 arrays in row-major (C) order.
 """
@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import SingularMatrix
 
@@ -23,20 +24,17 @@ def inf_norm(a):
     return float(np.abs(a).sum(axis=1).max())
 
 
-def lu_solve(a, b):
-    """Solve A X = B by LU with partial pivoting.
+def lu_factor(a):
+    """LU factors ``(lu, piv)`` of a square A with partial pivoting.
 
-    Raises SingularMatrix when any pivot magnitude falls below
-    n * eps * ||A||_inf; callers treat that as an iteration breakdown
+    Raises SingularMatrix on a zero matrix or when a pivot magnitude falls
+    below n * eps * ||A||_inf; callers treat that as an iteration breakdown
     rather than continuing with an amplified solution.
     """
     a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
     n = a.shape[0]
     if a.ndim != 2 or a.shape[1] != n:
         raise ValueError(f"coefficient matrix must be square, got {a.shape}")
-    if b.shape[0] != n:
-        raise ValueError(f"right-hand side has {b.shape[0]} rows, expected {n}")
     threshold = n * EPS * inf_norm(a)
     if threshold == 0.0:
         raise SingularMatrix("zero matrix")
@@ -44,14 +42,18 @@ def lu_solve(a, b):
         # zero pivots are reported through SingularMatrix below
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
         lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    if np.min(pivots) < threshold:
-        raise SingularMatrix(
-            f"pivot {np.min(pivots):.3e} below threshold {threshold:.3e}"
-        )
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    pivot = np.abs(np.diag(lu)).min()
+    if pivot < threshold:
+        raise SingularMatrix(f"pivot {pivot:.3e} below threshold {threshold:.3e}")
+    return lu, piv
+
+
+def lu_solve(a, b):
+    """Solve A X = B on the checked factors of ``lu_factor``."""
+    return scipy.linalg.lu_solve(lu_factor(a), b, check_finite=False)
 
 
 def lu_inverse(a):
-    """Inverse via ``lu_solve(a, I)``; same breakdown contract."""
-    return lu_solve(a, np.eye(a.shape[0]))
+    """A^-1 by LAPACK getri on the checked factors of ``lu_factor``."""
+    lwork = int(lapack.dgetri_lwork(len(a))[0])
+    return lapack.dgetri(*lu_factor(a), lwork=lwork, overwrite_lu=True)[0]

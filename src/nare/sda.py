@@ -1,32 +1,31 @@
 """Structure-preserving doubling algorithm.
 
-Initialization (scalar gamma >= max diagonal of A and D):
+Initialization (scalar gamma >= max diagonal of A and D) takes two inverses:
 
-    A_g = A + gamma I          D_g = D + gamma I
-    W_g = A_g - B D_g^-1 C     V_g = D_g - C A_g^-1 B
-    E0 = I - 2 gamma V_g^-1    F0 = I - 2 gamma W_g^-1
-    G0 = 2 gamma D_g^-1 C W_g^-1
-    H0 = 2 gamma W_g^-1 B D_g^-1
+    D_g = D + gamma I                W_g = A + gamma I - B D_g^-1 C
+    G0 = 2 gamma D_g^-1 C W_g^-1     H0 = 2 gamma W_g^-1 B D_g^-1
+    F0 = I - 2 gamma W_g^-1          E0 = I - 2 gamma D_g^-1 - G0 B D_g^-1
 
-then the doubling recurrence
+E0 is I - 2 gamma V_g^-1 for V_g = D_g - C (A + gamma I)^-1 B, by the
+block-inverse identity V_g^-1 = D_g^-1 + D_g^-1 C W_g^-1 B D_g^-1.  The
+doubling step, with K = (I - G H)^-1 and (I - H G)^-1 = I + H K G,
 
-    E <- E (I - G H)^-1 E
-    F <- F (I - H G)^-1 F
-    G <- G + E (I - G H)^-1 G F
-    H <- H + F (I - H G)^-1 H E
+    E <- E K E                       G <- G + E K (G F)
+    F <- F F + (F H) K (G F)         H <- H + (F H) K E
 
-drives H to the minimal nonnegative solution of the Riccati equation and
-G to the minimal nonnegative solution of its dual.
+is [E; F H] K [E, G F] plus F F and G H: one LU, one inverse and ten n^3
+GEMM-equivalents.  It drives H to the minimal nonnegative solution of the
+Riccati equation and G to the minimal nonnegative solution of its dual.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from . import diagnostics
 from .errors import Breakdown, SingularMatrix
-from .linalg import lu_solve
+from .linalg import lu_inverse
 from .solution import iterate
 
 
@@ -76,42 +75,31 @@ def sda_init(quad, config=None):
     Raises SingularMatrix if any of the inner systems is degenerate,
     which signals an invalid quadruple or gamma.
     """
-    config = config or SdaConfig()
-    gamma = resolve_gamma(quad, config)
-    n = quad.n
-    eye = np.eye(n)
-    a_g = quad.A + gamma * eye
-    d_g = quad.D + gamma * eye
-    dg_inv_c = lu_solve(d_g, quad.C)
-    ag_inv_b = lu_solve(a_g, quad.B)
-    w_g = a_g - quad.B @ dg_inv_c
-    v_g = d_g - quad.C @ ag_inv_b
-    e0 = eye - 2.0 * gamma * lu_solve(v_g, eye)
-    w_inv = lu_solve(w_g, eye)
-    f0 = eye - 2.0 * gamma * w_inv
+    gamma = resolve_gamma(quad, config or SdaConfig())
+    eye = np.eye(quad.n)
+    dg_inv = lu_inverse(quad.D + gamma * eye)
+    dg_inv_c = dg_inv @ quad.C
+    w_inv = lu_inverse(quad.A + gamma * eye - quad.B @ dg_inv_c)
+    b_dg_inv = quad.B @ dg_inv
     g0 = 2.0 * gamma * dg_inv_c @ w_inv
-    h0 = 2.0 * gamma * w_inv @ quad.B @ lu_solve(d_g, eye)
-    return SdaState(E=e0, F=f0, G=g0, H=h0)
+    e0 = eye - 2.0 * gamma * dg_inv - g0 @ b_dg_inv
+    return SdaState(E=e0, F=eye - 2.0 * gamma * w_inv, G=g0,
+                    H=2.0 * gamma * w_inv @ b_dg_inv)
 
 
 def sda_step(state):
-    """One doubling step; raises Breakdown when an inner solve degenerates."""
-    n = state.H.shape[0]
-    eye = np.eye(n)
+    """One doubling step; raises Breakdown when I - GH degenerates."""
+    e, f, g, h = state.E, state.F, state.G, state.H
+    n = h.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        gh = state.G @ state.H
-        hg = state.H @ state.G
         try:
-            s1 = lu_solve(eye - gh, np.hstack([state.E, state.G @ state.F]))
-            s2 = lu_solve(eye - hg, np.hstack([state.F, state.H @ state.E]))
+            k = lu_inverse(np.eye(n) - g @ h)
         except SingularMatrix as exc:
             raise Breakdown(state.k,
                             f"I - GH singular at step {state.k}: {exc}") from exc
-        e_next = state.E @ s1[:, :n]
-        g_next = state.G + state.E @ s1[:, n:]
-        f_next = state.F @ s2[:, :n]
-        h_next = state.H + state.F @ s2[:, n:]
-    return replace(state, E=e_next, F=f_next, G=g_next, H=h_next, k=state.k + 1)
+        ek, fhk = np.vsplit(np.vstack([e, f @ h]) @ k, 2)
+        gf = g @ f
+        return SdaState(ek @ e, f @ f + fhk @ gf, g + ek @ gf, h + fhk @ e, state.k + 1)
 
 
 def sda_solve(quad, config=None):

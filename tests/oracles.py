@@ -167,3 +167,38 @@ def hadamard_triple_loop(t, m_fac, n_fac):
                 acc += m_fac[i, col] * n_fac[j, col]
             out[i, j] = t[i, j] * acc
     return out
+
+
+def sda_init_reference(quad, gamma):
+    """Doubling initial (E0, F0, G0, H0) from the textbook formulas, by five solves.
+
+    With A_g = A + gamma I, D_g = D + gamma I, W_g = A_g - B D_g^-1 C and
+    V_g = D_g - C A_g^-1 B: E0 = I - 2 gamma V_g^-1, F0 = I - 2 gamma W_g^-1,
+    G0 = 2 gamma D_g^-1 C W_g^-1, H0 = 2 gamma W_g^-1 B D_g^-1.
+    """
+    eye = np.eye(quad.n)
+    a_g = quad.A + gamma * eye
+    d_g = quad.D + gamma * eye
+    dg_inv_c = np.linalg.solve(d_g, quad.C)
+    ag_inv_b = np.linalg.solve(a_g, quad.B)
+    w_g = a_g - quad.B @ dg_inv_c
+    v_g = d_g - quad.C @ ag_inv_b
+    e0 = eye - 2.0 * gamma * np.linalg.solve(v_g, eye)
+    w_inv = np.linalg.solve(w_g, eye)
+    f0 = eye - 2.0 * gamma * w_inv
+    g0 = 2.0 * gamma * dg_inv_c @ w_inv
+    h0 = 2.0 * gamma * w_inv @ quad.B @ np.linalg.solve(d_g, eye)
+    return e0, f0, g0, h0
+
+
+def sda_step_reference(e, f, g, h):
+    """One doubling step from the textbook formulas, by two solves.
+
+    E <- E (I - GH)^-1 E, F <- F (I - HG)^-1 F, G <- G + E (I - GH)^-1 G F,
+    H <- H + F (I - HG)^-1 H E.
+    """
+    n = h.shape[0]
+    eye = np.eye(n)
+    s1 = np.linalg.solve(eye - g @ h, np.hstack([e, g @ f]))
+    s2 = np.linalg.solve(eye - h @ g, np.hstack([f, h @ e]))
+    return e @ s1[:, :n], f @ s2[:, :n], g + e @ s1[:, n:], h + f @ s2[:, n:]

@@ -6,11 +6,13 @@ import pytest
 from nare import (
     InsufficientHistory,
     assemble_blocks,
+    build_problem,
     certify_m_matrix,
     convergence_order,
     default_shift,
     inf_norm,
     normalized_residual,
+    quadrature_params,
     relative_residual,
     relative_update_error,
     shift_equivalence_gap,
@@ -55,6 +57,19 @@ def test_residual_rank_structure_identity(prob32, prob_noncrit32, rng):
             packed = residual_matrix(problem, x)
             assert abs(inf_norm(packed) - inf_norm(direct)) <= 1e-12 * inf_norm(direct)
             assert np.max(np.abs(packed + direct)) <= 1e-12 * inf_norm(direct)
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_residual_matrix_bitwise_equals_direct_expression(n, rng):
+    # residual_matrix builds R in place; each entry takes the same rounded
+    # operations in the same order as the expression it replaces
+    problem = build_problem(quadrature_params(n))
+    x = rng.uniform(0.0, 2.0, (n, n))
+    m = x @ problem.q + problem.e
+    nn = problem.q @ x + problem.e
+    direct = x * problem.gamma[None, :] + problem.delta[:, None] * x - np.outer(m, nn)
+    assert np.array_equal(residual_matrix(problem, x), direct)
+    assert relative_residual(problem, x) == inf_norm(direct) / (2.0 * inf_norm(x))
 
 
 def test_factored_residual_exact_path_for_non_monotone_factors(prob8, rng):

@@ -59,19 +59,26 @@ def test_inf_norm_homogeneous(rng):
 @pytest.mark.parametrize("n", [32, 256])
 def test_inner_matrices_inverse_roundtrip(n):
     # the W_gamma / V_gamma systems of the doubling initialization stay
-    # well conditioned enough for a 1e-10 inverse roundtrip
-    from nare import build_problem, quadrature_params
+    # well conditioned enough for a 1e-10 inverse roundtrip, and V_gamma^-1
+    # is D_g^-1 + D_g^-1 C W_g^-1 B D_g^-1, the identity sda_init relies on
+    from nare import build_problem, default_shift, quadrature_params, shifted_coefficients
 
     problem = build_problem(quadrature_params(n))
-    quad = problem.quad
-    gamma = resolve_gamma(quad, SdaConfig())
     eye = np.eye(n)
-    a_g = quad.A + gamma * eye
-    d_g = quad.D + gamma * eye
-    w_g = a_g - quad.B @ lu_solve(d_g, quad.C)
-    v_g = d_g - quad.C @ lu_solve(a_g, quad.B)
-    for mat in (w_g, v_g):
-        assert inf_norm(mat @ lu_inverse(mat) - eye) <= 1e-10
+    for quad in (problem.quad,
+                 shifted_coefficients(problem, default_shift(problem, "single")),
+                 shifted_coefficients(problem, default_shift(problem, "double"))):
+        gamma = resolve_gamma(quad, SdaConfig())
+        a_g = quad.A + gamma * eye
+        d_g = quad.D + gamma * eye
+        w_g = a_g - quad.B @ lu_solve(d_g, quad.C)
+        v_g = d_g - quad.C @ lu_solve(a_g, quad.B)
+        for mat in (w_g, v_g):
+            assert inf_norm(mat @ lu_inverse(mat) - eye) <= 1e-10
+        dg_inv = lu_inverse(d_g)
+        v_inv = lu_inverse(v_g)
+        block = dg_inv + dg_inv @ quad.C @ lu_inverse(w_g) @ quad.B @ dg_inv
+        assert inf_norm(block - v_inv) <= 1e-13 * inf_norm(v_inv)
 
 
 def test_pivot_threshold_scale():
@@ -79,3 +86,17 @@ def test_pivot_threshold_scale():
     a = np.array([[1.0, 1.0], [1.0, 1.0 + 0.25 * EPS]])
     with pytest.raises(SingularMatrix):
         lu_solve(a, np.eye(2))
+
+
+def test_lu_inverse_pivot_threshold_scale():
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 0.25 * EPS]])
+    with pytest.raises(SingularMatrix, match="pivot"):
+        lu_inverse(a)
+
+
+def test_lu_inverse_roundtrip(rng):
+    for n in (5, 20, 60):
+        a = rng.standard_normal((n, n))
+        a += np.diag(np.abs(a).sum(axis=1) + 1.0)  # diagonally dominant
+        assert inf_norm(a @ lu_inverse(a) - np.eye(n)) <= 1e-12
+        assert inf_norm(lu_inverse(a) @ a - np.eye(n)) <= 1e-12

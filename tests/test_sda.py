@@ -12,7 +12,8 @@ from nare import (
     shifted_coefficients,
 )
 from nare.problem import CoefficientQuadruple
-from nare.sda import SdaConfig, SdaState, sda_init, sda_solve, sda_step
+from nare.sda import SdaConfig, SdaState, resolve_gamma, sda_init, sda_solve, sda_step
+from oracles import sda_init_reference, sda_step_reference
 
 
 def test_init_scalar_case(prob1):
@@ -67,6 +68,47 @@ def test_step_breakdown():
     state = SdaState(E=eye, F=eye, G=eye.copy(), H=eye.copy())
     with pytest.raises(Breakdown):
         sda_step(state)
+
+
+def test_step_breakdown_through_pivot_gate():
+    # I - GH = diag(0, 0.75) is singular but not zero: the pivot gate trips
+    eye = np.eye(2)
+    g = np.diag([1.0, 0.5])
+    state = SdaState(E=eye, F=eye, G=g, H=g.copy(), k=3)
+    with pytest.raises(Breakdown, match="I - GH singular at step 3: pivot") as info:
+        sda_step(state)
+    assert info.value.iteration == 3
+    assert isinstance(info.value.__cause__, SingularMatrix)
+
+
+def _rel_gap(x, ref):
+    return inf_norm(x - ref) / inf_norm(ref)
+
+
+@pytest.fixture(scope="module", params=["original", "single", "double"])
+def quad32(request, prob32):
+    if request.param == "original":
+        return prob32.quad
+    return shifted_coefficients(prob32, default_shift(prob32, request.param))
+
+
+def test_init_matches_textbook_formulas(quad32):
+    # the two-inverse init against the five-solve transcription
+    state = sda_init(quad32)
+    ref = sda_init_reference(quad32, resolve_gamma(quad32, SdaConfig()))
+    for got, want in zip((state.E, state.F, state.G, state.H), ref):
+        assert _rel_gap(got, want) <= 1e-13
+
+
+def test_step_matches_textbook_formulas(quad32):
+    # the one-inverse step against the two-solve transcription, from the same state
+    state = sda_init(quad32)
+    for _ in range(10):
+        nxt = sda_step(state)
+        ref = sda_step_reference(state.E, state.F, state.G, state.H)
+        for got, want in zip((nxt.E, nxt.F, nxt.G, nxt.H), ref):
+            assert _rel_gap(got, want) <= 1e-13
+        state = nxt
 
 
 def test_monotone_nonnegative_iterates(prob32):
