@@ -68,13 +68,11 @@ from .si import (
 )
 from .solution import Solution, auto_tol
 from .spectra import (
-    SignedLog,
     SpectrumReport,
     cayley,
     closed_loop_spectrum,
     interlaced_spectrum,
     sda_rate_bound,
-    secular_det,
     secular_sums,
     shifted_interlaced_spectrum,
     shifted_secular,

@@ -95,15 +95,16 @@ def run_solver(problem, solver, eta=None, xi=None, gamma=None, tol=None,
     if solver not in SOLVERS:
         raise SystemExit_(EXIT_INVALID, f"error: unknown solver {solver!r}")
     if solver in ("sda", "sda-single", "sda-double"):
-        quad = problem.quad
-        if solver != "sda":
+        if solver == "sda":
+            quad = problem.quad
+        else:
             spec = _shift_for(problem, solver, eta, xi)
             quad = shift.shifted_coefficients(problem, spec)
         config = SdaConfig(gamma=gamma if gamma is not None else "auto",
                            tol=tol if tol is not None else "auto",
                            max_iter=max_iter or 100)
         gamma_used = resolve_gamma(quad, config)
-        sol = sda_solve(quad, config)
+        sol = sda_solve(problem, quad, config)
         return sol, spec, gamma_used
     config = SiConfig(tol=tol if tol is not None else "auto",
                       max_iter=max_iter or SI_CAP)

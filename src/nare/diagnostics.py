@@ -123,13 +123,13 @@ def solution_identities(problem, x):
 def shift_equivalence_gap(problem, quad, x):
     """||Rbar(X) - R(X)||_inf for a shifted quadruple: zero at the solution.
 
-    Rbar uses the shifted coefficients, R the original ones; their
-    agreement at the minimal solution is what makes the shifted equation
-    interchangeable with the original.
+    Rbar uses the shifted coefficients and R the original equation, from
+    the problem's vectors (``residual_matrix``); their agreement at the
+    minimal solution is what makes the shifted equation interchangeable
+    with the original.
     """
     x = np.asarray(x, dtype=np.float64)
-    orig = problem.quad
-    r0 = x @ orig.C @ x - x @ orig.D - orig.A @ x + orig.B
+    r0 = -residual_matrix(problem, x)
     r1 = x @ quad.C @ x - x @ quad.D - quad.A @ x + quad.B
     return inf_norm(r1 - r0)
 

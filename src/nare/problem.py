@@ -1,15 +1,15 @@
 """Transport-problem construction.
 
-Builds the coefficient quadruple
+Derives the vectors q, e, delta, gamma from physical parameters (alpha, c)
+and a direction/weight set (omega_i, c_i).  The coefficient quadruple
 
     A = Delta - e q^T,  B = e e^T,  C = q q^T,  D = Gamma - q e^T
 
-from physical parameters (alpha, c) and a direction/weight set
-(omega_i, c_i), together with the 2n x 2n block matrices and the
-critical-case eigenvector data used by the shift constructions.
+the 2n x 2n block matrices and the critical-case eigenvector data used by
+the shift constructions are built from those vectors on request.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -82,8 +82,7 @@ class CoefficientQuadruple:
 
     ``tag`` records how the quadruple was generated (original,
     single-shift, double-shift); shifted quadruples keep the generating
-    ShiftSpec and every quadruple keeps a reference to its problem so
-    residuals are always measured against the original equation.
+    ShiftSpec.
     """
 
     A: np.ndarray
@@ -92,7 +91,6 @@ class CoefficientQuadruple:
     D: np.ndarray
     tag: str = "original"
     shift: Optional["ShiftSpec"] = None
-    problem: Optional["TransportProblem"] = field(default=None, repr=False)
 
     @property
     def n(self):
@@ -101,14 +99,23 @@ class CoefficientQuadruple:
 
 @dataclass(frozen=True)
 class TransportProblem:
-    """Derived vectors and the coefficient quadruple for one parameter set."""
+    """Derived vectors for one parameter set."""
 
     params: TransportParams
     q: np.ndarray
     e: np.ndarray
     delta: np.ndarray
     gamma: np.ndarray
-    quad: CoefficientQuadruple = field(repr=False, default=None)
+
+    @property
+    def quad(self):
+        """The original coefficient quadruple, built on each access, not stored."""
+        return CoefficientQuadruple(
+            A=np.diag(self.delta) - np.outer(self.e, self.q),
+            B=np.outer(self.e, self.e),
+            C=np.outer(self.q, self.q),
+            D=np.diag(self.gamma) - np.outer(self.q, self.e),
+        )
 
     @property
     def n(self):
@@ -194,16 +201,7 @@ def build_problem(params):
     e = np.ones(params.n)
     delta = 1.0 / (params.c * om * (1.0 + params.alpha))
     gamma = 1.0 / (params.c * om * (1.0 - params.alpha))
-    a = np.diag(delta) - np.outer(e, q)
-    b = np.outer(e, e)
-    c = np.outer(q, q)
-    d = np.diag(gamma) - np.outer(q, e)
-    quad = CoefficientQuadruple(A=a, B=b, C=c, D=d, tag="original")
-    problem = TransportProblem(params=params, q=q, e=e, delta=delta, gamma=gamma,
-                               quad=quad)
-    # rebind so the quadruple can reach its problem (residual evaluation)
-    object.__setattr__(quad, "problem", problem)
-    return problem
+    return TransportProblem(params=params, q=q, e=e, delta=delta, gamma=gamma)
 
 
 def block_matrix(quad):

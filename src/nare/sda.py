@@ -16,6 +16,8 @@ doubling step, with K = (I - G H)^-1 and (I - H G)^-1 = I + H K G,
 is [E; F H] K [E, G F] plus F F and G H: one LU, one inverse and ten n^3
 GEMM-equivalents.  It drives H to the minimal nonnegative solution of the
 Riccati equation and G to the minimal nonnegative solution of its dual.
+The quadruple iterated may be a shifted one; ``sda_solve`` measures each
+residual against the original equation of the problem it is given.
 """
 
 from dataclasses import dataclass
@@ -102,16 +104,17 @@ def sda_step(state):
         return SdaState(ek @ e, f @ f + fhk @ gf, g + ek @ gf, h + fhk @ e, state.k + 1)
 
 
-def sda_solve(quad, config=None):
-    """Run the doubling iteration to the configured stopping rule.
+def sda_solve(problem, quad, config=None):
+    """Run the doubling iteration on ``quad`` to the configured stopping rule.
 
-    Residuals are always measured against the original problem carried
-    by the quadruple, so shifted runs report the accuracy of the
-    original-equation solution (which the shift preserves).
+    Residuals are measured against ``problem``, the original equation, so
+    shifted runs report the accuracy of the original-equation solution
+    (which the shift preserves).  Raises ValueError when ``quad`` and
+    ``problem`` differ in size.
     """
+    if quad.n != problem.n:
+        raise ValueError(f"quadruple of size {quad.n} for a problem of size {problem.n}")
     config = config or SdaConfig()
-    if quad.problem is None:
-        raise ValueError("quadruple is not attached to a problem")
-    return iterate(quad.problem, sda_init(quad, config), sda_step, lambda s: (s.G, s.H),
-                   lambda s: diagnostics.relative_residual(quad.problem, s.H),
+    return iterate(problem, sda_init(quad, config), sda_step, lambda s: (s.G, s.H),
+                   lambda s: diagnostics.relative_residual(problem, s.H),
                    lambda s: s.H, config, f"sda[{quad.tag}]", y_of=lambda s: s.G)

@@ -111,8 +111,7 @@ def shifted_coefficients(problem, shift, check=True):
     b = e2 @ e1.T
     a = np.diag(problem.delta) - e2 @ q2.T
     tag = "single-shift" if shift.mode == "single" else "double-shift"
-    return CoefficientQuadruple(A=a, B=b, C=c, D=d, tag=tag, shift=shift,
-                                problem=problem)
+    return CoefficientQuadruple(A=a, B=b, C=c, D=d, tag=tag, shift=shift)
 
 
 def low_rank_factors(problem, shift):

@@ -12,12 +12,12 @@ matrix is its eta*xi = 0 case,
 so the eigenvalues of M are 0 (g1 carries the factor lam), the n poles
 1/om_i (the squared prefactor cancels each simple pole of g1) and one root
 of g1 per pole gap.  The rational sums stay finite at any n, so every root
-is bisected on their sign; only the product prefactor, which overflows
-doubles near the spectrum edges, is kept in signed-log form, and only by
-``secular_det``.  (Deriving the determinant of the diagonal-plus-rank-2
-form gives g1, not lam*g1, in the first term; the n=1 case with the
-boundary shift confirms it: the shifted matrix has the double eigenvalue
-1/(2*om_1), which is a root of g1 + eta*xi*g2*g3 only.)
+is bisected on their sign and the product prefactor, which overflows
+doubles near the spectrum edges, is never formed.  (Deriving the
+determinant of the diagonal-plus-rank-2 form gives g1, not lam*g1, in the
+first term; the n=1 case with the boundary shift confirms it: the shifted
+matrix has the double eigenvalue 1/(2*om_1), which is a root of
+g1 + eta*xi*g2*g3 only.)
 """
 
 import math
@@ -32,38 +32,6 @@ POLE_GUARD = 1e-14
 BRACKET_WIDTH_FACTOR = 1e-12
 MAX_BISECT = 200
 CHEB_SAMPLES = (64, 128, 256, 512, 1024, 2048, 4096)
-
-
-@dataclass(frozen=True)
-class SignedLog:
-    """A real number stored as (sign, log |value|) to dodge overflow.
-
-    Multiplication composes: signs multiply, log magnitudes add.
-    """
-
-    sign: int
-    log_mag: float
-
-    def __mul__(self, other):
-        if self.sign == 0 or other.sign == 0:
-            return SignedLog(0, -math.inf)
-        return SignedLog(self.sign * other.sign, self.log_mag + other.log_mag)
-
-    @classmethod
-    def from_value(cls, x):
-        x = float(x)
-        if x == 0.0:
-            return cls(0, -math.inf)
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    def value(self):
-        """Collapse to float; overflows to +-inf for huge magnitudes."""
-        if self.sign == 0:
-            return 0.0
-        try:
-            return self.sign * math.exp(self.log_mag)
-        except OverflowError:
-            return self.sign * math.inf
 
 
 @dataclass(frozen=True)
@@ -133,17 +101,6 @@ def secular_sums(problem, lam):
     lam = float(lam)
     _check_poles(problem, lam)
     return tuple(float(g[0]) for g in _secular_evaluator(problem)(lam))
-
-
-def secular_det(problem, lam):
-    """det(M - lam I) for the critical block matrix, as a SignedLog.
-
-    Uses the factored form -prod(1/om_i - lam)^2 * g1(lam); raises
-    PoleHit within 1e-14 of any pole.
-    """
-    g1, _, _ = secular_sums(problem, lam)
-    log_prod = float(np.sum(np.log(np.abs(1.0 / problem.omegas - float(lam)))))
-    return SignedLog(-1, 2.0 * log_prod) * SignedLog.from_value(g1)
 
 
 def shifted_secular(problem, shift, lam):

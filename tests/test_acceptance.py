@@ -67,7 +67,7 @@ def table_rows():
 @pytest.fixture(scope="module")
 def ref32(prob32):
     quad = shifted_coefficients(prob32, default_shift(prob32, "double"))
-    return sda_solve(quad, SdaConfig(tol=1e-14, max_iter=100)).x
+    return sda_solve(prob32, quad, SdaConfig(tol=1e-14, max_iter=100)).x
 
 
 def test_criterion_1_table_reproduction(table_rows):
@@ -117,8 +117,8 @@ def test_criterion_2_scalar_oracle(variant, omega1):
         if variant != "sda":
             mode = variant.split("-")[1]
             quad = shifted_coefficients(problem, default_shift(problem, mode))
-        sol = sda_solve(quad, SdaConfig(tol=1e-300, stop_rule="error",
-                                        max_iter=60))
+        sol = sda_solve(problem, quad, SdaConfig(tol=1e-300, stop_rule="error",
+                                                 max_iter=60))
     elif variant == "si":
         sol = si_solve(problem, SiConfig(tol=1e-300, stop_rule="error",
                                          max_iter=20000))
@@ -137,7 +137,7 @@ def test_criterion_2_scalar_oracle(variant, omega1):
 def test_criterion_3_solution_equivalence(n):
     problem = build_problem(quadrature_params(n))
     spec = default_shift(problem, "double")
-    sol = sda_solve(shifted_coefficients(problem, spec))
+    sol = sda_solve(problem, shifted_coefficients(problem, spec))
     z_ref, sweeps = oracles.si_shifted_reference(
         0.0, 1.0, problem.weights, problem.omegas, spec.eta, spec.xi,
         max_iter=10 ** 6)

@@ -27,7 +27,7 @@ from nare.sda import SdaConfig, sda_solve
 @pytest.fixture(scope="module")
 def x32(prob32):
     quad = shifted_coefficients(prob32, default_shift(prob32, "double"))
-    return sda_solve(quad, SdaConfig(tol=1e-14, max_iter=100)).x
+    return sda_solve(prob32, quad, SdaConfig(tol=1e-14, max_iter=100)).x
 
 
 def test_normalized_residual_exact_cases(prob1):
@@ -166,7 +166,7 @@ def test_certify_closed_loop_matrices(prob32, x32):
 
 def test_solution_report_bundle(prob32):
     quad = shifted_coefficients(prob32, default_shift(prob32, "double"))
-    sol = sda_solve(quad)
+    sol = sda_solve(prob32, quad)
     from nare import solution_report
 
     report = solution_report(prob32, sol, quad)
@@ -175,7 +175,7 @@ def test_solution_report_bundle(prob32):
     assert report.m_matrix_certificates["closed_loop"] == "nonsingular_m_matrix"
     assert report.m_matrix_certificates["block_matrix"] == "nonsingular_m_matrix"
     assert "shift_equivalence_gap" in report.identity_gaps
-    unshifted = solution_report(prob32, sda_solve(prob32.quad))
+    unshifted = solution_report(prob32, sda_solve(prob32, prob32.quad))
     # the critical block matrix itself is singular regardless of X
     assert unshifted.m_matrix_certificates["block_matrix"] == "singular_or_not"
     assert 0.3 <= unshifted.rate_estimate <= 0.7

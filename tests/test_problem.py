@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from nare import (
     InvalidSize,
     NotCriticalCase,
     TransportParams,
+    TransportProblem,
     assemble_blocks,
     build_problem,
     critical_eigenvectors,
@@ -14,6 +17,7 @@ from nare import (
     inf_norm,
     quadrature_params,
 )
+from nare.cli import SOLVERS, run_solver
 
 # frozen from the bisection-on-recurrence oracle (tests below re-derive them)
 GL4_NODES_01 = np.array([0.0694318442029737, 0.3300094782075719,
@@ -166,3 +170,30 @@ def test_noncritical_m_is_nonsingular_m_matrix(prob_noncrit32):
     m_block, _ = assemble_blocks(prob_noncrit32)
     x = np.linalg.solve(m_block, np.ones(2 * prob_noncrit32.n))
     assert np.all(x > 0)
+
+
+def test_build_and_solve_leave_no_reference_cycle(monkeypatch):
+    # a problem holds only its vectors, so refcounting frees every nare
+    # object of a build and a solve; none is left to the cyclic collector
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for solver in SOLVERS:
+            run_solver(build_problem(quadrature_params(8)), solver, max_iter=200)
+        gc.collect()
+        cyclic = [type(obj).__qualname__ for obj in gc.garbage
+                  if type(obj).__module__.startswith("nare")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert cyclic == []
+
+    # the vector solvers and the shifted doubling never build the dense quadruple
+    def no_quad(self):
+        raise AssertionError("dense original quadruple built")
+
+    monkeypatch.setattr(TransportProblem, "quad", property(no_quad))
+    problem = build_problem(quadrature_params(8))
+    for solver in ("si", "si-single", "si-double", "sda-single", "sda-double"):
+        sol, _, _ = run_solver(problem, solver, max_iter=200)
+        assert sol.iterations > 0

@@ -124,7 +124,7 @@ def test_monotone_nonnegative_iterates(prob32):
 
 
 def test_solve_unshifted_count(prob32):
-    sol = sda_solve(prob32.quad)
+    sol = sda_solve(prob32, prob32.quad)
     assert sol.converged
     assert 25 <= sol.iterations <= 29
     assert sol.res_final <= 1e-12
@@ -133,7 +133,7 @@ def test_solve_unshifted_count(prob32):
 
 def test_solve_double_shift_count(prob32):
     quad = shifted_coefficients(prob32, default_shift(prob32, "double"))
-    sol = sda_solve(quad)
+    sol = sda_solve(prob32, quad)
     assert sol.converged
     assert 9 <= sol.iterations <= 13
     assert sol.res_final <= 1e-13
@@ -145,9 +145,9 @@ def test_scalar_solution_all_variants(prob1):
     tight = SdaConfig(tol=1e-300, max_iter=60)
     for mode in ("single", "double"):
         quad = shifted_coefficients(prob1, default_shift(prob1, mode))
-        sol = sda_solve(quad, tight)
+        sol = sda_solve(prob1, quad, tight)
         assert abs(sol.x[0, 0] - 1.0) <= 1e-12
-    sol = sda_solve(prob1.quad, tight)
+    sol = sda_solve(prob1, prob1.quad, tight)
     assert abs(sol.x[0, 0] - 1.0) <= 1e-7
 
 
@@ -155,8 +155,9 @@ def test_shift_invariance_of_solution(prob32):
     # the double-shifted equation has the same
     # minimal solution; observed agreement is set by the unshifted
     # method's critical-case accuracy floor (~1e-7 relative)
-    long_run = sda_solve(prob32.quad, SdaConfig(tol=1e-300, max_iter=40))
-    shifted = sda_solve(shifted_coefficients(prob32, default_shift(prob32, "double")),
+    long_run = sda_solve(prob32, prob32.quad, SdaConfig(tol=1e-300, max_iter=40))
+    shifted = sda_solve(prob32,
+                        shifted_coefficients(prob32, default_shift(prob32, "double")),
                         SdaConfig(tol=1e-14, max_iter=100))
     gap = inf_norm(long_run.x - shifted.x) / inf_norm(shifted.x)
     assert gap <= 1e-6
@@ -164,18 +165,20 @@ def test_shift_invariance_of_solution(prob32):
 
 def test_single_vs_double_solution_agreement(prob32):
     cfg = SdaConfig(tol=1e-14, max_iter=100)
-    xs = sda_solve(shifted_coefficients(prob32, default_shift(prob32, "single")), cfg)
-    xd = sda_solve(shifted_coefficients(prob32, default_shift(prob32, "double")), cfg)
+    xs = sda_solve(prob32, shifted_coefficients(prob32, default_shift(prob32, "single")),
+                   cfg)
+    xd = sda_solve(prob32, shifted_coefficients(prob32, default_shift(prob32, "double")),
+                   cfg)
     assert inf_norm(xs.x - xd.x) <= 1e-10 * inf_norm(xd.x)
 
 
 def test_converged_solution_symmetric(prob32):
-    sol = sda_solve(shifted_coefficients(prob32, default_shift(prob32, "double")))
+    sol = sda_solve(prob32, shifted_coefficients(prob32, default_shift(prob32, "double")))
     assert inf_norm(sol.x - sol.x.T) <= 1e-10 * inf_norm(sol.x)
 
 
 def test_max_iter_returns_unconverged(prob32):
-    sol = sda_solve(prob32.quad, SdaConfig(max_iter=3))
+    sol = sda_solve(prob32, prob32.quad, SdaConfig(max_iter=3))
     assert not sol.converged
     assert sol.stop_reason == "max_iter"
     assert sol.iterations == 3
@@ -189,15 +192,18 @@ def test_gamma_below_bound_rejected(prob32):
         sda_init(prob32.quad, SdaConfig(gamma=-2.0))
 
 
-def test_detached_quadruple_rejected():
+def test_quadruple_size_mismatch_rejected(prob8, monkeypatch):
     eye = np.eye(2)
     quad = CoefficientQuadruple(A=2 * eye, B=eye, C=eye, D=2 * eye)
-    with pytest.raises(ValueError):
-        sda_solve(quad)
+    steps = []
+    monkeypatch.setattr("nare.sda.sda_init", lambda *a: steps.append(a))
+    with pytest.raises(ValueError, match="size"):
+        sda_solve(prob8, quad)
+    assert steps == []
 
 
 def test_noncritical_quadratic_convergence(prob_noncrit32):
-    sol = sda_solve(prob_noncrit32.quad)
+    sol = sda_solve(prob_noncrit32, prob_noncrit32.quad)
     assert sol.converged
     assert sol.iterations <= 15
     assert sol.res_final <= 1e-13
@@ -206,9 +212,10 @@ def test_noncritical_quadratic_convergence(prob_noncrit32):
 def test_converged_stop_contract(prob32, prob_noncrit32):
     # acceptance of a solve means one of the two metrics fell below n^2 eps
     tol = 32 * 32 * 2.0 ** -52
-    for quad in (prob32.quad, prob_noncrit32.quad,
-                 shifted_coefficients(prob32, default_shift(prob32, "double"))):
-        sol = sda_solve(quad)
+    for problem, quad in (
+            (prob32, prob32.quad), (prob_noncrit32, prob_noncrit32.quad),
+            (prob32, shifted_coefficients(prob32, default_shift(prob32, "double")))):
+        sol = sda_solve(problem, quad)
         assert sol.converged
         assert min(sol.err_final, sol.res_final) < tol
 
@@ -216,7 +223,7 @@ def test_converged_stop_contract(prob32, prob_noncrit32):
 def test_dual_iterate_solves_dual_equation(prob_noncrit32):
     # G converges to the minimal solution of the dual equation
     quad = prob_noncrit32.quad
-    sol = sda_solve(quad, SdaConfig(tol=1e-14))
+    sol = sda_solve(prob_noncrit32, quad, SdaConfig(tol=1e-14))
     y = sol.y
     dual_res = y @ quad.B @ y - y @ quad.A - quad.D @ y + quad.C
     assert inf_norm(dual_res) <= 1e-10 * max(1.0, inf_norm(y))
@@ -226,7 +233,7 @@ def test_dual_iterate_solves_dual_equation(prob_noncrit32):
 def test_shifted_dual_solves_shifted_dual_equation(prob32):
     # for shifted runs the dual iterate belongs to the shifted equation
     quad = shifted_coefficients(prob32, default_shift(prob32, "double"))
-    sol = sda_solve(quad, SdaConfig(tol=1e-14))
+    sol = sda_solve(prob32, quad, SdaConfig(tol=1e-14))
     y = sol.y
     dual_res = y @ quad.B @ y - y @ quad.A - quad.D @ y + quad.C
     assert inf_norm(dual_res) <= 1e-9 * max(1.0, inf_norm(y))
@@ -242,7 +249,7 @@ def test_unshifted_dual_left_identity(prob32):
     from nare import critical_eigenvectors
 
     vec = critical_eigenvectors(prob32)
-    sol = sda_solve(prob32.quad, SdaConfig(tol=1e-300, max_iter=40))
+    sol = sda_solve(prob32, prob32.quad, SdaConfig(tol=1e-300, max_iter=40))
     gap = inf_norm(vec.u1 @ sol.y + vec.u2) / inf_norm(vec.u2)
     assert gap <= 1e-4
 
@@ -252,7 +259,7 @@ def test_blown_up_run_returns_last_finite_iterate(rule):
     # below the attainable floor the critical-case doubling iterates turn
     # NaN; the run must end on the iterate before that, not converge on it
     problem = build_problem(quadrature_params(8))
-    sol = sda_solve(problem.quad, SdaConfig(tol=1e-300, stop_rule=rule))
+    sol = sda_solve(problem, problem.quad, SdaConfig(tol=1e-300, stop_rule=rule))
     assert sol.stop_reason == "nonfinite"
     assert not sol.converged
     assert np.all(np.isfinite(sol.x)) and np.all(np.isfinite(sol.y))
@@ -262,6 +269,6 @@ def test_blown_up_run_returns_last_finite_iterate(rule):
 @pytest.mark.parametrize("n", [4, 32])
 def test_final_residual_describes_returned_iterate(n):
     problem = build_problem(quadrature_params(n))
-    sol = sda_solve(problem.quad, SdaConfig(tol=1e-300, stop_rule="residual"))
+    sol = sda_solve(problem, problem.quad, SdaConfig(tol=1e-300, stop_rule="residual"))
     assert sol.res_final == relative_residual(problem, sol.x)
     assert sol.iterations == len(sol.res_history)

@@ -81,7 +81,7 @@ def test_si_critical_symmetry_and_bounds(prob8):
     kernel = build_kernel(prob8)
     assert np.array_equal(kernel.P, kernel.Qm)
     spec = default_shift(prob8, "double")
-    x_ref = sda_solve(shifted_coefficients(prob8, spec), SdaConfig(tol=1e-14)).x
+    x_ref = sda_solve(prob8, shifted_coefficients(prob8, spec), SdaConfig(tol=1e-14)).x
     m_lim = x_ref @ prob8.q + 1.0
     state = si_init(prob8)
     for _ in range(200):
@@ -100,7 +100,7 @@ def test_si_critical_hits_iteration_cap(prob32):
 def test_si_noncritical_converges_and_matches_sda(prob_noncrit32):
     sol = si_solve(prob_noncrit32, SiConfig(max_iter=20000))
     assert sol.converged
-    ref = sda_solve(prob_noncrit32.quad, SdaConfig(tol=1e-14))
+    ref = sda_solve(prob_noncrit32, prob_noncrit32.quad, SdaConfig(tol=1e-14))
     assert inf_norm(sol.x - ref.x) <= 1e-8 * inf_norm(ref.x)
 
 
@@ -180,7 +180,7 @@ def test_monotone_increase_random_admissible_shifts(prob8, rng):
 
 def test_monotone_increase_and_upper_bound(prob8):
     spec = default_shift(prob8, "double")
-    ref = sda_solve(shifted_coefficients(prob8, spec), SdaConfig(tol=1e-14))
+    ref = sda_solve(prob8, shifted_coefficients(prob8, spec), SdaConfig(tol=1e-14))
     kernel = build_kernel(prob8)
     state = si_shift_init(prob8, spec)
     prev = factors_to_solution(kernel, state.M, state.N)
