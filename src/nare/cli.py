@@ -102,12 +102,12 @@ def run_solver(problem, solver, eta=None, xi=None, gamma=None, tol=None,
             quad = shift.shifted_coefficients(problem, spec)
         config = SdaConfig(gamma=gamma if gamma is not None else "auto",
                            tol=tol if tol is not None else "auto",
-                           max_iter=max_iter or 100)
+                           max_iter=100 if max_iter is None else max_iter)
         gamma_used = resolve_gamma(quad, config)
         sol = sda_solve(problem, quad, config)
         return sol, spec, gamma_used
     config = SiConfig(tol=tol if tol is not None else "auto",
-                      max_iter=max_iter or SI_CAP)
+                      max_iter=SI_CAP if max_iter is None else max_iter)
     if solver == "si":
         return si_solve(problem, config), None, None
     spec = _shift_for(problem, solver, eta, xi)
@@ -213,7 +213,7 @@ def _cell(sol):
 
 def cmd_table51(args, out):
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else list(TABLE_SIZES)
-    rows = table51_rows(sizes, si_cap=args.max_iter or SI_CAP)
+    rows = table51_rows(sizes, si_cap=SI_CAP if args.max_iter is None else args.max_iter)
     by_key = {(n, solver): sol for n, solver, sol, _, _, _ in rows}
     groups = (("SDA(no shift)", "sda"), ("SDA(single shift)", "sda-single"),
               ("SDA(double shifts)", "sda-double"))

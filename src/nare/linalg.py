@@ -3,8 +3,6 @@
 All matrices are numpy float64 arrays in row-major (C) order.
 """
 
-import warnings
-
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
@@ -38,10 +36,8 @@ def lu_factor(a):
     threshold = n * EPS * inf_norm(a)
     if threshold == 0.0:
         raise SingularMatrix("zero matrix")
-    with warnings.catch_warnings():
-        # zero pivots are reported through SingularMatrix below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
+    # scipy.linalg.lu_factor's getrf without its wrapper; info > 0 (a zero pivot) fails below
+    lu, piv, _ = lapack.dgetrf(a)
     pivot = np.abs(np.diag(lu)).min()
     if pivot < threshold:
         raise SingularMatrix(f"pivot {pivot:.3e} below threshold {threshold:.3e}")

@@ -28,7 +28,7 @@ import numpy as np
 from . import diagnostics
 from .errors import Breakdown, SingularMatrix
 from .linalg import lu_inverse
-from .solution import iterate
+from .solution import check_max_iter, iterate
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,7 @@ class SdaConfig:
     tol: Union[float, str] = "auto"
     max_iter: int = 100
     stop_rule: str = "either"
+    __post_init__ = check_max_iter
 
 
 @dataclass
@@ -115,6 +116,7 @@ def sda_solve(problem, quad, config=None):
     if quad.n != problem.n:
         raise ValueError(f"quadruple of size {quad.n} for a problem of size {problem.n}")
     config = config or SdaConfig()
-    return iterate(problem, sda_init(quad, config), sda_step, lambda s: (s.G, s.H),
-                   lambda s: diagnostics.relative_residual(problem, s.H),
+    return iterate(problem, sda_init(quad, config), sda_step,
+                   lambda s, t: (diagnostics.relative_update_error(((s.G, t.G), (s.H, t.H))),
+                                 diagnostics.relative_residual(problem, t.H)),
                    lambda s: s.H, config, f"sda[{quad.tag}]", y_of=lambda s: s.G)

@@ -11,8 +11,9 @@ of Z = T o (M N^T) through two thin GEMMs with T per sweep, O(n^2).  X and Z
 are not formed in the loop (Z only for ||Z|| if a factor entry turns negative):
 X Gamma + Delta X = M N^T, and Xq + e, X^T q + e are columns a, b of the next
 sweep, which each state carries, so the residual is R = M N^T - a b^T, exact
-up to rounding (``diagnostics.factored_residual``: O(n) for monotone classic
-iterates, O(n^2) row sums otherwise).  The iterate is built once, at return.
+up to rounding; ``diagnostics.vector_step_metrics`` takes it with the update
+error in one call, O(n) on monotone classic sweeps (the state's 2 x n rows
+[m; n], [a; b]), O(n^2) otherwise.  The iterate is built once, at return.
 """
 
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import diagnostics
 from .shift import low_rank_factors
-from .solution import iterate
+from .solution import check_max_iter, iterate
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,7 @@ class SiConfig:
     tol: Union[float, str] = "auto"
     max_iter: int = 10000
     stop_rule: str = "either"
+    __post_init__ = check_max_iter
 
 
 @dataclass(frozen=True)
@@ -46,12 +48,15 @@ class HadamardKernel:
 
 @dataclass
 class SiState:
-    """Iterate vectors (m, n) and the next sweep's, (Xq + e, X^T q + e)."""
+    """Iterate vectors [m; n] and the next sweep's, [Xq + e; X^T q + e], as 2 x n rows."""
 
-    m: np.ndarray
-    n: np.ndarray
-    m_next: np.ndarray
-    n_next: np.ndarray
+    mn: np.ndarray
+    ab: np.ndarray
+
+    m = property(lambda self: self.mn[0])
+    n = property(lambda self: self.mn[1])
+    m_next = property(lambda self: self.ab[0])
+    n_next = property(lambda self: self.ab[1])
 
 
 @dataclass
@@ -75,14 +80,14 @@ def build_kernel(problem):
 
 
 def si_init(problem):
-    zero, one = np.zeros(problem.n), np.ones(problem.n)
-    return SiState(m=zero, n=zero, m_next=one, n_next=one)
+    return SiState(mn=np.zeros((2, problem.n)), ab=np.ones((2, problem.n)))
 
 
 def si_step(kernel, state):
     """Make the next sweep's vectors current and run the sweep after them."""
-    m, n = state.m_next, state.n_next
-    return SiState(m, n, m * (kernel.P @ n) + 1.0, n * (kernel.Qm @ m) + 1.0)
+    ab = state.ab * np.array([kernel.P @ state.ab[1], kernel.Qm @ state.ab[0]])
+    ab += 1.0
+    return SiState(state.ab, ab)
 
 
 def si_solution(kernel, m, n):
@@ -98,9 +103,8 @@ def si_solve(problem, config=None):
     """
     kernel = build_kernel(problem)
     return iterate(problem, si_init(problem), lambda s: si_step(kernel, s),
-                   lambda s: (s.m, s.n),
-                   lambda s: diagnostics.factored_residual(
-                       s.m, s.n, s.m_next, s.n_next, s.m * (kernel.T @ s.n)),
+                   lambda s, t: diagnostics.vector_step_metrics(
+                       s.mn, t.mn, t.ab, t.m * (kernel.T @ t.n)),
                    lambda s: si_solution(kernel, s.m, s.n), config or SiConfig(), "si")
 
 
@@ -152,8 +156,7 @@ def si_shifted_solve(problem, shift, config=None):
     state = si_shift_init(problem, shift)
     kernel = build_kernel(problem)
     return iterate(problem, state, lambda s: si_shift_step(kernel, s),
-                   lambda s: (s.M, s.N),
-                   lambda s: diagnostics.factored_residual(
-                       s.M, s.N, s.M_next[:, 1], s.N_next[:, 0], s.z_rows),
+                   lambda s, t: diagnostics.vector_step_metrics(
+                       (s.M, s.N), (t.M, t.N), (t.M_next[:, 1], t.N_next[:, 0]), t.z_rows),
                    lambda s: factors_to_solution(kernel, s.M, s.N),
                    config or SiConfig(), f"si-{shift.mode}")

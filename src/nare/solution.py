@@ -6,7 +6,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import diagnostics
 from .linalg import EPS
 
 STOP_RULES = ("error", "residual", "either")
@@ -53,6 +52,11 @@ def auto_tol(n):
     return n * n * EPS
 
 
+def check_max_iter(config):
+    if config.max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {config.max_iter}")
+
+
 def resolve_tol(tol, n):
     if tol is None or tol == "auto":
         return auto_tol(n)
@@ -72,24 +76,23 @@ def stop_hit(rule, err, res, tol):
     raise ValueError(f"stop rule must be one of {STOP_RULES}, got {rule!r}")
 
 
-def iterate(problem, state, step, factors, residual, x_of, config, method, y_of=None):
+def iterate(problem, state, step, measure, x_of, config, method, y_of=None):
     """Run ``state = step(state)`` to the stopping rule of ``config``.
 
-    Each step is measured by the update error of the arrays ``factors(state)``
-    and by ``residual(state)``, the relative residual of the state's iterate;
-    ``x_of`` builds the returned iterate once.  A step whose residual is not
-    finite (critical-case doubling blows up past its attainable accuracy) ends
-    the run on the iterate before it; otherwise the run returns the last one.
-    Metrics are looked up on ``diagnostics`` at every call, so instrumentation
-    patched onto that module sees them.
+    Each step is measured by one call ``measure(prev, nxt) -> (err, res)``, the
+    update error from ``prev`` and the relative residual of ``nxt``'s iterate,
+    so the two metrics can share work; solvers look them up on ``diagnostics``
+    there, where patched instrumentation sees them.  ``x_of`` builds the
+    returned iterate once.  A step whose residual is not finite (critical-case
+    doubling blows up past its attainable accuracy) ends the run on the iterate
+    before it; otherwise the run returns the last one.
     """
     tol = resolve_tol(config.tol, problem.n)
     errs, ress = [], []
     reason = "max_iter"
     for _ in range(config.max_iter):
         nxt = step(state)
-        err = diagnostics.relative_update_error(zip(factors(state), factors(nxt)))
-        res = residual(nxt)
+        err, res = measure(state, nxt)
         if not math.isfinite(res):
             reason = "nonfinite"
             break

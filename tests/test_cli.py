@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
 from nare.cli import CSV_HEADER, main
+from nare.sda import SdaConfig
+from nare.si import SiConfig
 
 
 def run_cli(capsys, *argv):
@@ -224,6 +228,35 @@ def test_table51_single_size(tmp_path, capsys):
                        "si-double"]
     # the capped classic iteration is marked with a star cell
     assert "* (>" in out
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_iteration_cap_below_one_is_invalid_input(capsys, cap):
+    # only an absent --max-iter selects the default cap: 0 used to run the
+    # default, and a negative cap ran no step and reported res = Infinity
+    for argv in (("solve", "--n", "8", "--solver", "si", "--format", "json"),
+                 ("solve", "--n", "8", "--solver", "sda-double"),
+                 ("table51", "--sizes", "4")):
+        code, out, err = run_cli(capsys, *argv, "--max-iter", cap)
+        assert code == 1
+        assert out == "" and "max_iter must be at least 1" in err
+    for config in (SdaConfig, SiConfig):
+        with pytest.raises(ValueError):
+            config(max_iter=int(cap))
+
+
+def test_iteration_cap_of_one_runs_one_step(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "solve", "--n", "8", "--solver", "si",
+                           "--max-iter", "1", "--format", "json")
+    assert code == 2 and json.loads(out)["iterations"] == 1
+    out_path = tmp_path / "cells.csv"
+    code, _, _ = run_cli(capsys, "table51", "--sizes", "4", "--max-iter", "1",
+                         "--out", str(out_path))
+    assert code == 0
+    iterations = {line.split(",")[1]: line.split(",")[5]
+                  for line in out_path.read_text().strip().splitlines()[1:]}
+    assert [iterations[s] for s in ("si", "si-single", "si-double")] == ["1"] * 3
+    assert int(iterations["sda"]) > 1  # the cap applies to the vector solvers
 
 
 def test_table51_csv_determinism(tmp_path, capsys):

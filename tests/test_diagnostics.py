@@ -19,8 +19,8 @@ from nare import (
     shifted_coefficients,
     solution_identities,
 )
-from nare.diagnostics import factored_residual, residual_matrix
-from nare.si import build_kernel, si_solution
+from nare.diagnostics import residual_matrix, vector_step_metrics
+from nare.si import build_kernel, si_init, si_solution, si_step
 from nare.sda import SdaConfig, sda_solve
 
 
@@ -72,10 +72,32 @@ def test_residual_matrix_bitwise_equals_direct_expression(n, rng):
     assert relative_residual(problem, x) == inf_norm(direct) / (2.0 * inf_norm(x))
 
 
+@pytest.mark.parametrize("alpha, c", [(0.0, 1.0), (0.3, 0.9)])
+def test_vector_step_metrics_on_classic_sweeps(alpha, c):
+    # every classic sweep is monotone, so the O(n) path runs; it must return
+    # exactly the update error and the one-sign row sums of R = m n^T - a b^T,
+    # and agree with the generic row sums of the exact path to rounding
+    problem = build_problem(quadrature_params(16, alpha, c))
+    kernel = build_kernel(problem)
+    state = si_init(problem)
+    for _ in range(60):
+        nxt = si_step(kernel, state)
+        (m, n), (a, b) = nxt.mn, nxt.ab
+        x_rows = m * (kernel.T @ n)
+        err, res = vector_step_metrics(state.mn, nxt.mn, nxt.ab, x_rows)
+        assert err == relative_update_error(zip(state.mn, nxt.mn))
+        assert res == float(np.max(a * b.sum() - m * n.sum())) / (2.0 * float(x_rows.max()))
+        generic = vector_step_metrics(tuple(state.mn), (m, n), (a, b), x_rows)
+        assert generic[0] == err
+        assert generic[1] == pytest.approx(res, rel=1e-13)
+        state = nxt
+
+
 def test_factored_residual_exact_path_for_non_monotone_factors(prob8, rng):
     # factors that are not iterates: a = Xq + e falls below m in some rows,
     # so R = m n^T - a b^T has entries of both signs and the O(n) row sums
-    # a_i sum(b) - m_i sum(n) would be wrong
+    # a_i sum(b) - m_i sum(n) would be wrong; and m falls from prev in some
+    # entries, so the update error must take |m - prev|
     kernel = build_kernel(prob8)
     m, n = rng.uniform(0.5, 4.0, (2, prob8.n))
     x = si_solution(kernel, m, n)
@@ -84,13 +106,35 @@ def test_factored_residual_exact_path_for_non_monotone_factors(prob8, rng):
     dense = relative_residual(prob8, x)
     one_sign = np.max(a * b.sum() - m * n.sum()) / (2.0 * inf_norm(x))
     assert abs(one_sign - dense) > 0.1 * dense
-    factored = factored_residual(m, n, a, b, x.sum(axis=1))
-    assert factored == pytest.approx(dense, rel=1e-12)
+    prev = np.array([m, n]) + rng.uniform(-1.0, 1.0, (2, prob8.n))
+    assert np.any(prev > np.array([m, n]))
+    err, res = vector_step_metrics(prev, np.array([m, n]), np.array([a, b]), x.sum(axis=1))
+    assert res == pytest.approx(dense, rel=1e-12)
+    assert err == relative_update_error([(prev[0], m), (prev[1], n)])
+    # a step that falls everywhere: a row-max rise would be negative
+    err, res = vector_step_metrics(2.0 * np.array([m, n]), np.array([m, n]),
+                                   np.array([a, b]), x.sum(axis=1))
+    assert err == relative_update_error([(2.0 * m, m), (2.0 * n, n)]) > 0.0
+    assert res == pytest.approx(dense, rel=1e-12)
+    # a rising step through a negative entry: max(m) is not ||m||
+    cur = np.array([m, n])
+    cur[0, 0] = -40.0
+    prev, ab = cur - [[1.0], [0.0]], cur + 1.0
+    err, res = vector_step_metrics(prev, cur, ab, np.ones(prob8.n))
+    assert err == relative_update_error(zip(prev, cur))
+    r = np.outer(cur[0], cur[1]) - np.outer(ab[0], ab[1])
+    assert res == pytest.approx(np.abs(r).sum(axis=1).max() / 2.0, rel=1e-13)
 
 
 def test_factored_residual_of_zero_iterate_is_infinite():
-    zero, one = np.zeros(3), np.ones(3)
-    assert factored_residual(zero, zero, one, one, zero) == math.inf
+    zero, one = np.zeros((2, 3)), np.ones((2, 3))
+    # a zero current iterate: both metrics are infinite, on either path
+    assert vector_step_metrics(zero, zero, one, zero[0]) == (math.inf, math.inf)
+    assert vector_step_metrics(tuple(zero), tuple(zero), tuple(one), zero[0]) == (
+        math.inf, math.inf)
+    # the first classic sweep is finite on the O(n) path
+    err, res = vector_step_metrics(zero, one, 2.0 * one, one[0])
+    assert err == 1.0 and res == (2.0 * 6.0 - 3.0) / 2.0  # rows a_i sum(b) - m_i sum(n)
 
 
 def test_relative_update_error_cases():
@@ -217,13 +261,15 @@ def test_stopping_metrics_looked_up_on_diagnostics(solver, prob8, monkeypatch):
     from nare import diagnostics
     from nare.cli import run_solver
 
-    residual = "relative_residual" if solver == "sda" else "factored_residual"
     calls = {}
-    for name in ("relative_residual", "factored_residual", "relative_update_error"):
+    for name in ("relative_residual", "vector_step_metrics", "relative_update_error"):
         def counted(*args, _fn=getattr(diagnostics, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
         monkeypatch.setattr(diagnostics, name, counted)
     sol, _, _ = run_solver(prob8, solver, max_iter=5)
     assert sol.iterations == 5
-    assert calls == {residual: 5, "relative_update_error": 5}
+    if solver == "sda":
+        assert calls == {"relative_residual": 5, "relative_update_error": 5}
+    else:  # one fused call per sweep yields both metrics
+        assert calls == {"vector_step_metrics": 5}

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nare import SingularMatrix, inf_norm, lu_solve
-from nare.linalg import EPS, lu_inverse
+from nare.linalg import EPS, lu_factor, lu_inverse
 from nare.sda import resolve_gamma
 from nare.sda import SdaConfig
 
@@ -86,6 +89,25 @@ def test_pivot_threshold_scale():
     a = np.array([[1.0, 1.0], [1.0, 1.0 + 0.25 * EPS]])
     with pytest.raises(SingularMatrix):
         lu_solve(a, np.eye(2))
+
+
+def test_exactly_singular_raises_without_a_warning():
+    # getrf reports the zero pivot through info, which is not a warning; the
+    # pivot gate turns it into SingularMatrix even when warnings are errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix, match="pivot"):
+            lu_factor(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_lu_factor_bitwise_equals_scipy(rng):
+    a = rng.standard_normal((40, 40))
+    copy = a.copy()
+    lu, piv = lu_factor(a)
+    ref_lu, ref_piv = scipy.linalg.lu_factor(a)
+    assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
+    assert piv.dtype == ref_piv.dtype
+    assert np.array_equal(a, copy)  # the input is not overwritten
 
 
 def test_lu_inverse_pivot_threshold_scale():
