@@ -63,8 +63,8 @@ def resolve_gamma(quad, config):
     if config.gamma == "auto" or config.gamma is None:
         return bound
     gamma = float(config.gamma)
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if gamma < bound:
         # below the diagonal bound the initial iterates lose their
         # M-matrix structure and monotone convergence is forfeit

@@ -61,8 +61,8 @@ def resolve_tol(tol, n):
     if tol is None or tol == "auto":
         return auto_tol(n)
     tol = float(tol)
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
     return tol
 
 

@@ -11,27 +11,26 @@ matrix is its eta*xi = 0 case,
 
 so the eigenvalues of M are 0 (g1 carries the factor lam), the n poles
 1/om_i (the squared prefactor cancels each simple pole of g1) and one root
-of g1 per pole gap.  The rational sums stay finite at any n, so every root
-is bisected on their sign and the product prefactor, which overflows
-doubles near the spectrum edges, is never formed.  (Deriving the
-determinant of the diagonal-plus-rank-2 form gives g1, not lam*g1, in the
-first term; the n=1 case with the boundary shift confirms it: the shifted
-matrix has the double eigenvalue 1/(2*om_1), which is a root of
-g1 + eta*xi*g2*g3 only.)
+of g1 per pole gap.  The rational sums stay finite at any n, so the roots
+are bisected on their sign, all gaps of a spectrum at once, and the
+product prefactor, which overflows doubles near the spectrum edges, is
+never formed.  (Deriving the determinant of the diagonal-plus-rank-2 form
+gives g1, not lam*g1, in the first term; the n=1 case with the boundary
+shift confirms it: the shifted matrix has the double eigenvalue
+1/(2*om_1), which is a root of g1 + eta*xi*g2*g3 only.)
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BracketFailure, NotCriticalCase, PoleHit, ShiftOutOfRegion
 from .sda import SdaConfig, resolve_gamma
+from .shift import omega_lower_bound, validate_shift
 
 POLE_GUARD = 1e-14
 BRACKET_WIDTH_FACTOR = 1e-12
 MAX_BISECT = 200
-CHEB_SAMPLES = (64, 128, 256, 512, 1024, 2048, 4096)
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,6 @@ def _require_critical(problem):
         )
 
 
-def _check_poles(problem, lam):
-    if np.any(np.abs(1.0 / problem.omegas - lam) < POLE_GUARD):
-        raise PoleHit(f"lambda = {lam!r} collides with a pole 1/omega_i")
-
-
 def _secular_evaluator(problem):
     """Return ``sums``: lams -> (g1, g2, g3), each an array over ``lams``.
 
@@ -78,19 +72,20 @@ def _secular_evaluator(problem):
     g2 = sum c_i om_i/(1/om_i - lam)
     g3 = sum c_i/(om_i (1/om_i - lam))
 
-    The poles and numerators are formed once per problem, so each call
-    costs three n x len(lams) divisions and their column sums.
+    The poles and numerators are formed once per problem.  Each point is
+    one row of the n-wide denominators, summed along the row, so a point
+    rounds the same in a batch as in a call of its own.
     """
     om, c = problem.omegas, problem.weights
-    poles = (1.0 / om)[:, None]
-    num1, num2, num3 = c[:, None], (c * om)[:, None], (c / om)[:, None]
+    poles = 1.0 / om
+    num1, num2, num3 = c, c * om, c / om
 
     def sums(lams):
         lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
-        den = poles - lams[None, :]
-        return (lams * np.sum(num1 / den, axis=0),
-                np.sum(num2 / den, axis=0),
-                np.sum(num3 / den, axis=0))
+        den = poles - lams[:, None]
+        return (lams * np.sum(num1 / den, axis=1),
+                np.sum(num2 / den, axis=1),
+                np.sum(num3 / den, axis=1))
 
     return sums
 
@@ -99,7 +94,8 @@ def secular_sums(problem, lam):
     """The three rational sums (g1, g2, g3) at ``lam``, as floats."""
     _require_critical(problem)
     lam = float(lam)
-    _check_poles(problem, lam)
+    if np.any(np.abs(1.0 / problem.omegas - lam) < POLE_GUARD):
+        raise PoleHit(f"lambda = {lam!r} collides with a pole 1/omega_i")
     return tuple(float(g[0]) for g in _secular_evaluator(problem)(lam))
 
 
@@ -110,8 +106,6 @@ def shifted_secular(problem, shift, lam):
     block matrix; at xi = 0 it reduces to g1, whose off-pole zeros are
     zero plus the interior eigenvalues of the unshifted matrix.
     """
-    from .shift import validate_shift  # local import to avoid a cycle
-
     _require_critical(problem)
     validate_shift(shift.eta, shift.xi, shift.mode, float(problem.omegas[0]),
                    relaxed=True)
@@ -119,24 +113,30 @@ def shifted_secular(problem, shift, lam):
     return g1 + shift.eta * shift.xi * g2 * g3
 
 
-def _bisect(fn, a, b, sa, width):
-    """Bisection on sign values, ``sa`` the sign just right of ``a``.
+def _bisect(sign, lo, hi, sign_lo, width):
+    """Bisect every bracket [lo_k, hi_k] at once on sign values.
 
-    Only midpoints are evaluated, so ``a`` and ``b`` may be poles.
-    Returns (root, final half-bracket).
+    ``sign(lams, ks)`` gives the signs at the midpoints ``lams`` of the
+    open brackets ``ks``; ``sign_lo`` is each bracket's sign just right of
+    its lower end.  Only midpoints are evaluated, so the ends may be poles.
+    A bracket closes at width ``width``, after ``MAX_BISECT`` rounds, or on
+    an exact zero, which collapses it to its midpoint.  Returns the roots
+    and the final lower and upper ends.
     """
+    lo = np.array(lo, dtype=np.float64)
+    hi = np.array(hi, dtype=np.float64)
+    sign_lo = np.broadcast_to(sign_lo, lo.shape)
+    ks = np.flatnonzero(hi - lo > width)
     for _ in range(MAX_BISECT):
-        if b - a <= width:
+        if ks.size == 0:
             break
-        mid = 0.5 * (a + b)
-        sm = fn(mid)
-        if sm == 0:
-            return mid, (mid, mid)
-        if sm == sa:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b), (a, b)
+        mid = 0.5 * (lo[ks] + hi[ks])
+        sm = sign(mid, ks)
+        up = sm == sign_lo[ks]
+        lo[ks[up | (sm == 0)]] = mid[up | (sm == 0)]
+        hi[ks[~up]] = mid[~up]
+        ks = ks[(sm != 0) & (hi[ks] - lo[ks] > width)]
+    return 0.5 * (lo + hi), lo, hi
 
 
 def interlaced_spectrum(problem):
@@ -153,64 +153,37 @@ def interlaced_spectrum(problem):
     poles = np.sort(1.0 / problem.omegas)
     width = BRACKET_WIDTH_FACTOR * poles[-1]
     sums = _secular_evaluator(problem)
-
-    def sgn(lam):
-        return np.sign(sums(lam)[0][0])
-
-    roots, brackets, residuals, widths = [], [], [], []
-    for k in range(problem.n - 1):
-        root, (lo, hi) = _bisect(sgn, poles[k], poles[k + 1], -1.0, width)
-        terms = problem.weights / (1.0 / problem.omegas - root)
-        roots.append(root)
-        brackets.append((lo, hi))
-        residuals.append(abs(sums(root)[0][0]) / (root * np.max(np.abs(terms))))
-        widths.append(hi - lo)
-
-    values = np.array(roots)
-    if problem.n > 1:
-        inside = (values > poles[:-1]) & (values < poles[1:])
-        if not bool(np.all(inside)):
-            raise BracketFailure("interior root escaped its pole gap")
+    roots, lo, hi = _bisect(lambda lams, ks: np.sign(sums(lams)[0]),
+                            poles[:-1], poles[1:], -1.0, width)
+    terms = problem.weights / (1.0 / problem.omegas - roots[:, None])
+    residuals = np.abs(sums(roots)[0]) / (roots * np.max(np.abs(terms), axis=1))
+    if not bool(np.all((roots > poles[:-1]) & (roots < poles[1:]))):
+        raise BracketFailure("interior root escaped its pole gap")
     report = SpectrumReport(
         fixed_roots=poles.copy(),
-        free_roots=values,
-        brackets=tuple(brackets),
-        residuals=np.array(residuals),
-        bracket_widths=np.array(widths),
+        free_roots=roots,
+        brackets=tuple(zip(lo, hi)),
+        residuals=residuals,
+        bracket_widths=hi - lo,
         includes_zero=True,
     )
-    eigs = report.eigenvalues
-    if np.any(np.diff(eigs) <= 0):
+    if np.any(np.diff(report.eigenvalues) <= 0):
         raise BracketFailure("interlacing order violated")
     return report
-
-
-def _chebyshev_points(a, b, m):
-    theta = (2.0 * np.arange(m) + 1.0) * math.pi / (2.0 * m)
-    return np.sort(0.5 * (a + b) + 0.5 * (b - a) * np.cos(theta))
-
-
-def _g3_level_point(sums, a, b, target):
-    """Point in (a, b) where g3 reaches ``target``; g3 rises from -inf to +inf."""
-    root, _ = _bisect(lambda lam: np.sign(sums(lam)[2][0] - target), a, b, -1.0, 0.0)
-    return root
 
 
 def shifted_interlaced_spectrum(problem, shift):
     """Eigenvalues of the double-shifted block matrix.
 
     Locates two roots of the shifted secular function in (0, 1/om_1) and
-    two in each pole gap: Chebyshev sampling (64 doubling to 4096 points)
-    finds the positive hump; if sampling misses it, the hump is probed at
-    an analytically guaranteed point (the midpoint 1/(2 om_1) for the
-    first interval, the g3 level-set point for the gaps).  A vanishing
-    probe value marks a coalesced double root, which occurs exactly on
-    the boundary of the admissible region.  The function is negative at
-    0 and tends to -inf at every pole (eta*xi*g2*g3 has double poles), so
-    each hump is bracketed by a rising and a falling sign change.
+    two in each pole gap.  The function is negative at 0 and tends to -inf
+    at every pole (eta*xi*g2*g3 has double poles), and an analytic probe
+    is positive inside each interval: 1/(2 om_1) in the first, and in each
+    gap the point where g3 = 4 om_1^2/(om_{k-1} om_k).  The probe is the
+    only source of brackets: all intervals are bisected together, one root
+    on each side of it.  A vanishing probe value marks a coalesced double
+    root, which occurs exactly on the boundary of the admissible region.
     """
-    from .shift import omega_lower_bound, validate_shift
-
     _require_critical(problem)
     om1 = float(problem.omegas[0])
     validate_shift(shift.eta, shift.xi, shift.mode, om1, relaxed=True)
@@ -222,91 +195,52 @@ def shifted_interlaced_spectrum(problem, shift):
     on_boundary = abs(xi - omega_lower_bound(eta, om1)) <= 1e-12 * abs(xi)
     sums = _secular_evaluator(problem)
 
-    def gbar_many(lams):
+    def gbar(lams):
         g1, g2, g3 = sums(lams)
         return g1 + eta * xi * g2 * g3
 
-    def gbar(lam):
-        return float(gbar_many(lam)[0])
-
     poles = np.sort(1.0 / problem.omegas)
     width = BRACKET_WIDTH_FACTOR * poles[-1]
-    free, brackets, residuals, widths = [], [], [], []
-    coalesced = []
-
-    for k in range(problem.n):
-        a = 0.0 if k == 0 else poles[k - 1]
-        b = poles[k]
-        pair = None
-        for m in CHEB_SAMPLES:
-            pts = _chebyshev_points(a, b, m)
-            signs = np.sign(gbar_many(pts))
-            idx = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-            if len(idx) >= 2:
-                pair = ((pts[idx[0]], pts[idx[0] + 1], signs[idx[0]]),
-                        (pts[idx[-1]], pts[idx[-1] + 1], signs[idx[-1]]))
-                break
-        if pair is None:
-            # analytically guaranteed positive probe inside the interval
-            if k == 0:
-                probe = 1.0 / (2.0 * om1)
-            else:
-                target = 4.0 * om1 ** 2 / (problem.omegas[k - 1] * problem.omegas[k])
-                probe = _g3_level_point(sums, a, b, target)
-            gp = gbar(probe)
-            if gp > 0.0:
-                pair = ((a, probe, -1.0), (probe, b, 1.0))
-            elif on_boundary and abs(gp) <= 1e-9:
-                # double root on the region boundary
-                free.extend([probe, probe])
-                brackets.extend([(probe, probe)] * 2)
-                residuals.extend([abs(gp)] * 2)
-                widths.extend([0.0, 0.0])
-                coalesced.append(k)
-                continue
-            else:
-                raise BracketFailure(
-                    f"no positive value of the shifted secular function found "
-                    f"in interval {k} ({a}, {b})"
-                )
-        for lo0, hi0, sa in pair:
-            root, (lo, hi) = _bisect(lambda x: np.sign(gbar(x)), lo0, hi0, sa, width)
-            free.append(root)
-            brackets.append((lo, hi))
-            residuals.append(abs(gbar(root)))
-            widths.append(hi - lo)
-
-    free = np.array(free)
+    lo_end = np.concatenate([[0.0], poles[:-1]])
+    target = 4.0 * om1 ** 2 / (problem.omegas[:-1] * problem.omegas[1:])
+    level, _, _ = _bisect(lambda lams, ks: np.sign(sums(lams)[2] - target[ks]),
+                          poles[:-1], poles[1:], -1.0, width)
+    probe = np.concatenate([[1.0 / (2.0 * om1)], level])
+    gp = gbar(probe)
+    coalesced = ~(gp > 0.0)
+    failed = coalesced & ~(on_boundary & (np.abs(gp) <= 1e-9))
+    if np.any(failed):
+        k = int(np.flatnonzero(failed)[0])
+        raise BracketFailure(
+            f"no positive value of the shifted secular function found "
+            f"in interval {k} ({lo_end[k]}, {poles[k]})"
+        )
+    # a coalesced double root closes both brackets at the probe
+    lo = np.column_stack([lo_end, probe])
+    hi = np.column_stack([probe, poles])
+    lo[coalesced] = hi[coalesced] = probe[coalesced, None]
+    free, lo, hi = _bisect(lambda lams, ks: np.sign(gbar(lams)),
+                           lo.ravel(), hi.ravel(), np.tile([-1.0, 1.0], problem.n),
+                           width)
     report = SpectrumReport(
         fixed_roots=np.array([]),
         free_roots=free,
-        brackets=tuple(brackets),
-        residuals=np.array(residuals),
-        bracket_widths=np.array(widths),
+        brackets=tuple(zip(lo, hi)),
+        residuals=np.abs(gbar(free)),
+        bracket_widths=hi - lo,
         includes_zero=False,
         on_boundary=on_boundary,
-        coalesced=tuple(coalesced),
+        coalesced=tuple(int(k) for k in np.flatnonzero(coalesced)),
     )
-    _check_shifted_order(problem, report)
+    # two positive roots per interval, in order, strictly between its ends
+    a, b = free[0::2], free[1::2]
+    inside = (lo_end < a) & (a < poles) & (lo_end < b) & (b < poles)
+    bad = np.flatnonzero(~inside | ~((a < b) | (coalesced & (a == b))))
+    if bad.size:
+        k = bad[0]
+        raise BracketFailure(f"interval {k}: pair ({a[k]}, {b[k]}) violates "
+                             f"the interlacing pattern")
     return report
-
-
-def _check_shifted_order(problem, report):
-    """Verify the two-per-gap pattern with all eigenvalues positive."""
-    poles = np.sort(1.0 / problem.omegas)
-    vals = report.free_roots
-    if len(vals) != 2 * problem.n or np.any(vals <= 0):
-        raise BracketFailure("shifted spectrum must be 2n positive values")
-    for k in range(problem.n):
-        lo = 0.0 if k == 0 else poles[k - 1]
-        hi = poles[k]
-        a, b = vals[2 * k], vals[2 * k + 1]
-        pair_ok = (lo < a < hi) and (lo < b < hi)
-        order_ok = a < b or (k in report.coalesced and a == b)
-        if not (pair_ok and order_ok):
-            raise BracketFailure(
-                f"interval {k}: pair ({a}, {b}) violates the interlacing pattern"
-            )
 
 
 def closed_loop_spectrum(problem):
@@ -320,17 +254,13 @@ def closed_loop_spectrum(problem):
     _require_critical(problem)
     om, c = problem.omegas, problem.weights
 
-    def even_secular(lam):
-        return 1.0 - float(np.sum(c / (1.0 - om ** 2 * lam ** 2)))
+    def sign(lams, ks):
+        return np.sign(1.0 - np.sum(c / (1.0 - om ** 2 * lams[:, None] ** 2), axis=1))
 
     poles = np.sort(1.0 / om)
     width = BRACKET_WIDTH_FACTOR * poles[-1]
-    roots = [0.0]
-    for k in range(problem.n - 1):
-        root, _ = _bisect(lambda x: np.sign(even_secular(x)), poles[k], poles[k + 1],
-                          1.0, width)
-        roots.append(root)
-    return np.array(roots)
+    roots, _, _ = _bisect(sign, poles[:-1], poles[1:], 1.0, width)
+    return np.concatenate([[0.0], roots])
 
 
 def cayley(z, gamma):

@@ -201,6 +201,16 @@ def test_gamma_and_tol_overrides(capsys):
     assert code == 1  # below the admissible bound
 
 
+@pytest.mark.parametrize("flag,value", [("--tol", "inf"), ("--tol", "nan"),
+                                        ("--gamma", "nan"), ("--gamma", "inf")])
+def test_nonfinite_tol_and_gamma_are_invalid_input(capsys, flag, value):
+    # an infinite tolerance used to stop after one step as "converged", a NaN
+    # one ran to the cap, and a non-finite gamma ran no step at all
+    code, out, err = run_cli(capsys, "solve", "--n", "8", flag, value)
+    assert code == 1
+    assert out == "" and "finite" in err
+
+
 def test_numerical_failure_exit_code(capsys, monkeypatch):
     from nare import spectra
     from nare.errors import BracketFailure

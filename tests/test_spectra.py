@@ -22,7 +22,8 @@ from nare import (
     shifted_secular,
 )
 from nare.sda import SdaConfig, sda_solve
-from nare.shift import make_shift
+from nare.shift import make_shift, omega_lower_bound
+from nare.spectra import _secular_evaluator
 
 
 def shifted_block(problem, spec):
@@ -83,6 +84,15 @@ def test_secular_sums_scalar_case(prob1):
     g1, g2, g3 = secular_sums(prob1, 1.0)
     assert (g1, g2, g3) == (1.0, 0.5, 2.0)
     assert g1 - g3 == -1.0
+
+
+def test_batched_sums_round_like_single_calls(rng):
+    problem = build_problem(quadrature_params(64))
+    poles = 1.0 / problem.omegas
+    lams = rng.uniform(0.0, poles.max(), 200)
+    batched = _secular_evaluator(problem)(lams)
+    for i, lam in enumerate(lams):
+        assert secular_sums(problem, lam) == tuple(float(g[i]) for g in batched)
 
 
 def test_secular_sums_identities(prob32, rng):
@@ -261,14 +271,16 @@ def assert_same_spectrum(mine, block):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(direction_sets())
-def test_spectra_match_dense_eigenvalues(problem):
+@given(direction_sets(), st.floats(0.02, 0.98), st.floats(0.02, 0.98))
+def test_spectra_match_dense_eigenvalues(problem, eta_frac, xi_frac):
     assert_same_spectrum(interlaced_spectrum(problem).eigenvalues,
                          assemble_blocks(problem)[0])
-    # an interior double shift: on the region boundary the shifted matrix has
+    # a double shift drawn from the region's interior, where the probe alone
+    # must bracket every root: on the boundary the shifted matrix has
     # defective double eigenvalues, which dense eigvals finds only to sqrt(eps)
     om1 = float(problem.omegas[0])
-    spec = make_shift(problem, 1.0 / (2.0 * om1), -1.0 / (4.0 * om1), "double")
+    eta = eta_frac / om1
+    spec = make_shift(problem, eta, xi_frac * omega_lower_bound(eta, om1), "double")
     assert_same_spectrum(shifted_interlaced_spectrum(problem, spec).eigenvalues,
                          shifted_block(problem, spec))
 
