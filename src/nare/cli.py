@@ -5,6 +5,7 @@ Exit codes: 0 converged/ok, 1 invalid input, 2 max-iterations,
 """
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -315,20 +316,15 @@ def main(argv=None):
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        out = sys.stdout
-        close = False
-        if getattr(args, "out", None) and args.command == "solve":
-            out = open(args.out, "w")
-            close = True
-        try:
-            if args.command == "solve":
-                return cmd_solve(args, out)
-            if args.command == "table51":
-                return cmd_table51(args, out)
-            return cmd_spectrum(args, out)
-        finally:
-            if close:
-                out.close()
+        if args.command != "solve":
+            return (cmd_table51 if args.command == "table51" else cmd_spectrum)(args, sys.stdout)
+        # a failed solve must leave --out as it was: open it only to write
+        out = io.StringIO() if args.out else sys.stdout
+        code = cmd_solve(args, out)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(out.getvalue())
+        return code
     except SystemExit_ as exc:
         if exc.message:
             print(exc.message, file=sys.stderr)

@@ -90,31 +90,45 @@ def vector_step_metrics(prev, cur, ab, x_rows):
     """``relative_update_error`` from ``prev`` to ``cur`` and ``relative_residual``
     of X = T o (M N^T), ``cur`` = (M, N), in one call that never forms X.
 
-    Factors are 2 x n rows [m; n] (classic) or n x k pairs (M, N); ``ab`` holds
-    the next sweep's a = Xq + e, b = X^T q + e, so R(X) = M N^T - a b^T, and
-    ``x_rows`` the row sums of |X|.  A monotone step 0 <= prev <= cur <= ab, as
-    every classic sweep is, takes O(n): norms are row maxima and R <= 0 has row
-    sums a_i sum(b) - m_i sum(n).  Other input sums the rows of |[M, -a] [N, b]^T|,
-    O(n^2).  Both paths round as the two metrics do.
+    ``ab`` holds the next sweep's a = Xq + e, b = X^T q + e, so R(X) = M N^T - a b^T,
+    and ``x_rows`` the row sums of |X|.  Classic 2 x n rows [m; n] are a batch of
+    one of ``classic_sweep_metrics``; n x k pairs (M, N) sum the rows of
+    |[M, -a] [N, b]^T|, O(n^2).
     """
-    seq = np.array([prev, cur, ab]) if isinstance(cur, np.ndarray) else None
-    rise = None if seq is None else seq[1:] - seq[:-1]  # [cur - prev; ab - cur]
-    monotone = rise is not None and prev.min() >= 0.0 and rise.min() >= 0.0
-    if monotone:
-        (rm, rn), (cm, cn) = rise[0].max(axis=1).tolist(), cur.max(axis=1).tolist()
-        err = math.inf if 0.0 in (cm, cn) else max(rm / cm, rn / cn)
-    else:
-        err = _update_error(zip(prev, cur))
+    if isinstance(cur, np.ndarray):
+        return classic_sweep_metrics(np.array([prev, cur, ab]), x_rows[None])[0]
+    err = _update_error(zip(prev, cur))
     nx = float(x_rows.max())
     if nx == 0.0:
         return err, math.inf
-    if monotone:
-        sums = seq.sum(axis=2)  # each row sums as that vector alone does
-        rows = ab[0] * sums[2, 1] - cur[0] * sums[1, 1]
-    else:
-        r = np.column_stack([cur[0], -ab[0]]) @ np.column_stack([cur[1], ab[1]]).T
-        rows = np.abs(r, out=r).sum(axis=1)
-    return err, float(rows.max()) / (2.0 * nx)
+    r = np.column_stack([cur[0], -ab[0]]) @ np.column_stack([cur[1], ab[1]]).T
+    return err, float(np.abs(r, out=r).sum(axis=1).max()) / (2.0 * nx)
+
+
+def classic_sweep_metrics(sweeps, x_rows):
+    """``vector_step_metrics`` of each step of a block of classic sweeps, in one call.
+
+    ``sweeps`` stacks the rows [m; n] of B + 1 iterates and the last one's [a; b];
+    step k reads (prev, cur, ab) = ``sweeps[k:k + 3]`` and ``x_rows[k]``.  A monotone
+    step 0 <= prev <= cur <= ab, as every classic sweep is, takes O(n): norms are
+    row maxima and R <= 0 has row sums a_i sum(b) - m_i sum(n), each rounded as
+    alone.  A step that falls or holds a NaN goes as pairs.
+    """
+    rise = sweeps[1:] - sweeps[:-1]  # cur - prev, then ab - cur, of each step
+    low_rise = rise.min(axis=(1, 2))
+    low = np.minimum(sweeps[:-2].min(axis=(1, 2)), np.minimum(low_rise[:-1], low_rise[1:]))
+    peak = sweeps[1:-1].max(axis=2)  # max(m), max(n): the norms of monotone iterates
+    sums = sweeps.sum(axis=2)
+    rows = sweeps[2:, 0] * sums[2:, 1:] - sweeps[1:-1, 0] * sums[1:-1, 1:]
+    nx = x_rows.max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = np.where((peak == 0.0).any(axis=1), math.inf,
+                       (rise[:-1].max(axis=2) / peak).max(axis=1))
+        res = np.where(nx == 0.0, math.inf, rows.max(axis=1) / (2.0 * nx))
+    metrics = list(zip(err.tolist(), res.tolist()))
+    for k in np.flatnonzero(~(low >= 0.0)):
+        metrics[k] = vector_step_metrics(*(tuple(v) for v in sweeps[k:k + 3]), x_rows[k])
+    return metrics
 
 
 def solution_identities(problem, x):

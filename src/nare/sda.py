@@ -100,7 +100,7 @@ def sda_step(state):
         except SingularMatrix as exc:
             raise Breakdown(state.k,
                             f"I - GH singular at step {state.k}: {exc}") from exc
-        ek, fhk = np.vsplit(np.vstack([e, f @ h]) @ k, 2)
+        ek, fhk = (np.vstack([e, f @ h]) @ k).reshape(2, n, n)  # two views, no copy
         gf = g @ f
         return SdaState(ek @ e, f @ f + fhk @ gf, g + ek @ gf, h + fhk @ e, state.k + 1)
 

@@ -12,8 +12,9 @@ are not formed in the loop (Z only for ||Z|| if a factor entry turns negative):
 X Gamma + Delta X = M N^T, and Xq + e, X^T q + e are columns a, b of the next
 sweep, which each state carries, so the residual is R = M N^T - a b^T, exact
 up to rounding; ``diagnostics.vector_step_metrics`` takes it with the update
-error in one call, O(n) on monotone classic sweeps (the state's 2 x n rows
-[m; n], [a; b]), O(n^2) otherwise.  The iterate is built once, at return.
+error in one call.  Classic sweeps run SWEEP_BLOCK at a time, ahead of the driver,
+and one ``diagnostics.classic_sweep_metrics`` call measures a block, O(n) a sweep;
+up to SWEEP_BLOCK - 1 sweeps past the stop are dropped.  X or Z is built at return.
 """
 
 from dataclasses import dataclass
@@ -24,6 +25,8 @@ import numpy as np
 from . import diagnostics
 from .shift import low_rank_factors
 from .solution import check_max_iter, iterate
+
+SWEEP_BLOCK = 16  # classic sweeps run, and measured in one call, at a time
 
 
 @dataclass(frozen=True)
@@ -39,24 +42,35 @@ class HadamardKernel:
     """Entrywise-positive kernel matrices of the Hadamard form.
 
     T_ij = 1/(delta_i + d_j); P scales T's columns by q_j; Qm_ij = q_j T_ji.
+    PT = [P; T], so one GEMV gives both P b and T b.
     """
 
-    T: np.ndarray
-    P: np.ndarray
+    PT: np.ndarray
     Qm: np.ndarray
+
+    P = property(lambda self: self.PT[:len(self.Qm)])
+    T = property(lambda self: self.PT[len(self.Qm):])
 
 
 @dataclass
 class SiState:
-    """Iterate vectors [m; n] and the next sweep's, [Xq + e; X^T q + e], as 2 x n rows."""
+    """2 x n rows [m; n] and the next sweep's [Xq + e; X^T q + e]; X's row sums m o (T n)."""
 
     mn: np.ndarray
     ab: np.ndarray
+    x_rows: np.ndarray
 
     m = property(lambda self: self.mn[0])
     n = property(lambda self: self.mn[1])
-    m_next = property(lambda self: self.ab[0])
-    n_next = property(lambda self: self.ab[1])
+
+
+@dataclass
+class SiAhead:
+    """``states[k]`` of a block run ahead, reached by a step that measured ``metrics[k - 1]``."""
+
+    states: list
+    metrics: list
+    k: int
 
 
 @dataclass
@@ -76,18 +90,31 @@ def build_kernel(problem):
     # keep all three row-major so the critical case's m/n symmetry is
     # bitwise (a transposed layout changes the BLAS summation order)
     qm = np.ascontiguousarray(t.T) * problem.q[None, :]
-    return HadamardKernel(T=t, P=t * problem.q[None, :], Qm=qm)
+    return HadamardKernel(PT=np.vstack([t * problem.q[None, :], t]), Qm=qm)
 
 
 def si_init(problem):
-    return SiState(mn=np.zeros((2, problem.n)), ab=np.ones((2, problem.n)))
+    return SiState(np.zeros((2, problem.n)), np.ones((2, problem.n)), np.zeros(problem.n))
 
 
 def si_step(kernel, state):
     """Make the next sweep's vectors current and run the sweep after them."""
-    ab = state.ab * np.array([kernel.P @ state.ab[1], kernel.Qm @ state.ab[0]])
+    p_b, t_b = (kernel.PT @ state.ab[1]).reshape(2, -1)
+    ab = state.ab * np.array([p_b, kernel.Qm @ state.ab[0]])
     ab += 1.0
-    return SiState(state.ab, ab)
+    return SiState(state.ab, ab, state.ab[0] * t_b)
+
+
+def si_ahead(kernel, ahead):
+    """The block's next sweep; past its end, SWEEP_BLOCK more, measured in one call."""
+    if ahead.k < len(ahead.metrics):
+        return SiAhead(ahead.states, ahead.metrics, ahead.k + 1)
+    states = [ahead.states[-1]]
+    for _ in range(SWEEP_BLOCK):
+        states.append(si_step(kernel, states[-1]))
+    sweeps = np.array([s.mn for s in states] + [states[-1].ab])
+    x_rows = np.array([s.x_rows for s in states[1:]])
+    return SiAhead(states, diagnostics.classic_sweep_metrics(sweeps, x_rows), 1)
 
 
 def si_solution(kernel, m, n):
@@ -102,10 +129,9 @@ def si_solve(problem, config=None):
     which case the iteration is expected to hit max_iter.
     """
     kernel = build_kernel(problem)
-    return iterate(problem, si_init(problem), lambda s: si_step(kernel, s),
-                   lambda s, t: diagnostics.vector_step_metrics(
-                       s.mn, t.mn, t.ab, t.m * (kernel.T @ t.n)),
-                   lambda s: si_solution(kernel, s.m, s.n), config or SiConfig(), "si")
+    return iterate(problem, SiAhead([si_init(problem)], [], 0), lambda s: si_ahead(kernel, s),
+                   lambda s, t: t.metrics[t.k - 1],
+                   lambda s: si_solution(kernel, *s.states[s.k].mn), config or SiConfig(), "si")
 
 
 def factors_to_solution(kernel, m_fac, n_fac):

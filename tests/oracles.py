@@ -4,7 +4,8 @@ Everything here recomputes expected values through routes that do not
 touch the package's own algorithms: bisection on the Legendre
 recurrence for quadrature data, LU determinant signs for spectra, and a
 direct transcription of the shifted fixed-point iteration for reference
-solutions.
+solutions, and the classic vector iteration one sweep and one measurement at
+a time.
 """
 
 import numpy as np
@@ -154,6 +155,36 @@ def si_shifted_reference(alpha, c, weights, omegas, eta, xi, max_iter=10 ** 6):
             return z_next, k
         z_prev2, z_prev, z = z_prev, z, z_next
     return z, max_iter
+
+
+def si_per_sweep_reference(problem, max_iter, tol):
+    """The classic vector iteration m = m o (P n) + e, n = n o (Q m) + e from zero,
+    each sweep measured on its own, under the "either" stop rule.
+
+    Every sweep is monotone, so the update error is max(cur - prev) / max(cur)
+    per vector and the residual R = m n^T - a b^T <= 0 has row sums
+    a_i sum(b) - m_i sum(n), scaled by twice max_i m_i (T n)_i.  Returns
+    (X, err_history, res_history, stop_reason).
+    """
+    t = 1.0 / (problem.delta[:, None] + problem.gamma[None, :])
+    p = t * problem.q[None, :]
+    qm = np.ascontiguousarray(t.T) * problem.q[None, :]
+    mn, ab = np.zeros((2, problem.n)), np.ones((2, problem.n))
+    errs, ress, reason = [], [], "max_iter"
+    for _ in range(max_iter):
+        cur = ab
+        ab = cur * np.array([p @ cur[1], qm @ cur[0]]) + 1.0
+        assert mn.min() >= 0.0 and (cur - mn).min() >= 0.0 and (ab - cur).min() >= 0.0
+        err = max(float((cur[i] - mn[i]).max()) / float(cur[i].max()) for i in (0, 1))
+        rows = ab[0] * ab[1].sum() - cur[0] * cur[1].sum()
+        res = float(rows.max()) / (2.0 * float((cur[0] * (t @ cur[1])).max()))
+        mn = cur
+        errs.append(err)
+        ress.append(res)
+        if err < tol or res < tol:
+            reason = "converged"
+            break
+    return t * np.outer(mn[0], mn[1]), errs, ress, reason
 
 
 def hadamard_triple_loop(t, m_fac, n_fac):

@@ -178,6 +178,15 @@ def test_solve_out_file(tmp_path, capsys):
     assert lines[0] == CSV_HEADER and len(lines) == 2
 
 
+@pytest.mark.parametrize("argv", [["--n", "7"], ["--n", "8", "--solver", "si-single",
+                                                  "--eta", "100"]])
+def test_failed_solve_leaves_out_file_alone(argv, tmp_path, capsys):
+    path = tmp_path / "run.csv"
+    path.write_text("earlier results\n")
+    assert main(["solve", *argv, "--out", str(path)]) == 1
+    assert path.read_text() == "earlier results\n"
+
+
 def test_scalar_problem_via_node_file(tmp_path, capsys):
     # n = 1 is reachable only through an explicit node file (the composite
     # quadrature needs multiples of four)

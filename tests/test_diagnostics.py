@@ -19,7 +19,7 @@ from nare import (
     shifted_coefficients,
     solution_identities,
 )
-from nare.diagnostics import residual_matrix, vector_step_metrics
+from nare.diagnostics import classic_sweep_metrics, residual_matrix, vector_step_metrics
 from nare.si import build_kernel, si_init, si_solution, si_step
 from nare.sda import SdaConfig, sda_solve
 
@@ -91,6 +91,35 @@ def test_vector_step_metrics_on_classic_sweeps(alpha, c):
         assert generic[0] == err
         assert generic[1] == pytest.approx(res, rel=1e-13)
         state = nxt
+
+
+def test_classic_sweep_metrics_batch_with_falling_and_nan_steps():
+    # a block of real classic sweeps, crafted so that steps 2 and 3 share a
+    # fall (sweep 4 drops below sweep 3) and steps 6 and 7 read a NaN (sweep
+    # 8); those steps must come from the exact path of pairs, and every other
+    # step must be exactly what a batch of one gives
+    problem = build_problem(quadrature_params(8, 0.3, 0.9))
+    kernel = build_kernel(problem)
+    state = si_init(problem)
+    rows, x_rows = [state.mn, state.ab], []
+    for _ in range(8):
+        state = si_step(kernel, state)
+        rows.append(state.ab)
+        x_rows.append(state.m * (kernel.T @ state.n))
+    sweeps, x_rows = np.array(rows), np.array(x_rows)
+    sweeps[4, 1, 3] = 0.5 * sweeps[3, 1, 3]
+    sweeps[8, 0, 2] = np.nan
+    metrics = classic_sweep_metrics(sweeps, x_rows)
+    assert len(metrics) == 8
+    for k, got in enumerate(metrics):
+        prev, cur, ab = sweeps[k:k + 3]
+        if k in (2, 3, 6, 7):
+            assert not (np.diff(sweeps[k:k + 3], axis=0).min() >= 0.0)
+            want = vector_step_metrics(tuple(prev), tuple(cur), tuple(ab), x_rows[k])
+            assert np.array_equal(got, want, equal_nan=True)
+            assert math.isnan(got[1]) == (k in (6, 7))
+        else:
+            assert got == vector_step_metrics(prev, cur, ab, x_rows[k])
 
 
 def test_factored_residual_exact_path_for_non_monotone_factors(prob8, rng):
@@ -257,12 +286,14 @@ def test_convergence_order_uses_trailing_run():
 def test_stopping_metrics_looked_up_on_diagnostics(solver, prob8, monkeypatch):
     # per-layer tracing patches the metrics on the diagnostics module, so
     # the solvers must reach them through that module's attributes; the
-    # vector solvers read their residual off the factors, never off X
+    # vector solvers read their residual off the factors, never off X, and
+    # si measures its sweeps a block at a time
     from nare import diagnostics
     from nare.cli import run_solver
 
     calls = {}
-    for name in ("relative_residual", "vector_step_metrics", "relative_update_error"):
+    for name in ("relative_residual", "vector_step_metrics", "relative_update_error",
+                 "classic_sweep_metrics"):
         def counted(*args, _fn=getattr(diagnostics, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
@@ -271,5 +302,7 @@ def test_stopping_metrics_looked_up_on_diagnostics(solver, prob8, monkeypatch):
     assert sol.iterations == 5
     if solver == "sda":
         assert calls == {"relative_residual": 5, "relative_update_error": 5}
+    elif solver == "si":  # one batched call measures the first block of sweeps
+        assert calls == {"classic_sweep_metrics": 1}
     else:  # one fused call per sweep yields both metrics
         assert calls == {"vector_step_metrics": 5}

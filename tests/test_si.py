@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from nare import (
+    TransportParams,
+    auto_tol,
     build_kernel,
     build_problem,
     default_shift,
@@ -73,6 +75,27 @@ def test_si_first_iterates(prob1):
         state = si_step(kernel, state)
         assert prev < state.m[0] < 2.0
         prev = state.m[0]
+
+
+@pytest.mark.parametrize("max_iter", [1, 15, 16, 17, 33, None])
+@pytest.mark.parametrize("alpha, c", [(0.0, 1.0), (0.3, 0.9)])
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_si_blocks_match_per_sweep_loop(n, alpha, c, max_iter):
+    # sweeps run and are measured SWEEP_BLOCK at a time, ahead of the driver;
+    # the result must be that of measuring each sweep as it runs, bit for bit,
+    # whether the run stops inside a block, at its end, or one sweep past it
+    if n == 1:
+        problem = build_problem(TransportParams(
+            alpha=alpha, c=c, weights=np.array([1.0]), omegas=np.array([0.5])))
+    else:
+        problem = build_problem(quadrature_params(n, alpha, c))
+    config = SiConfig() if max_iter is None else SiConfig(max_iter=max_iter)
+    sol = si_solve(problem, config)
+    x, errs, ress, reason = oracles.si_per_sweep_reference(
+        problem, config.max_iter, auto_tol(n))
+    assert np.array_equal(sol.x, x)
+    assert sol.err_history == errs and sol.res_history == ress
+    assert sol.stop_reason == reason
 
 
 def test_si_critical_symmetry_and_bounds(prob8):
