@@ -31,17 +31,10 @@ SI_CAP = 10000
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the artifact reserves 2 for
-    # max-iterations, so remap usage problems to the invalid-input code.
+    # max-iterations, so raise usage problems for main to report as invalid input.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit_(EXIT_INVALID, f"error: {message}")
-
-
-class SystemExit_(Exception):
-    def __init__(self, code, message=""):
-        self.code = code
-        self.message = message
-        super().__init__(message)
+        raise ValueError(message)
 
 
 def _fmt(x):
@@ -73,10 +66,10 @@ def build_from_args(args):
     if args.nodes:
         weights, nodes = load_node_file(args.nodes)
         params = TransportParams(alpha=alpha, c=c, weights=weights, omegas=nodes)
-    elif args.n:
+    elif args.n is not None:
         params = quadrature_params(int(args.n), alpha, c)
     else:
-        raise SystemExit_(EXIT_INVALID, "error: provide --n or --nodes")
+        raise ValueError("provide --n or --nodes")
     return build_problem(params)
 
 
@@ -94,7 +87,7 @@ def run_solver(problem, solver, eta=None, xi=None, gamma=None, tol=None,
     """Dispatch one solver run; returns (solution, shift_spec, gamma_used)."""
     spec = None
     if solver not in SOLVERS:
-        raise SystemExit_(EXIT_INVALID, f"error: unknown solver {solver!r}")
+        raise ValueError(f"unknown solver {solver!r}")
     if solver in ("sda", "sda-single", "sda-double"):
         if solver == "sda":
             quad = problem.quad
@@ -129,9 +122,7 @@ def _csv_row(n, solver, spec, gamma_used, sol, wall_ms):
 def cmd_solve(args, out):
     problem = build_from_args(args)
     if args.solver != "sda" and args.solver != "si" and not problem.is_critical:
-        raise SystemExit_(EXIT_INVALID,
-                          "error: shifted solvers require the critical case "
-                          "(alpha, c) = (0, 1)")
+        raise ValueError("shifted solvers require the critical case (alpha, c) = (0, 1)")
     t0 = time.perf_counter()
     sol, spec, gamma_used = run_solver(
         problem, args.solver, eta=args.eta, xi=args.xi, gamma=args.gamma,
@@ -243,8 +234,7 @@ def cmd_table51(args, out):
 def cmd_spectrum(args, out):
     problem = build_from_args(args)
     if not problem.is_critical:
-        raise SystemExit_(EXIT_INVALID,
-                          "error: spectrum reports require the critical case")
+        raise ValueError("spectrum reports require the critical case")
     shifted = args.eta is not None or args.xi is not None
     if shifted:
         spec = _shift_for(problem, "si-double", args.eta, args.xi)
@@ -325,10 +315,6 @@ def main(argv=None):
             with open(args.out, "w") as fh:
                 fh.write(out.getvalue())
         return code
-    except SystemExit_ as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
-        return exc.code
     except (BracketFailure, Breakdown) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -50,11 +50,11 @@ def relative_residual(problem, x):
     """Residual scaled by twice the iterate norm: ||R(X)|| / (2 ||X||).
 
     This is the stopping metric; the vector solvers, which never form X in
-    their loop, take it from ``vector_step_metrics`` (O(n) on monotone
-    classic sweeps).  In the critical case delta_1 + d_1 = 2/omega_1 is
-    close to 2, so the value tracks the relative fixed-point residual of
-    X = T o ((Xq+e)(q^T X+e^T)); it is the convention under which the
-    benchmark iteration counts reproduce.
+    their loop, take it from ``vector_step_metrics`` (from
+    ``classic_sweep_metrics``, O(n), for classic sweeps).  In the critical case
+    delta_1 + d_1 = 2/omega_1 is close to 2, so the value tracks the relative
+    fixed-point residual of X = T o ((Xq+e)(q^T X+e^T)); it is the convention
+    under which the benchmark iteration counts reproduce.
     """
     x = np.asarray(x, dtype=np.float64)
     nx = inf_norm(x)
@@ -91,12 +91,9 @@ def vector_step_metrics(prev, cur, ab, x_rows):
     of X = T o (M N^T), ``cur`` = (M, N), in one call that never forms X.
 
     ``ab`` holds the next sweep's a = Xq + e, b = X^T q + e, so R(X) = M N^T - a b^T,
-    and ``x_rows`` the row sums of |X|.  Classic 2 x n rows [m; n] are a batch of
-    one of ``classic_sweep_metrics``; n x k pairs (M, N) sum the rows of
-    |[M, -a] [N, b]^T|, O(n^2).
+    and ``x_rows`` the row sums of |X|.  The rows of |[M, -a] [N, b]^T| are summed,
+    O(n^2); ``classic_sweep_metrics`` is the O(n) path for monotone classic sweeps.
     """
-    if isinstance(cur, np.ndarray):
-        return classic_sweep_metrics(np.array([prev, cur, ab]), x_rows[None])[0]
     err = _update_error(zip(prev, cur))
     nx = float(x_rows.max())
     if nx == 0.0:
@@ -127,7 +124,7 @@ def classic_sweep_metrics(sweeps, x_rows):
         res = np.where(nx == 0.0, math.inf, rows.max(axis=1) / (2.0 * nx))
     metrics = list(zip(err.tolist(), res.tolist()))
     for k in np.flatnonzero(~(low >= 0.0)):
-        metrics[k] = vector_step_metrics(*(tuple(v) for v in sweeps[k:k + 3]), x_rows[k])
+        metrics[k] = vector_step_metrics(*sweeps[k:k + 3], x_rows[k])
     return metrics
 
 
@@ -267,10 +264,13 @@ def convergence_order(err_history, window=None):
     successive ratios, order the least-squares slope of
     log e_{k+1} against log e_k.
     """
-    errs = [float(e) for e in err_history]
-    if any(e <= 0 or not math.isfinite(e) for e in errs):
-        errs = _trailing_positive(errs)
-    run = _trailing_decreasing(errs)
+    run = []
+    for e in reversed([float(e) for e in err_history]):
+        # walking back, stop at a non-positive or non-finite entry or one that does not rise
+        if not 0.0 < e < math.inf or (run and e <= run[-1]):
+            break
+        run.append(e)
+    run.reverse()
     if window is not None:
         run = run[-int(window):]
     if len(run) < 4:
@@ -282,25 +282,3 @@ def convergence_order(err_history, window=None):
     x, y = logs[:-1], logs[1:]
     slope = float(np.polyfit(x, y, 1)[0])
     return rate, slope
-
-
-def _trailing_positive(errs):
-    out = []
-    for e in errs:
-        if e <= 0 or not math.isfinite(e):
-            out = []
-        else:
-            out.append(e)
-    return out
-
-
-def _trailing_decreasing(errs):
-    if not errs:
-        return []
-    out = [errs[-1]]
-    for e in reversed(errs[:-1]):
-        if e > out[-1]:
-            out.append(e)
-        else:
-            break
-    return out[::-1]

@@ -10,14 +10,10 @@ the shift constructions are built from those vectors on request.
 """
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import InvalidParams, InvalidSize, NotCriticalCase
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .shift import ShiftSpec
 
 WEIGHT_SUM_TOL = 1e-12
 
@@ -81,8 +77,7 @@ class CoefficientQuadruple:
     """Four n x n coefficient matrices of a Riccati instance.
 
     ``tag`` records how the quadruple was generated (original,
-    single-shift, double-shift); shifted quadruples keep the generating
-    ShiftSpec.
+    single-shift, double-shift).
     """
 
     A: np.ndarray
@@ -90,7 +85,6 @@ class CoefficientQuadruple:
     C: np.ndarray
     D: np.ndarray
     tag: str = "original"
-    shift: Optional["ShiftSpec"] = None
 
     @property
     def n(self):

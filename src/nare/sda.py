@@ -21,6 +21,7 @@ residual against the original equation of the problem it is given.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -116,7 +117,14 @@ def sda_solve(problem, quad, config=None):
     if quad.n != problem.n:
         raise ValueError(f"quadruple of size {quad.n} for a problem of size {problem.n}")
     config = config or SdaConfig()
-    return iterate(problem, sda_init(quad, config), sda_step,
-                   lambda s, t: (diagnostics.relative_update_error(((s.G, t.G), (s.H, t.H))),
-                                 diagnostics.relative_residual(problem, t.H)),
+    return iterate(problem, sda_init(quad, config), partial(_doubling_steps, problem),
                    lambda s: s.H, config, f"sda[{quad.tag}]", y_of=lambda s: s.G)
+
+
+def _doubling_steps(problem, state):
+    """Doubling steps from ``state``, each with its update error and residual."""
+    while True:
+        nxt = sda_step(state)
+        yield (nxt, diagnostics.relative_update_error(((state.G, nxt.G), (state.H, nxt.H))),
+               diagnostics.relative_residual(problem, nxt.H))
+        state = nxt

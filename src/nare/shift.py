@@ -26,7 +26,8 @@ class ShiftSpec:
     single mode: 0 < eta <= 1/omega1 and xi = 0.
     double mode: 0 < eta < 1/omega1 and (-1 + eta*omega1)/omega1 <= xi < 0.
     The relaxed closure (used by the low-rank iteration) additionally
-    admits eta = 0, xi = 0 and the eta = 1/omega1 edge.
+    admits eta = 0 and, in double mode, xi = 0 and the eta = 1/omega1 edge;
+    single mode keeps xi = 0.
     """
 
     eta: float
@@ -37,14 +38,18 @@ class ShiftSpec:
 def validate_shift(eta, xi, mode, omega1, relaxed=False):
     """Check (eta, xi) against the admissible region, naming any violation.
 
-    With ``relaxed`` set, the closure of the region is accepted,
+    With ``relaxed`` set, the closure of the mode's region is accepted,
     including (0, 0); this is the admissibility used by the low-rank
     fixed-point iteration.
     """
     if not 0.0 < omega1 < 1.0:
         raise ValueError(f"omega1 must lie in (0, 1), got {omega1}")
+    if mode not in ("single", "double"):
+        raise ValueError(f"unknown shift mode {mode!r}")
     top = 1.0 / omega1
     lo = omega_lower_bound(eta, omega1)
+    if mode == "single" and xi != 0.0:
+        raise ShiftOutOfRegion(f"single shift needs xi = 0; xi = {xi}")
     if relaxed:
         if not 0.0 <= eta <= top:
             raise ShiftOutOfRegion(f"relaxed region needs 0 <= eta <= 1/omega1; eta = {eta}")
@@ -57,9 +62,7 @@ def validate_shift(eta, xi, mode, omega1, relaxed=False):
     if mode == "single":
         if not 0.0 < eta <= top:
             raise ShiftOutOfRegion(f"single shift needs 0 < eta <= 1/omega1; eta = {eta}")
-        if xi != 0.0:
-            raise ShiftOutOfRegion(f"single shift needs xi = 0; xi = {xi}")
-    elif mode == "double":
+    else:
         if not 0.0 < eta < top:
             raise ShiftOutOfRegion(f"double shift needs 0 < eta < 1/omega1; eta = {eta}")
         if not lo <= xi < 0.0:
@@ -67,8 +70,6 @@ def validate_shift(eta, xi, mode, omega1, relaxed=False):
                 f"double shift needs (-1 + eta*omega1)/omega1 <= xi < 0; "
                 f"xi = {xi}, lower bound {lo}"
             )
-    else:
-        raise ValueError(f"unknown shift mode {mode!r}")
 
 
 def make_shift(problem, eta, xi, mode, relaxed=False):
@@ -111,7 +112,7 @@ def shifted_coefficients(problem, shift, check=True):
     b = e2 @ e1.T
     a = np.diag(problem.delta) - e2 @ q2.T
     tag = "single-shift" if shift.mode == "single" else "double-shift"
-    return CoefficientQuadruple(A=a, B=b, C=c, D=d, tag=tag, shift=shift)
+    return CoefficientQuadruple(A=a, B=b, C=c, D=d, tag=tag)
 
 
 def low_rank_factors(problem, shift):

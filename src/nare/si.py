@@ -12,12 +12,14 @@ are not formed in the loop (Z only for ||Z|| if a factor entry turns negative):
 X Gamma + Delta X = M N^T, and Xq + e, X^T q + e are columns a, b of the next
 sweep, which each state carries, so the residual is R = M N^T - a b^T, exact
 up to rounding; ``diagnostics.vector_step_metrics`` takes it with the update
-error in one call.  Classic sweeps run SWEEP_BLOCK at a time, ahead of the driver,
-and one ``diagnostics.classic_sweep_metrics`` call measures a block, O(n) a sweep;
-up to SWEEP_BLOCK - 1 sweeps past the stop are dropped.  X or Z is built at return.
+error in one call.  Classic sweeps run SWEEP_BLOCK at a time and one
+``diagnostics.classic_sweep_metrics`` call measures a block, O(n) a sweep; the driver
+draws them one by one, and up to SWEEP_BLOCK - 1 sweeps past the stop are dropped.
+Either solver hands the driver a stream of measured sweeps.  X or Z is built at return.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Union
 
 import numpy as np
@@ -65,15 +67,6 @@ class SiState:
 
 
 @dataclass
-class SiAhead:
-    """``states[k]`` of a block run ahead, reached by a step that measured ``metrics[k - 1]``."""
-
-    states: list
-    metrics: list
-    k: int
-
-
-@dataclass
 class SiShiftState:
     """Factors of Z = T o (M N^T), the next sweep's factors, and Z's row sums."""
 
@@ -105,16 +98,18 @@ def si_step(kernel, state):
     return SiState(state.ab, ab, state.ab[0] * t_b)
 
 
-def si_ahead(kernel, ahead):
-    """The block's next sweep; past its end, SWEEP_BLOCK more, measured in one call."""
-    if ahead.k < len(ahead.metrics):
-        return SiAhead(ahead.states, ahead.metrics, ahead.k + 1)
-    states = [ahead.states[-1]]
-    for _ in range(SWEEP_BLOCK):
-        states.append(si_step(kernel, states[-1]))
-    sweeps = np.array([s.mn for s in states] + [states[-1].ab])
-    x_rows = np.array([s.x_rows for s in states[1:]])
-    return SiAhead(states, diagnostics.classic_sweep_metrics(sweeps, x_rows), 1)
+def _sweep_blocks(kernel, state):
+    """Classic sweeps from ``state``, run SWEEP_BLOCK at a time, a block measured in one call."""
+    while True:
+        states = [state]
+        for _ in range(SWEEP_BLOCK):
+            states.append(si_step(kernel, states[-1]))
+        sweeps = np.array([s.mn for s in states] + [states[-1].ab])
+        x_rows = np.array([s.x_rows for s in states[1:]])
+        metrics = diagnostics.classic_sweep_metrics(sweeps, x_rows)
+        # the block's last sweep is left in ``state`` and starts the next block
+        for state, (err, res) in zip(states[1:], metrics):
+            yield state, err, res
 
 
 def si_solution(kernel, m, n):
@@ -129,9 +124,8 @@ def si_solve(problem, config=None):
     which case the iteration is expected to hit max_iter.
     """
     kernel = build_kernel(problem)
-    return iterate(problem, SiAhead([si_init(problem)], [], 0), lambda s: si_ahead(kernel, s),
-                   lambda s, t: t.metrics[t.k - 1],
-                   lambda s: si_solution(kernel, *s.states[s.k].mn), config or SiConfig(), "si")
+    return iterate(problem, si_init(problem), partial(_sweep_blocks, kernel),
+                   lambda s: si_solution(kernel, *s.mn), config or SiConfig(), "si")
 
 
 def factors_to_solution(kernel, m_fac, n_fac):
@@ -181,8 +175,15 @@ def si_shifted_solve(problem, shift, config=None):
     """Shifted low-rank iteration from M = N = 0 (closure of the region allowed)."""
     state = si_shift_init(problem, shift)
     kernel = build_kernel(problem)
-    return iterate(problem, state, lambda s: si_shift_step(kernel, s),
-                   lambda s, t: diagnostics.vector_step_metrics(
-                       (s.M, s.N), (t.M, t.N), (t.M_next[:, 1], t.N_next[:, 0]), t.z_rows),
+    return iterate(problem, state, partial(_shifted_sweeps, kernel),
                    lambda s: factors_to_solution(kernel, s.M, s.N),
                    config or SiConfig(), f"si-{shift.mode}")
+
+
+def _shifted_sweeps(kernel, state):
+    """Shifted sweeps from ``state``, each measured as it runs."""
+    while True:
+        nxt = si_shift_step(kernel, state)
+        yield nxt, *diagnostics.vector_step_metrics(
+            (state.M, state.N), (nxt.M, nxt.N), (nxt.M_next[:, 1], nxt.N_next[:, 0]), nxt.z_rows)
+        state = nxt

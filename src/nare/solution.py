@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -76,23 +77,23 @@ def stop_hit(rule, err, res, tol):
     raise ValueError(f"stop rule must be one of {STOP_RULES}, got {rule!r}")
 
 
-def iterate(problem, state, step, measure, x_of, config, method, y_of=None):
-    """Run ``state = step(state)`` to the stopping rule of ``config``.
+def iterate(problem, state, steps, x_of, config, method, y_of=None):
+    """Draw measured steps from the stream ``steps(state)`` to the stopping rule.
 
-    Each step is measured by one call ``measure(prev, nxt) -> (err, res)``, the
-    update error from ``prev`` and the relative residual of ``nxt``'s iterate,
-    so the two metrics can share work; solvers look them up on ``diagnostics``
-    there, where patched instrumentation sees them.  ``x_of`` builds the
-    returned iterate once.  A step whose residual is not finite (critical-case
-    doubling blows up past its attainable accuracy) ends the run on the iterate
-    before it; otherwise the run returns the last one.
+    Each item is ``(next_state, err, res)``: the update error from the state
+    before and the relative residual of ``next_state``'s iterate.  Solvers look
+    the step and its metrics up on their modules (``diagnostics`` for the
+    metrics), where patched instrumentation sees them, and run a step only when
+    it is drawn; at most ``config.max_iter`` are.  The stream starts here, so
+    no caller's frame keeps the start state alive through the run.  ``x_of``
+    builds the returned iterate once.  A step whose residual is not finite
+    (critical-case doubling blows up past its attainable accuracy) ends the run
+    on the iterate before it; otherwise the run returns the last one.
     """
     tol = resolve_tol(config.tol, problem.n)
     errs, ress = [], []
     reason = "max_iter"
-    for _ in range(config.max_iter):
-        nxt = step(state)
-        err, res = measure(state, nxt)
+    for nxt, err, res in islice(steps(state), config.max_iter):
         if not math.isfinite(res):
             reason = "nonfinite"
             break

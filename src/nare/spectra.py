@@ -285,16 +285,9 @@ def sda_rate_bound(problem, shift=None, gamma=None):
     _require_critical(problem)
     if gamma is None:
         gamma = resolve_gamma(problem.quad, SdaConfig())
+    eta, xi = (shift.eta, shift.xi) if shift is not None else (0.0, 0.0)
     lams = closed_loop_spectrum(problem)[1:]
-    if shift is None:
-        primal = np.concatenate([[0.0], lams])
-        dual = primal
-    elif shift.mode == "single":
-        primal = np.concatenate([[shift.eta], lams])
-        dual = np.concatenate([[0.0], lams])
-    else:
-        primal = np.concatenate([[shift.eta], lams])
-        dual = np.concatenate([[-shift.xi], lams])
-    rho1 = max(abs(cayley(z, gamma)) for z in primal)
-    rho2 = max(abs(cayley(z, gamma)) for z in dual)
+    # a single shift's xi = 0 gives |cayley(-0.0)| = 1, as an unshifted zero does
+    rho1 = max(abs(cayley(z, gamma)) for z in np.concatenate([[eta], lams]))
+    rho2 = max(abs(cayley(z, gamma)) for z in np.concatenate([[-xi], lams]))
     return rho1 * rho2

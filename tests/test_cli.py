@@ -91,6 +91,21 @@ def test_missing_problem_source(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "spectrum"])
+def test_size_zero_reports_invalid_size(capsys, command):
+    # --n 0 is a given size, not a missing one: the size check names it
+    code, out, err = run_cli(capsys, command, "--n", "0")
+    assert code == 1 and out == ""
+    assert err == "error: quadrature size must be a positive multiple of 4, got 0\n"
+
+
+def test_unknown_flag_prints_usage_and_error(capsys):
+    code, out, err = run_cli(capsys, "solve", "--bogus")
+    assert code == 1 and out == ""
+    assert err == ("usage: nare [-h] {solve,table51,spectrum} ...\n"
+                   "error: unrecognized arguments: --bogus\n")
+
+
 def test_eta_xi_overrides(capsys):
     code, out, _ = run_cli(capsys, "solve", "--n", "8", "--solver", "sda-double",
                            "--eta", "0.4", "--xi", "-0.3", "--format", "csv")
@@ -103,6 +118,14 @@ def test_out_of_region_override_rejected(capsys):
     code, _, err = run_cli(capsys, "solve", "--n", "8", "--solver", "sda-double",
                            "--eta", "5.0", "--xi", "-0.3")
     assert code == 1
+
+
+@pytest.mark.parametrize("solver", ["sda-single", "si-single"])
+def test_single_shift_rejects_nonzero_xi(capsys, solver):
+    # a single shift with xi != 0 would run a double shift under the single name
+    code, out, err = run_cli(capsys, "solve", "--n", "8", "--solver", solver, "--xi", "-0.3")
+    assert code == 1 and out == ""
+    assert err == "error: single shift needs xi = 0; xi = -0.3\n"
 
 
 def test_node_file_roundtrip(tmp_path, capsys):

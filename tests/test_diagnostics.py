@@ -84,7 +84,7 @@ def test_vector_step_metrics_on_classic_sweeps(alpha, c):
         nxt = si_step(kernel, state)
         (m, n), (a, b) = nxt.mn, nxt.ab
         x_rows = m * (kernel.T @ n)
-        err, res = vector_step_metrics(state.mn, nxt.mn, nxt.ab, x_rows)
+        err, res = classic_sweep_metrics(np.array([state.mn, nxt.mn, nxt.ab]), x_rows[None])[0]
         assert err == relative_update_error(zip(state.mn, nxt.mn))
         assert res == float(np.max(a * b.sum() - m * n.sum())) / (2.0 * float(x_rows.max()))
         generic = vector_step_metrics(tuple(state.mn), (m, n), (a, b), x_rows)
@@ -119,7 +119,7 @@ def test_classic_sweep_metrics_batch_with_falling_and_nan_steps():
             assert np.array_equal(got, want, equal_nan=True)
             assert math.isnan(got[1]) == (k in (6, 7))
         else:
-            assert got == vector_step_metrics(prev, cur, ab, x_rows[k])
+            assert got == classic_sweep_metrics(sweeps[k:k + 3], x_rows[k:k + 1])[0]
 
 
 def test_factored_residual_exact_path_for_non_monotone_factors(prob8, rng):
@@ -137,19 +137,19 @@ def test_factored_residual_exact_path_for_non_monotone_factors(prob8, rng):
     assert abs(one_sign - dense) > 0.1 * dense
     prev = np.array([m, n]) + rng.uniform(-1.0, 1.0, (2, prob8.n))
     assert np.any(prev > np.array([m, n]))
-    err, res = vector_step_metrics(prev, np.array([m, n]), np.array([a, b]), x.sum(axis=1))
+    err, res = classic_sweep_metrics(np.array([prev, [m, n], [a, b]]), x.sum(axis=1)[None])[0]
     assert res == pytest.approx(dense, rel=1e-12)
     assert err == relative_update_error([(prev[0], m), (prev[1], n)])
     # a step that falls everywhere: a row-max rise would be negative
-    err, res = vector_step_metrics(2.0 * np.array([m, n]), np.array([m, n]),
-                                   np.array([a, b]), x.sum(axis=1))
+    err, res = classic_sweep_metrics(np.array([2.0 * np.array([m, n]), [m, n], [a, b]]),
+                                     x.sum(axis=1)[None])[0]
     assert err == relative_update_error([(2.0 * m, m), (2.0 * n, n)]) > 0.0
     assert res == pytest.approx(dense, rel=1e-12)
     # a rising step through a negative entry: max(m) is not ||m||
     cur = np.array([m, n])
     cur[0, 0] = -40.0
     prev, ab = cur - [[1.0], [0.0]], cur + 1.0
-    err, res = vector_step_metrics(prev, cur, ab, np.ones(prob8.n))
+    err, res = classic_sweep_metrics(np.array([prev, cur, ab]), np.ones((1, prob8.n)))[0]
     assert err == relative_update_error(zip(prev, cur))
     r = np.outer(cur[0], cur[1]) - np.outer(ab[0], ab[1])
     assert res == pytest.approx(np.abs(r).sum(axis=1).max() / 2.0, rel=1e-13)
@@ -158,11 +158,11 @@ def test_factored_residual_exact_path_for_non_monotone_factors(prob8, rng):
 def test_factored_residual_of_zero_iterate_is_infinite():
     zero, one = np.zeros((2, 3)), np.ones((2, 3))
     # a zero current iterate: both metrics are infinite, on either path
-    assert vector_step_metrics(zero, zero, one, zero[0]) == (math.inf, math.inf)
+    assert classic_sweep_metrics(np.array([zero, zero, one]), zero[:1]) == [(math.inf, math.inf)]
     assert vector_step_metrics(tuple(zero), tuple(zero), tuple(one), zero[0]) == (
         math.inf, math.inf)
     # the first classic sweep is finite on the O(n) path
-    err, res = vector_step_metrics(zero, one, 2.0 * one, one[0])
+    err, res = classic_sweep_metrics(np.array([zero, one, 2.0 * one]), one[:1])[0]
     assert err == 1.0 and res == (2.0 * 6.0 - 3.0) / 2.0  # rows a_i sum(b) - m_i sum(n)
 
 
@@ -280,6 +280,14 @@ def test_convergence_order_uses_trailing_run():
     errs = [0.01, 0.02] + [2.0 ** -k for k in range(10)]
     rate, _ = convergence_order(errs)
     assert rate == pytest.approx(0.5, rel=1e-10)
+
+
+def test_convergence_order_restarts_after_zero_and_nan():
+    # a zero and a NaN end the run walking back; the geometric run after them counts
+    errs = [0.3, 0.0, 0.2, math.nan] + [2.0 ** -k for k in range(8)]
+    rate, order = convergence_order(errs)
+    assert rate == pytest.approx(0.5, rel=1e-12)
+    assert order == pytest.approx(1.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("solver", ["sda", "si", "si-double"])

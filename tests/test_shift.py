@@ -45,6 +45,17 @@ def test_validate_relaxed_closure(prob32):
         validate_shift(1.0001 / om1, 0.0, "double", om1, relaxed=True)
 
 
+def test_validate_relaxed_single_keeps_xi_zero(prob32):
+    # the relaxed single region is 0 <= eta <= 1/omega1 with xi = 0
+    om1 = float(prob32.omegas[0])
+    validate_shift(0.0, 0.0, "single", om1, relaxed=True)
+    validate_shift(1 / om1, 0.0, "single", om1, relaxed=True)
+    with pytest.raises(ShiftOutOfRegion, match="xi = 0"):
+        validate_shift(0.5 / om1, -0.3, "single", om1, relaxed=True)
+    with pytest.raises(ShiftOutOfRegion):
+        validate_shift(1.0001 / om1, 0.0, "single", om1, relaxed=True)
+
+
 def test_default_shift_n1(prob1):
     single = default_shift(prob1, "single")
     assert (single.eta, single.xi) == (1.0, 0.0)
