@@ -7,10 +7,13 @@ Exit codes: 0 converged/ok, 1 invalid input, 2 max-iterations,
 import argparse
 import io
 import json
+import os
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import diagnostics, shift, spectra
 from .errors import Breakdown, BracketFailure, NareError
@@ -75,11 +78,9 @@ def build_from_args(args):
 
 def _shift_for(problem, solver, eta_arg, xi_arg):
     mode = "single" if solver.endswith("single") else "double"
-    spec = shift.default_shift(problem, mode)
-    eta = spec.eta if eta_arg in (None, "auto") else float(eta_arg)
-    xi = spec.xi if xi_arg in (None, "auto") else float(xi_arg)
-    relaxed = solver.startswith("si")
-    return shift.make_shift(problem, eta, xi, mode, relaxed=relaxed)
+    eta = None if eta_arg in (None, "auto") else float(eta_arg)
+    xi = None if xi_arg in (None, "auto") else float(xi_arg)
+    return shift.make_shift(problem, eta, xi, mode, relaxed=solver.startswith("si"))
 
 
 def run_solver(problem, solver, eta=None, xi=None, gamma=None, tol=None,
@@ -93,7 +94,7 @@ def run_solver(problem, solver, eta=None, xi=None, gamma=None, tol=None,
             quad = problem.quad
         else:
             spec = _shift_for(problem, solver, eta, xi)
-            quad = shift.shifted_coefficients(problem, spec)
+            quad = shift.shifted_coefficients(problem, spec, check=False)  # checked by make_shift
         config = SdaConfig(gamma=gamma if gamma is not None else "auto",
                            tol=tol if tol is not None else "auto",
                            max_iter=100 if max_iter is None else max_iter)
@@ -131,7 +132,9 @@ def cmd_solve(args, out):
     shifted_quad = None
     if spec is not None:
         shifted_quad = shift.shifted_coefficients(problem, spec, check=False)
+    t0 = time.perf_counter()
     report = diagnostics.solution_report(problem, sol, shifted_quad)
+    report_ms = (time.perf_counter() - t0) * 1e3
     if args.format == "csv":
         print(CSV_HEADER, file=out)
         print(_csv_row(problem.n, args.solver, spec, gamma_used, sol, wall_ms),
@@ -149,6 +152,7 @@ def cmd_solve(args, out):
             "res_normalized": report.res,
             "identity_gaps": report.identity_gaps,
             "m_matrix_certificates": report.m_matrix_certificates,
+            "report_ms": report_ms, "env": run_environment(),
         }
         print(json.dumps(payload, default=float), file=out)
     else:
@@ -171,6 +175,18 @@ def cmd_solve(args, out):
             print(f"rate, order : {report.rate_estimate:.3f}, "
                   f"{report.order_estimate:.2f}", file=out)
     return EXIT_OK if sol.converged else EXIT_MAX_ITER
+
+
+def run_environment():
+    """Library versions, BLAS thread variables as set (None when unset) and BLAS name."""
+    try:  # numpy >= 1.25
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        blas = None
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": blas,
+            **{name: os.environ.get(name) for name in threads}}
 
 
 def table51_rows(sizes, si_cap=SI_CAP):

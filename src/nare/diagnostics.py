@@ -1,13 +1,19 @@
-"""Error metrics, residuals, solution identities, M-matrix certificates."""
+"""Error metrics, residuals, solution identities, M-matrix certificates.
+
+``certify_m_matrix`` checks a dense matrix by its LU inverse.  The two that
+``solution_report`` certifies, [[D, -C], [-B, A]] and D - CX, are a positive
+diagonal minus rank two on the quadruple's ``form``, and are checked in O(n^2).
+"""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import InsufficientHistory, SingularMatrix
-from .linalg import inf_norm, lu_inverse
-from .problem import block_matrix, critical_eigenvectors
+from .linalg import EPS, inf_norm, lu_inverse
+from .problem import critical_eigenvectors, low_rank_form
 
 Z_PATTERN_TOL = 1e-14
 INVERSE_SIGN_TOL = 1e-12
@@ -150,15 +156,15 @@ def solution_identities(problem, x):
 def shift_equivalence_gap(problem, quad, x):
     """||Rbar(X) - R(X)||_inf for a shifted quadruple: zero at the solution.
 
-    Rbar uses the shifted coefficients and R the original equation, from
-    the problem's vectors (``residual_matrix``); their agreement at the
-    minimal solution is what makes the shifted equation interchangeable
-    with the original.
+    Rbar uses the shifted coefficients and R the original equation; their
+    agreement at the minimal solution is what makes the shifted equation
+    interchangeable with the original.  On the quadruple's ``form`` both
+    share -X Gamma - Delta X, so the gap is
+    ||(X Q1 + E2)(X^T Q2 + E1)^T - (Xq + e)(q^T X + e^T)||, O(n^2).
     """
-    x = np.asarray(x, dtype=np.float64)
-    r0 = -residual_matrix(problem, x)
-    r1 = x @ quad.C @ x - x @ quad.D - quad.A @ x + quad.B
-    return inf_norm(r1 - r0)
+    x, f = np.asarray(x, dtype=np.float64), quad.form
+    left = np.column_stack([x @ f.q1 + f.e2, -(x @ problem.q + problem.e)])
+    return inf_norm(left @ np.column_stack([x.T @ f.q2 + f.e1, problem.q @ x + problem.e]).T)
 
 
 @dataclass(frozen=True)
@@ -198,12 +204,14 @@ def certify_m_matrix(a):
         inv = lu_inverse(a)
     except SingularMatrix:
         return MMatrixCertificate(status="singular_or_not", worst_offdiag=worst)
-    min_entry = float(np.min(inv))
-    if min_entry >= -INVERSE_SIGN_TOL * inf_norm(inv):
-        return MMatrixCertificate(status="nonsingular_m_matrix",
-                                  worst_offdiag=worst, min_inverse_entry=min_entry)
-    return MMatrixCertificate(status="singular_or_not", worst_offdiag=worst,
-                              min_inverse_entry=min_entry)
+    return _sign_certificate(worst, inv)
+
+
+def _sign_certificate(worst, inv):
+    min_entry = float(inv.min())  # the norm is read only for a negative entry
+    ok = min_entry >= 0.0 or min_entry >= -INVERSE_SIGN_TOL * inf_norm(inv)
+    return MMatrixCertificate(status="nonsingular_m_matrix" if ok else "singular_or_not",
+                              worst_offdiag=worst, min_inverse_entry=min_entry)
 
 
 @dataclass(frozen=True)
@@ -223,24 +231,54 @@ class SolutionReport:
     order_estimate: float
 
 
+def _certify_low_rank(dg, u, v):
+    """``certify_m_matrix`` of diag(dg) - U V^T, dg > 0, U and V N x r, in O(N^2 r).
+
+    By Sherman-Morrison-Woodbury the inverse is diag(dg)^-1 + (dg^-1 U) S^-1 (V^T dg^-1),
+    S = I - V^T dg^-1 U.  S is singular when an LU pivot falls below
+    N eps ||I + |V|^T dg^-1 |U| ||, the size of the sums that formed it, as
+    ``lu_factor`` scales its gate by ||A||; ||S|| is no scale, as S cancels to
+    about N eps at the critical point.
+    """
+    n, eye = len(dg), np.eye(u.shape[1])
+    p = u @ v.T
+    diag = dg - p.diagonal()
+    np.fill_diagonal(p, 0.0)  # minus the off-diagonal part
+    worst = max(0.0, -float(p.min()))
+    # ||M|| >= max |M_ii|: the row sums are read only for an entry above that gate
+    if worst > Z_PATTERN_TOL * np.abs(diag).max() and worst > Z_PATTERN_TOL * (
+            np.abs(p).sum(axis=1) + np.abs(diag)).max():
+        return MMatrixCertificate(status="z_matrix_violation", worst_offdiag=worst)
+    ud = u / dg[:, None]
+    lu, piv, _ = lapack.dgetrf(eye - v.T @ ud)
+    if np.abs(lu.diagonal()).min() < n * EPS * inf_norm(eye + np.abs(v).T @ np.abs(ud)):
+        return MMatrixCertificate(status="singular_or_not", worst_offdiag=worst)
+    inv = ud @ lapack.dgetrs(lu, piv, v.T / dg)[0]
+    inv.flat[::n + 1] += 1.0 / dg
+    return _sign_certificate(worst, inv)
+
+
 def solution_report(problem, solution, shifted_quad=None):
     """Assemble a SolutionReport for a solve on ``problem``.
 
-    Identity gaps are only defined in the critical case; the closed-loop
-    certificate uses the quadruple that was actually solved when a
-    shifted one is supplied.
+    Identity gaps are only defined in the critical case; the certificates
+    use the ``form`` of the quadruple that was actually solved when a
+    shifted one is supplied, and D - CX = Gamma - Q1 (X^T Q2 + E1)^T.
     """
-    x = solution.x
+    x = np.asarray(solution.x, dtype=np.float64)
+    form = shifted_quad.form if shifted_quad is not None else low_rank_form(problem)
+    if form is None:
+        raise ValueError("a quadruple built by hand carries no form to report on")
     gaps = {}
     if problem.is_critical:
         gaps = solution_identities(problem, x)
         if shifted_quad is not None:
-            gaps["shift_equivalence_gap"] = shift_equivalence_gap(
-                problem, shifted_quad, x)
-    quad = shifted_quad if shifted_quad is not None else problem.quad
+            gaps["shift_equivalence_gap"] = shift_equivalence_gap(problem, shifted_quad, x)
     certs = {
-        "closed_loop": certify_m_matrix(quad.D - quad.C @ x).status,
-        "block_matrix": certify_m_matrix(block_matrix(quad)).status,
+        "closed_loop": _certify_low_rank(form.gamma, form.q1, x.T @ form.q2 + form.e1).status,
+        "block_matrix": _certify_low_rank(np.concatenate([form.gamma, form.delta]),
+                                          np.vstack([form.q1, form.e2]),
+                                          np.vstack([form.e1, form.q2])).status,
     }
     try:
         rate, order = convergence_order(solution.err_history)

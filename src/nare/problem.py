@@ -1,14 +1,15 @@
 """Transport-problem construction.
 
 Derives the vectors q, e, delta, gamma from physical parameters (alpha, c)
-and a direction/weight set (omega_i, c_i).  The coefficient quadruple
-
-    A = Delta - e q^T,  B = e e^T,  C = q q^T,  D = Gamma - q e^T
-
-the 2n x 2n block matrices and the critical-case eigenvector data used by
-the shift constructions are built from those vectors on request.
+and a direction/weight set (omega_i, c_i).  Every coefficient quadruple is
+diagonal plus rank two, D = Gamma - Q1 E1^T, C = Q1 Q2^T, B = E2 E1^T,
+A = Delta - E2 Q2^T, and one assembly builds them all; the original
+A = Delta - e q^T, B = e e^T, C = q q^T, D = Gamma - q e^T is the zero
+shift, bit for bit.  The 2n x 2n block matrices and the critical-case
+eigenvector data used by the shift constructions are built on request.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +73,18 @@ class TransportParams:
             raise InvalidParams("omegas must be strictly descending")
 
 
+# Gamma, Delta and the n x 2 factors of D = Gamma - Q1 E1^T, C = Q1 Q2^T,
+# B = E2 E1^T and A = Delta - E2 Q2^T: the form every quadruple is built from
+LowRankForm = namedtuple("LowRankForm", "gamma delta q1 q2 e1 e2")
+
+
 @dataclass(frozen=True)
 class CoefficientQuadruple:
     """Four n x n coefficient matrices of a Riccati instance.
 
     ``tag`` records how the quadruple was generated (original,
-    single-shift, double-shift).
+    single-shift, double-shift); ``form`` is the LowRankForm it was
+    assembled from, None for one built by hand.
     """
 
     A: np.ndarray
@@ -85,6 +92,7 @@ class CoefficientQuadruple:
     C: np.ndarray
     D: np.ndarray
     tag: str = "original"
+    form: LowRankForm = None
 
     @property
     def n(self):
@@ -104,12 +112,7 @@ class TransportProblem:
     @property
     def quad(self):
         """The original coefficient quadruple, built on each access, not stored."""
-        return CoefficientQuadruple(
-            A=np.diag(self.delta) - np.outer(self.e, self.q),
-            B=np.outer(self.e, self.e),
-            C=np.outer(self.q, self.q),
-            D=np.diag(self.gamma) - np.outer(self.q, self.e),
-        )
+        return assemble_quadruple(low_rank_form(self))
 
     @property
     def n(self):
@@ -196,6 +199,36 @@ def build_problem(params):
     delta = 1.0 / (params.c * om * (1.0 + params.alpha))
     gamma = 1.0 / (params.c * om * (1.0 - params.alpha))
     return TransportProblem(params=params, q=q, e=e, delta=delta, gamma=gamma)
+
+
+def low_rank_form(problem, eta=0.0, xi=0.0):
+    """The LowRankForm of the quadruple shifted by (eta, xi); (0, 0) is the original.
+
+    Q1 = [(I - eta G^-1) q, q]      Q2 = [q, xi D^-1 q]
+    E1 = [e, -xi G^-1 e]            E2 = [(I + eta D^-1) e, e]
+
+    with G = Gamma, D = Delta.  At (0, 0) the second columns of Q2 and E1 are
+    zeros, so ``assemble_quadruple``'s products round as rank-one outer products.
+    """
+    q, e, gamma, delta = problem.q, problem.e, problem.gamma, problem.delta
+    return LowRankForm(
+        gamma, delta,
+        q1=np.column_stack([(1.0 - eta / gamma) * q, q]),
+        q2=np.column_stack([q, xi * q / delta]),
+        e1=np.column_stack([e, -xi * e / gamma]),
+        e2=np.column_stack([(1.0 + eta / delta) * e, e]),
+    )
+
+
+def assemble_quadruple(form, tag="original"):
+    """The dense quadruple of a LowRankForm, which it keeps as ``form``."""
+    return CoefficientQuadruple(
+        A=np.diag(form.delta) - form.e2 @ form.q2.T,
+        B=form.e2 @ form.e1.T,
+        C=form.q1 @ form.q2.T,
+        D=np.diag(form.gamma) - form.q1 @ form.e1.T,
+        tag=tag, form=form,
+    )
 
 
 def block_matrix(quad):

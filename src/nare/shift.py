@@ -8,10 +8,8 @@ nonnegative solution.
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ShiftOutOfRegion
-from .problem import CoefficientQuadruple, critical_eigenvectors
+from .problem import assemble_quadruple, critical_eigenvectors, low_rank_form
 
 
 def omega_lower_bound(eta, omega1):
@@ -73,11 +71,16 @@ def validate_shift(eta, xi, mode, omega1, relaxed=False):
 
 
 def make_shift(problem, eta, xi, mode, relaxed=False):
-    """Build a validated ShiftSpec for ``problem`` (critical case only)."""
+    """Build a validated ShiftSpec for ``problem`` (critical case only).
+
+    ``eta`` or ``xi`` None takes its ``default_shift`` value.
+    """
     critical_eigenvectors(problem)  # raises NotCriticalCase off the critical point
-    validate_shift(float(eta), float(xi), mode, float(problem.omegas[0]),
-                   relaxed=relaxed)
-    return ShiftSpec(eta=float(eta), xi=float(xi), mode=mode)
+    om1 = float(problem.omegas[0])
+    eta = 1.0 / (2.0 * om1) if eta is None else float(eta)
+    xi = (0.0 if mode == "single" else -1.0 / (2.0 * om1)) if xi is None else float(xi)
+    validate_shift(eta, xi, mode, om1, relaxed=relaxed)
+    return ShiftSpec(eta=eta, xi=xi, mode=mode)
 
 
 def default_shift(problem, mode):
@@ -86,19 +89,15 @@ def default_shift(problem, mode):
     The double choice sits exactly on the closed lower boundary of the
     admissible region and saturates eta*xi = -1/(4 om1^2).
     """
-    om1 = float(problem.omegas[0])
-    eta = 1.0 / (2.0 * om1)
-    xi = 0.0 if mode == "single" else -1.0 / (2.0 * om1)
-    return make_shift(problem, eta, xi, mode)
+    return make_shift(problem, None, None, mode)
 
 
 def shifted_coefficients(problem, shift, check=True):
     """Coefficient quadruple of the shifted equation.
 
-    Assembled from the rank-two factors of ``low_rank_factors``:
-        Dbar = Gamma - Q1 E1^T    Cbar = Q1 Q2^T
-        Bbar = E2 E1^T            Abar = Delta - E2 Q2^T
-    which equal D + eta v1 r1^T + xi s1 u1^T, C - eta v1 r2^T - xi s1 u2^T,
+    Assembled by ``problem.assemble_quadruple`` from the rank-two factors of
+    ``low_rank_factors``, which it keeps as ``form``.  Dbar, Cbar, Bbar, Abar
+    equal D + eta v1 r1^T + xi s1 u1^T, C - eta v1 r2^T - xi s1 u2^T,
     B + eta v2 r1^T + xi s2 u1^T and A - eta v2 r2^T - xi s2 u2^T; single
     mode is the xi = 0 specialization.  ``check=False`` skips region
     validation so that out-of-region quadruples can be probed (the block
@@ -106,36 +105,16 @@ def shifted_coefficients(problem, shift, check=True):
     """
     if check:
         validate_shift(shift.eta, shift.xi, shift.mode, float(problem.omegas[0]))
-    q1, q2, e1, e2 = _rank_two_factors(problem, shift)
-    d = np.diag(problem.gamma) - q1 @ e1.T
-    c = q1 @ q2.T
-    b = e2 @ e1.T
-    a = np.diag(problem.delta) - e2 @ q2.T
     tag = "single-shift" if shift.mode == "single" else "double-shift"
-    return CoefficientQuadruple(A=a, B=b, C=c, D=d, tag=tag)
+    return assemble_quadruple(low_rank_form(problem, shift.eta, shift.xi), tag)
 
 
 def low_rank_factors(problem, shift):
-    """Rank-two factors of the shifted quadruple for the O(n^2) iteration.
-
-    Q1 = [(I - eta G^-1) q, q]      Q2 = [q, xi D^-1 q]
-    E1 = [e, -xi G^-1 e]            E2 = [(I + eta D^-1) e, e]
-
-    with G = Gamma, D = Delta diagonal, reconstructing
+    """Rank-two factors (Q1, Q2, E1, E2) of the shifted quadruple for the O(n^2)
+    iteration, as ``problem.low_rank_form`` defines them, reconstructing
     Dbar = Gamma - Q1 E1^T, Cbar = Q1 Q2^T, Bbar = E2 E1^T,
     Abar = Delta - E2 Q2^T.  The closure of the shift region is allowed.
     """
     validate_shift(shift.eta, shift.xi, shift.mode, float(problem.omegas[0]),
                    relaxed=True)
-    return _rank_two_factors(problem, shift)
-
-
-def _rank_two_factors(problem, shift):
-    q, e = problem.q, problem.e
-    gamma, delta = problem.gamma, problem.delta
-    eta, xi = shift.eta, shift.xi
-    q1 = np.column_stack([(1.0 - eta / gamma) * q, q])
-    q2 = np.column_stack([q, xi * q / delta])
-    e1 = np.column_stack([e, -xi * e / gamma])
-    e2 = np.column_stack([(1.0 + eta / delta) * e, e])
-    return q1, q2, e1, e2
+    return low_rank_form(problem, shift.eta, shift.xi)[2:]

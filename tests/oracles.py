@@ -4,8 +4,9 @@ Everything here recomputes expected values through routes that do not
 touch the package's own algorithms: bisection on the Legendre
 recurrence for quadrature data, LU determinant signs for spectra, and a
 direct transcription of the shifted fixed-point iteration for reference
-solutions, and the classic vector iteration one sweep and one measurement at
-a time.
+solutions, the classic vector iteration one sweep and one measurement at
+a time, and the coefficient quadruples and the shift-equivalence gap written
+out densely.
 """
 
 import numpy as np
@@ -104,6 +105,37 @@ def transport_arrays(alpha, c, weights, omegas):
     delta = 1.0 / (c * omegas * (1.0 + alpha))
     d = 1.0 / (c * omegas * (1.0 - alpha))
     return q, delta, d
+
+
+def original_quadruple_dense(problem):
+    """(A, B, C, D) = (Delta - e q^T, e e^T, q q^T, Gamma - q e^T) as outer products."""
+    q, e = problem.q, problem.e
+    return (np.diag(problem.delta) - np.outer(e, q), np.outer(e, e), np.outer(q, q),
+            np.diag(problem.gamma) - np.outer(q, e))
+
+
+def shifted_quadruple_dense(problem, eta, xi):
+    """(Abar, Bbar, Cbar, Dbar) from the rank-two factors, each product written out:
+
+    Q1 = [(1 - eta/gamma) q, q], Q2 = [q, xi q/delta], E1 = [e, -xi e/gamma],
+    E2 = [(1 + eta/delta) e, e]; Dbar = Gamma - Q1 E1^T, Cbar = Q1 Q2^T,
+    Bbar = E2 E1^T, Abar = Delta - E2 Q2^T.
+    """
+    q, e, gamma, delta = problem.q, problem.e, problem.gamma, problem.delta
+    q1 = np.column_stack([(1.0 - eta / gamma) * q, q])
+    q2 = np.column_stack([q, xi * q / delta])
+    e1 = np.column_stack([e, -xi * e / gamma])
+    e2 = np.column_stack([(1.0 + eta / delta) * e, e])
+    return (np.diag(delta) - e2 @ q2.T, e2 @ e1.T, q1 @ q2.T,
+            np.diag(gamma) - q1 @ e1.T)
+
+
+def shift_equivalence_gap_dense(problem, quad, x):
+    """||Rbar(X) - R(X)||_inf with R(X) = XCX - XD - AX + B formed densely for both."""
+    a, b, c, d = original_quadruple_dense(problem)
+    r0 = x @ c @ x - x @ d - a @ x + b
+    r1 = x @ quad.C @ x - x @ quad.D - quad.A @ x + quad.B
+    return float(np.abs(r1 - r0).sum(axis=1).max())
 
 
 def shifted_quadruple_by_eigenvectors(problem, eta, xi):

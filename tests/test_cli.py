@@ -1,8 +1,11 @@
 import json
+import os
 
+import numpy as np
 import pytest
 
-from nare.cli import CSV_HEADER, main
+from nare import build_problem, quadrature_params, shift
+from nare.cli import CSV_HEADER, main, run_solver
 from nare.sda import SdaConfig
 from nare.si import SiConfig
 
@@ -50,12 +53,34 @@ def test_solve_json_fields(capsys):
     payload = json.loads(out)
     for key in ("n", "solver", "eta", "xi", "gamma", "iterations", "res",
                 "err_final", "wall_ms", "converged", "stop_reason",
-                "identity_gaps"):
+                "identity_gaps", "report_ms", "env"):
         assert key in payload
     assert payload["converged"] is True
     assert payload["stop_reason"] == "converged"
     assert "Xv1_minus_v2" in payload["identity_gaps"]
     assert "shift_equivalence_gap" in payload["identity_gaps"]
+    assert payload["report_ms"] > 0.0
+    env = payload["env"]
+    assert env["numpy"] == np.__version__ and env["python"].count(".") == 2
+    assert env["scipy"] and env["blas"]
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        assert env[name] == os.environ.get(name)
+
+
+def test_run_solver_checks_the_shift_region_once(monkeypatch):
+    calls, check = [], shift.validate_shift
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(shift, "validate_shift", counted)
+    problem = build_problem(quadrature_params(8))
+    for solver in ("sda-single", "sda-double", "si-single", "si-double"):
+        calls.clear()
+        assert run_solver(problem, solver)[0].converged
+        # the vector solvers check their own input again, by the contract of low_rank_factors
+        assert len(calls) == (1 if solver.startswith("sda") else 2), solver
 
 
 def test_solve_below_attainable_tolerance_is_not_converged(capsys):

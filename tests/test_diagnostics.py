@@ -20,6 +20,7 @@ from nare import (
     solution_identities,
 )
 from nare.diagnostics import classic_sweep_metrics, residual_matrix, vector_step_metrics
+from oracles import shift_equivalence_gap_dense
 from nare.si import build_kernel, si_init, si_solution, si_step
 from nare.sda import SdaConfig, sda_solve
 
@@ -195,13 +196,18 @@ def test_solution_identities_reject_non_solution(prob32):
 
 
 def test_shift_equivalence_gap(prob32, x32):
+    bound = 1e-10 * (1.0 + inf_norm(x32) ** 2)
     for mode in ("single", "double"):
         quad = shifted_coefficients(prob32, default_shift(prob32, mode))
         gap = shift_equivalence_gap(prob32, quad, x32)
-        assert gap <= 1e-10 * (1.0 + inf_norm(x32) ** 2)
+        assert gap <= bound
+        assert abs(gap - shift_equivalence_gap_dense(prob32, quad, x32)) <= bound
     # the gap has power: at X = 0 it reduces to ||Bbar - B|| which is not 0
     quad = shifted_coefficients(prob32, default_shift(prob32, "double"))
-    assert shift_equivalence_gap(prob32, quad, np.zeros((32, 32))) > 1e-3
+    zero = np.zeros((32, 32))
+    assert shift_equivalence_gap(prob32, quad, zero) > 1e-3
+    assert shift_equivalence_gap(prob32, quad, zero) == pytest.approx(
+        shift_equivalence_gap_dense(prob32, quad, zero), rel=1e-12)
 
 
 def test_certify_identity():
@@ -252,6 +258,21 @@ def test_solution_report_bundle(prob32):
     # the critical block matrix itself is singular regardless of X
     assert unshifted.m_matrix_certificates["block_matrix"] == "singular_or_not"
     assert 0.3 <= unshifted.rate_estimate <= 0.7
+
+
+def test_solution_report_forms_no_dense_inverse(prob32, monkeypatch):
+    import nare.diagnostics as diagnostics
+    import nare.linalg as linalg
+
+    def refuse(*args):
+        raise AssertionError("dense inverse formed")
+
+    for module, name in ((diagnostics, "lu_inverse"), (linalg, "lu_inverse"),
+                         (diagnostics, "certify_m_matrix")):
+        monkeypatch.setattr(module, name, refuse)
+    quad = shifted_coefficients(prob32, default_shift(prob32, "double"))
+    report = diagnostics.solution_report(prob32, sda_solve(prob32, quad), quad)
+    assert set(report.m_matrix_certificates.values()) == {"nonsingular_m_matrix"}
 
 
 def test_convergence_order_geometric():
