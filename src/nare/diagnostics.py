@@ -56,7 +56,7 @@ def relative_residual(problem, x):
     """Residual scaled by twice the iterate norm: ||R(X)|| / (2 ||X||).
 
     This is the stopping metric; the vector solvers, which never form X in
-    their loop, take it from ``vector_step_metrics`` (from
+    their loop, take it from ``factor_sweep_metrics`` (from
     ``classic_sweep_metrics``, O(n), for classic sweeps).  In the critical case
     delta_1 + d_1 = 2/omega_1 is close to 2, so the value tracks the relative
     fixed-point residual of X = T o ((Xq+e)(q^T X+e^T)); it is the convention
@@ -76,10 +76,6 @@ def relative_update_error(pairs):
     A zero-norm current iterate reports +inf and a NaN in either iterate
     reports NaN: neither must ever be read as convergence.
     """
-    return _update_error(pairs)  # separate body: a tracer on this name misses vector_step_metrics
-
-
-def _update_error(pairs):
     worst = 0.0
     for prev, curr in pairs:
         den = inf_norm(curr)
@@ -92,30 +88,38 @@ def _update_error(pairs):
     return worst
 
 
-def vector_step_metrics(prev, cur, ab, x_rows):
-    """``relative_update_error`` from ``prev`` to ``cur`` and ``relative_residual``
-    of X = T o (M N^T), ``cur`` = (M, N), in one call that never forms X.
+def factor_sweep_metrics(factors, ab, x_rows):
+    """``relative_update_error`` and ``relative_residual`` of each step of a block of
+    sweeps on X = T o (M N^T), in one call that never forms X.
 
-    ``ab`` holds the next sweep's a = Xq + e, b = X^T q + e, so R(X) = M N^T - a b^T,
-    and ``x_rows`` the row sums of |X|.  The rows of |[M, -a] [N, b]^T| are summed,
-    O(n^2); ``classic_sweep_metrics`` is the O(n) path for monotone classic sweeps.
+    ``factors`` stacks [M^T, N^T] of B + 1 iterates, shape (B + 1, 2, r, n); step k
+    goes from ``factors[k]`` to ``factors[k + 1]``.  ``ab`` (B, 2, n) holds each step's
+    next-sweep columns a = Xq + e, b = X^T q + e, so R(X) = M N^T - a b^T, and
+    ``x_rows`` (B, n) the row sums of |X|.  The rows of |[M, -a] [N, b]^T| are summed
+    from one stacked matmul, O(B n^2 r).  A NaN reports NaN, else a zero M or N
+    an infinite error and a zero X an infinite residual.
     """
-    err = _update_error(zip(prev, cur))
-    nx = float(x_rows.max())
-    if nx == 0.0:
-        return err, math.inf
-    r = np.column_stack([cur[0], -ab[0]]) @ np.column_stack([cur[1], ab[1]]).T
-    return err, float(np.abs(r, out=r).sum(axis=1).max()) / (2.0 * nx)
+    cur = factors[1:]
+    left = np.concatenate([cur[:, 0], -ab[:, :1]], axis=1).transpose(0, 2, 1)
+    r = left @ np.concatenate([cur[:, 1], ab[:, 1:]], axis=1)
+    rows = np.abs(r, out=r).sum(axis=2).max(axis=1)
+    norms = np.abs(np.concatenate([cur - factors[:-1], cur], axis=1)).sum(axis=2).max(axis=2)
+    metrics = []  # B is small: plain floats divide faster than arrays under errstate
+    for (dm, dn, m, n), row, nx in zip(norms.tolist(), rows.tolist(), x_rows.max(axis=1).tolist()):
+        err = math.nan if math.isnan(dm + dn + m + n) else (
+            max(dm / m, dn / n) if m != 0.0 and n != 0.0 else math.inf)
+        metrics.append((err, row / (2.0 * nx) if nx != 0.0 else math.inf))
+    return metrics
 
 
 def classic_sweep_metrics(sweeps, x_rows):
-    """``vector_step_metrics`` of each step of a block of classic sweeps, in one call.
+    """``factor_sweep_metrics`` of each step of a block of classic sweeps, O(n) a step.
 
     ``sweeps`` stacks the rows [m; n] of B + 1 iterates and the last one's [a; b];
     step k reads (prev, cur, ab) = ``sweeps[k:k + 3]`` and ``x_rows[k]``.  A monotone
     step 0 <= prev <= cur <= ab, as every classic sweep is, takes O(n): norms are
     row maxima and R <= 0 has row sums a_i sum(b) - m_i sum(n), each rounded as
-    alone.  A step that falls or holds a NaN goes as pairs.
+    alone.  A step that falls or holds a NaN goes to ``factor_sweep_metrics`` (r = 1).
     """
     rise = sweeps[1:] - sweeps[:-1]  # cur - prev, then ab - cur, of each step
     low_rise = rise.min(axis=(1, 2))
@@ -130,7 +134,8 @@ def classic_sweep_metrics(sweeps, x_rows):
         res = np.where(nx == 0.0, math.inf, rows.max(axis=1) / (2.0 * nx))
     metrics = list(zip(err.tolist(), res.tolist()))
     for k in np.flatnonzero(~(low >= 0.0)):
-        metrics[k] = vector_step_metrics(*sweeps[k:k + 3], x_rows[k])
+        metrics[k] = factor_sweep_metrics(sweeps[k:k + 2, :, None], sweeps[k + 2:k + 3],
+                                          x_rows[k:k + 1])[0]
     return metrics
 
 

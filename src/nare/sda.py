@@ -29,7 +29,7 @@ import numpy as np
 from . import diagnostics
 from .errors import Breakdown, SingularMatrix
 from .linalg import lu_inverse
-from .solution import check_max_iter, iterate
+from .solution import check_config, iterate
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class SdaConfig:
     tol: Union[float, str] = "auto"
     max_iter: int = 100
     stop_rule: str = "either"
-    __post_init__ = check_max_iter
+    __post_init__ = check_config
 
 
 @dataclass
@@ -117,14 +117,12 @@ def sda_solve(problem, quad, config=None):
     if quad.n != problem.n:
         raise ValueError(f"quadruple of size {quad.n} for a problem of size {problem.n}")
     config = config or SdaConfig()
-    return iterate(problem, sda_init(quad, config), partial(_doubling_steps, problem),
-                   lambda s: s.H, config, f"sda[{quad.tag}]", y_of=lambda s: s.G)
+    return iterate(problem, sda_init(quad, config), sda_step, partial(_doubling_metrics, problem),
+                   1, lambda s: s.H, config, f"sda[{quad.tag}]", y_of=lambda s: s.G)
 
 
-def _doubling_steps(problem, state):
-    """Doubling steps from ``state``, each with its update error and residual."""
-    while True:
-        nxt = sda_step(state)
-        yield (nxt, diagnostics.relative_update_error(((state.G, nxt.G), (state.H, nxt.H))),
-               diagnostics.relative_residual(problem, nxt.H))
-        state = nxt
+def _doubling_metrics(problem, states):
+    """The update error and the residual of one doubling step, states (before, after)."""
+    prev, cur = states
+    return [(diagnostics.relative_update_error(((prev.G, cur.G), (prev.H, cur.H))),
+             diagnostics.relative_residual(problem, cur.H))]

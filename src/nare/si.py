@@ -11,11 +11,11 @@ of Z = T o (M N^T) through two thin GEMMs with T per sweep, O(n^2).  X and Z
 are not formed in the loop (Z only for ||Z|| if a factor entry turns negative):
 X Gamma + Delta X = M N^T, and Xq + e, X^T q + e are columns a, b of the next
 sweep, which each state carries, so the residual is R = M N^T - a b^T, exact
-up to rounding; ``diagnostics.vector_step_metrics`` takes it with the update
-error in one call.  Classic sweeps run SWEEP_BLOCK at a time and one
-``diagnostics.classic_sweep_metrics`` call measures a block, O(n) a sweep; the driver
-draws them one by one, and up to SWEEP_BLOCK - 1 sweeps past the stop are dropped.
-Either solver hands the driver a stream of measured sweeps.  X or Z is built at return.
+up to rounding.  Both solvers run their sweeps in blocks, each measured in
+one call: ``diagnostics.classic_sweep_metrics``, O(n) a sweep, takes
+SWEEP_BLOCK classic sweeps; ``diagnostics.factor_sweep_metrics``, O(n^2) a
+sweep, up to SHIFT_STACK / n^2 shifted ones (one a block from n = 256).  Sweeps
+run past the stop are dropped.  X or Z is built at return.
 """
 
 from dataclasses import dataclass
@@ -26,9 +26,10 @@ import numpy as np
 
 from . import diagnostics
 from .shift import low_rank_factors
-from .solution import check_max_iter, iterate
+from .solution import check_config, iterate
 
 SWEEP_BLOCK = 16  # classic sweeps run, and measured in one call, at a time
+SHIFT_STACK = SWEEP_BLOCK * 64 ** 2  # cap on B n^2, the entries of a shifted block's residuals
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class SiConfig:
     tol: Union[float, str] = "auto"
     max_iter: int = 10000
     stop_rule: str = "either"
-    __post_init__ = check_max_iter
+    __post_init__ = check_config
 
 
 @dataclass(frozen=True)
@@ -98,18 +99,9 @@ def si_step(kernel, state):
     return SiState(state.ab, ab, state.ab[0] * t_b)
 
 
-def _sweep_blocks(kernel, state):
-    """Classic sweeps from ``state``, run SWEEP_BLOCK at a time, a block measured in one call."""
-    while True:
-        states = [state]
-        for _ in range(SWEEP_BLOCK):
-            states.append(si_step(kernel, states[-1]))
-        sweeps = np.array([s.mn for s in states] + [states[-1].ab])
-        x_rows = np.array([s.x_rows for s in states[1:]])
-        metrics = diagnostics.classic_sweep_metrics(sweeps, x_rows)
-        # the block's last sweep is left in ``state`` and starts the next block
-        for state, (err, res) in zip(states[1:], metrics):
-            yield state, err, res
+def _classic_metrics(states):
+    sweeps = np.array([s.mn for s in states] + [states[-1].ab])
+    return diagnostics.classic_sweep_metrics(sweeps, np.array([s.x_rows for s in states[1:]]))
 
 
 def si_solution(kernel, m, n):
@@ -124,8 +116,8 @@ def si_solve(problem, config=None):
     which case the iteration is expected to hit max_iter.
     """
     kernel = build_kernel(problem)
-    return iterate(problem, si_init(problem), partial(_sweep_blocks, kernel),
-                   lambda s: si_solution(kernel, *s.mn), config or SiConfig(), "si")
+    return iterate(problem, si_init(problem), partial(si_step, kernel), _classic_metrics,
+                   SWEEP_BLOCK, lambda s: si_solution(kernel, *s.mn), config or SiConfig(), "si")
 
 
 def factors_to_solution(kernel, m_fac, n_fac):
@@ -173,17 +165,16 @@ def si_shift_step(kernel, state):
 
 def si_shifted_solve(problem, shift, config=None):
     """Shifted low-rank iteration from M = N = 0 (closure of the region allowed)."""
-    state = si_shift_init(problem, shift)
     kernel = build_kernel(problem)
-    return iterate(problem, state, partial(_shifted_sweeps, kernel),
+    size = max(1, min(SWEEP_BLOCK, SHIFT_STACK // problem.n ** 2))
+    return iterate(problem, si_shift_init(problem, shift), partial(si_shift_step, kernel),
+                   _shifted_metrics, size,
                    lambda s: factors_to_solution(kernel, s.M, s.N),
                    config or SiConfig(), f"si-{shift.mode}")
 
 
-def _shifted_sweeps(kernel, state):
-    """Shifted sweeps from ``state``, each measured as it runs."""
-    while True:
-        nxt = si_shift_step(kernel, state)
-        yield nxt, *diagnostics.vector_step_metrics(
-            (state.M, state.N), (nxt.M, nxt.N), (nxt.M_next[:, 1], nxt.N_next[:, 0]), nxt.z_rows)
-        state = nxt
+def _shifted_metrics(states):
+    return diagnostics.factor_sweep_metrics(
+        np.array([(s.M.T, s.N.T) for s in states]),
+        np.array([(s.M_next[:, 1], s.N_next[:, 0]) for s in states[1:]]),
+        np.array([s.z_rows for s in states[1:]]))

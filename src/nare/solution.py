@@ -53,9 +53,11 @@ def auto_tol(n):
     return n * n * EPS
 
 
-def check_max_iter(config):
+def check_config(config):
     if config.max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {config.max_iter}")
+    if config.stop_rule not in STOP_RULES:
+        raise ValueError(f"stop rule must be one of {STOP_RULES}, got {config.stop_rule!r}")
 
 
 def resolve_tol(tol, n):
@@ -67,40 +69,42 @@ def resolve_tol(tol, n):
     return tol
 
 
-def stop_hit(rule, err, res, tol):
-    if rule == "error":
-        return err < tol
-    if rule == "residual":
-        return res < tol
-    if rule == "either":
-        return err < tol or res < tol
-    raise ValueError(f"stop rule must be one of {STOP_RULES}, got {rule!r}")
+def measured_steps(step, metric, size, state):
+    """Steps from ``state``, run ``size`` at a time, as ``(state, err, res)``: the
+    update error from the state before and the relative residual of the new one.
 
-
-def iterate(problem, state, steps, x_of, config, method, y_of=None):
-    """Draw measured steps from the stream ``steps(state)`` to the stopping rule.
-
-    Each item is ``(next_state, err, res)``: the update error from the state
-    before and the relative residual of ``next_state``'s iterate.  Solvers look
-    the step and its metrics up on their modules (``diagnostics`` for the
-    metrics), where patched instrumentation sees them, and run a step only when
-    it is drawn; at most ``config.max_iter`` are.  The stream starts here, so
-    no caller's frame keeps the start state alive through the run.  ``x_of``
-    builds the returned iterate once.  A step whose residual is not finite
-    (critical-case doubling blows up past its attainable accuracy) ends the run
-    on the iterate before it; otherwise the run returns the last one.
+    ``metric(states)`` measures a block in one call: it takes the block's ``size + 1``
+    states, the one before it first, and returns each step's ``(err, res)``.
     """
-    tol = resolve_tol(config.tol, problem.n)
+    while True:
+        states = [state]
+        for _ in range(size):
+            states.append(step(states[-1]))
+        for state, (err, res) in zip(states[1:], metric(states)):
+            yield state, err, res
+
+
+def iterate(problem, state, step, metric, size, x_of, config, method, y_of=None):
+    """Draw ``measured_steps(step, metric, size, state)`` to the stopping rule.
+
+    Solvers look the step and the metrics up on their modules (``diagnostics``
+    for the metrics), where patched instrumentation sees them.  At most
+    ``config.max_iter`` steps are drawn; the rest of a block, up to ``size - 1``
+    steps past the stop or the cap, is dropped.  ``x_of`` builds the returned
+    iterate once.  A step whose residual is not finite (critical-case doubling
+    blows up past its attainable accuracy) ends the run on the iterate before it.
+    """
+    tol, rule = resolve_tol(config.tol, problem.n), config.stop_rule
     errs, ress = [], []
     reason = "max_iter"
-    for nxt, err, res in islice(steps(state), config.max_iter):
+    for nxt, err, res in islice(measured_steps(step, metric, size, state), config.max_iter):
         if not math.isfinite(res):
             reason = "nonfinite"
             break
         state = nxt
         errs.append(err)
         ress.append(res)
-        if stop_hit(config.stop_rule, err, res, tol):
+        if (rule != "residual" and err < tol) or (rule != "error" and res < tol):
             reason = "converged"
             break
     return Solution(x=x_of(state), y=y_of(state) if y_of else None, method=method,

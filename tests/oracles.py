@@ -4,8 +4,8 @@ Everything here recomputes expected values through routes that do not
 touch the package's own algorithms: bisection on the Legendre
 recurrence for quadrature data, LU determinant signs for spectra, and a
 direct transcription of the shifted fixed-point iteration for reference
-solutions, the classic vector iteration one sweep and one measurement at
-a time, and the coefficient quadruples and the shift-equivalence gap written
+solutions, the classic and the shifted vector iterations one sweep and one
+measurement at a time, and the coefficient quadruples and the shift-equivalence gap written
 out densely.
 """
 
@@ -217,6 +217,54 @@ def si_per_sweep_reference(problem, max_iter, tol):
             reason = "converged"
             break
     return t * np.outer(mn[0], mn[1]), errs, ress, reason
+
+
+def si_shift_per_sweep_reference(problem, shift, max_iter, tol):
+    """The shifted sweep M <- Z Q1 + E2, N <- Z^T Q2 + E1 with Z = T o (M N^T) from
+    M = N = 0, each sweep measured on its own, under the "either" stop rule.
+
+    Q1 = [(I - eta G^-1) q, q], Q2 = [q, xi D^-1 q], E1 = [e, -xi G^-1 e] and
+    E2 = [(I + eta D^-1) e, e], with G = Gamma, D = Delta.  Z Q1 and Z^T Q2 are
+    sums over the factor columns k of M_k o T (N_k o Q1) and N_k o T^T (M_k o Q2),
+    taken as one (6, n) and one (4, n) product with T, the shapes that set their
+    rounding.  The update error is max over M, N of ||cur - prev|| / ||cur|| (n x 2
+    row sums); the residual is the row sums of |[M, -a] [N, b]^T| with a = m2,
+    b = n1 of the next sweep, over twice the row sums of |Z|.  Returns
+    (Z, err_history, res_history, stop_reason).
+    """
+    q, e, gamma, delta = problem.q, problem.e, problem.gamma, problem.delta
+    eta, xi = shift.eta, shift.xi
+    q1 = np.column_stack([(1.0 - eta / gamma) * q, q])
+    q2 = np.column_stack([q, xi * q / delta])
+    e1 = np.column_stack([e, -xi * e / gamma])
+    e2 = np.column_stack([(1.0 + eta / delta) * e, e])
+    n = problem.n
+    t = 1.0 / (delta[:, None] + gamma[None, :])
+    q1e, q2t = np.vstack([q1.T, e])[:, None], q2.T[:, None]
+
+    def sweep(m, nf):
+        zq = ((((q1e * nf.T).reshape(6, n) @ t.T).reshape(3, 2, n)) * m.T).sum(axis=1)
+        ztq = ((((q2t * m.T).reshape(4, n) @ t).reshape(2, 2, n)) * nf.T).sum(axis=1)
+        z_rows = zq[2] if min(m.min(), nf.min()) >= 0.0 else np.abs(t * (m @ nf.T)).sum(axis=1)
+        return (zq[:2] + e2.T).T, (ztq + e1.T).T, z_rows
+
+    m = nf = np.zeros((n, 2))
+    m_next, n_next = e2, e1
+    errs, ress, reason = [], [], "max_iter"
+    for _ in range(max_iter):
+        prev = (m, nf)
+        m, nf = m_next, n_next
+        m_next, n_next, z_rows = sweep(m, nf)
+        err = max(float(np.abs(c - p).sum(axis=1).max()) / float(np.abs(c).sum(axis=1).max())
+                  for p, c in zip(prev, (m, nf)))
+        r = np.column_stack([m, -m_next[:, 1]]) @ np.column_stack([nf, n_next[:, 0]]).T
+        res = float(np.abs(r).sum(axis=1).max()) / (2.0 * float(z_rows.max()))
+        errs.append(err)
+        ress.append(res)
+        if err < tol or res < tol:
+            reason = "converged"
+            break
+    return t * (m @ nf.T), errs, ress, reason
 
 
 def hadamard_triple_loop(t, m_fac, n_fac):

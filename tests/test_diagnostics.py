@@ -19,10 +19,16 @@ from nare import (
     shifted_coefficients,
     solution_identities,
 )
-from nare.diagnostics import classic_sweep_metrics, residual_matrix, vector_step_metrics
+from nare.diagnostics import classic_sweep_metrics, factor_sweep_metrics, residual_matrix
 from oracles import shift_equivalence_gap_dense
-from nare.si import build_kernel, si_init, si_solution, si_step
+from nare.si import build_kernel, si_init, si_shift_init, si_shift_step, si_solution, si_step
 from nare.sda import SdaConfig, sda_solve
+
+
+def one_step_metrics(prev, cur, ab, x_rows):
+    """``factor_sweep_metrics`` of one step on rank-one factors, rows [m; n]."""
+    return factor_sweep_metrics(np.array([prev, cur])[:, :, None], np.array(ab)[None],
+                                np.asarray(x_rows)[None])[0]
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +80,7 @@ def test_residual_matrix_bitwise_equals_direct_expression(n, rng):
 
 
 @pytest.mark.parametrize("alpha, c", [(0.0, 1.0), (0.3, 0.9)])
-def test_vector_step_metrics_on_classic_sweeps(alpha, c):
+def test_factor_sweep_metrics_on_classic_sweeps(alpha, c):
     # every classic sweep is monotone, so the O(n) path runs; it must return
     # exactly the update error and the one-sign row sums of R = m n^T - a b^T,
     # and agree with the generic row sums of the exact path to rounding
@@ -88,7 +94,7 @@ def test_vector_step_metrics_on_classic_sweeps(alpha, c):
         err, res = classic_sweep_metrics(np.array([state.mn, nxt.mn, nxt.ab]), x_rows[None])[0]
         assert err == relative_update_error(zip(state.mn, nxt.mn))
         assert res == float(np.max(a * b.sum() - m * n.sum())) / (2.0 * float(x_rows.max()))
-        generic = vector_step_metrics(tuple(state.mn), (m, n), (a, b), x_rows)
+        generic = one_step_metrics(state.mn, (m, n), (a, b), x_rows)
         assert generic[0] == err
         assert generic[1] == pytest.approx(res, rel=1e-13)
         state = nxt
@@ -116,7 +122,7 @@ def test_classic_sweep_metrics_batch_with_falling_and_nan_steps():
         prev, cur, ab = sweeps[k:k + 3]
         if k in (2, 3, 6, 7):
             assert not (np.diff(sweeps[k:k + 3], axis=0).min() >= 0.0)
-            want = vector_step_metrics(tuple(prev), tuple(cur), tuple(ab), x_rows[k])
+            want = one_step_metrics(prev, cur, ab, x_rows[k])
             assert np.array_equal(got, want, equal_nan=True)
             assert math.isnan(got[1]) == (k in (6, 7))
         else:
@@ -160,11 +166,30 @@ def test_factored_residual_of_zero_iterate_is_infinite():
     zero, one = np.zeros((2, 3)), np.ones((2, 3))
     # a zero current iterate: both metrics are infinite, on either path
     assert classic_sweep_metrics(np.array([zero, zero, one]), zero[:1]) == [(math.inf, math.inf)]
-    assert vector_step_metrics(tuple(zero), tuple(zero), tuple(one), zero[0]) == (
-        math.inf, math.inf)
+    assert one_step_metrics(zero, zero, one, zero[0]) == (math.inf, math.inf)
     # the first classic sweep is finite on the O(n) path
     err, res = classic_sweep_metrics(np.array([zero, one, 2.0 * one]), one[:1])[0]
     assert err == 1.0 and res == (2.0 * 6.0 - 3.0) / 2.0  # rows a_i sum(b) - m_i sum(n)
+
+
+@pytest.mark.parametrize("mode", ["single", "double"])
+def test_factor_sweep_metrics_block_equals_steps_alone(mode, prob8):
+    # a block of 16 shifted sweeps measured at once gives each step bit for bit
+    # what it gives alone, and the update error is relative_update_error's
+    kernel = build_kernel(prob8)
+    states = [si_shift_init(prob8, default_shift(prob8, mode))]
+    for _ in range(16):
+        states.append(si_shift_step(kernel, states[-1]))
+    factors = np.array([(s.M.T, s.N.T) for s in states])
+    ab = np.array([(s.M_next[:, 1], s.N_next[:, 0]) for s in states[1:]])
+    x_rows = np.array([s.z_rows for s in states[1:]])
+    block = factor_sweep_metrics(factors, ab, x_rows)
+    assert len(block) == 16
+    for k, (prev, cur) in enumerate(zip(states, states[1:])):
+        assert block[k] == factor_sweep_metrics(factors[k:k + 2], ab[k:k + 1], x_rows[k:k + 1])[0]
+        assert block[k][0] == relative_update_error(((prev.M, cur.M), (prev.N, cur.N)))
+        z = kernel.T * (cur.M @ cur.N.T)
+        assert block[k][1] == pytest.approx(relative_residual(prob8, z), rel=1e-12)
 
 
 def test_relative_update_error_cases():
@@ -321,7 +346,7 @@ def test_stopping_metrics_looked_up_on_diagnostics(solver, prob8, monkeypatch):
     from nare.cli import run_solver
 
     calls = {}
-    for name in ("relative_residual", "vector_step_metrics", "relative_update_error",
+    for name in ("relative_residual", "factor_sweep_metrics", "relative_update_error",
                  "classic_sweep_metrics"):
         def counted(*args, _fn=getattr(diagnostics, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
@@ -333,5 +358,5 @@ def test_stopping_metrics_looked_up_on_diagnostics(solver, prob8, monkeypatch):
         assert calls == {"relative_residual": 5, "relative_update_error": 5}
     elif solver == "si":  # one batched call measures the first block of sweeps
         assert calls == {"classic_sweep_metrics": 1}
-    else:  # one fused call per sweep yields both metrics
-        assert calls == {"vector_step_metrics": 5}
+    else:  # so does one call on the factor stacks of the first shifted block
+        assert calls == {"factor_sweep_metrics": 1}

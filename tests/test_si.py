@@ -77,6 +77,17 @@ def test_si_first_iterates(prob1):
         prev = state.m[0]
 
 
+def small_problem(n, alpha=0.0, c=1.0):
+    """The n = 1, 2 fixtures of conftest, or the n-point quadrature problem."""
+    if n == 1:
+        return build_problem(TransportParams(
+            alpha=alpha, c=c, weights=np.array([1.0]), omegas=np.array([0.5])))
+    if n == 2:
+        return build_problem(TransportParams(
+            alpha=alpha, c=c, weights=np.array([0.5, 0.5]), omegas=np.array([0.8, 0.4])))
+    return build_problem(quadrature_params(n, alpha, c))
+
+
 @pytest.mark.parametrize("max_iter", [1, 15, 16, 17, 33, None])
 @pytest.mark.parametrize("alpha, c", [(0.0, 1.0), (0.3, 0.9)])
 @pytest.mark.parametrize("n", [1, 4, 16])
@@ -84,11 +95,7 @@ def test_si_blocks_match_per_sweep_loop(n, alpha, c, max_iter):
     # sweeps run and are measured SWEEP_BLOCK at a time, ahead of the driver;
     # the result must be that of measuring each sweep as it runs, bit for bit,
     # whether the run stops inside a block, at its end, or one sweep past it
-    if n == 1:
-        problem = build_problem(TransportParams(
-            alpha=alpha, c=c, weights=np.array([1.0]), omegas=np.array([0.5])))
-    else:
-        problem = build_problem(quadrature_params(n, alpha, c))
+    problem = small_problem(n, alpha, c)
     config = SiConfig() if max_iter is None else SiConfig(max_iter=max_iter)
     sol = si_solve(problem, config)
     x, errs, ress, reason = oracles.si_per_sweep_reference(
@@ -96,6 +103,51 @@ def test_si_blocks_match_per_sweep_loop(n, alpha, c, max_iter):
     assert np.array_equal(sol.x, x)
     assert sol.err_history == errs and sol.res_history == ress
     assert sol.stop_reason == reason
+
+
+@pytest.mark.parametrize("max_iter", [1, 15, 16, 17, 33, None])
+@pytest.mark.parametrize("mode", ["single", "double"])
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 128])
+def test_si_shift_blocks_match_per_sweep_loop(n, mode, max_iter):
+    # shifted sweeps run and are measured a block at a time (16 up to n = 64,
+    # 4 at n = 128); the result must be that of measuring each sweep as it runs
+    problem = small_problem(n)
+    spec = default_shift(problem, mode)
+    config = SiConfig() if max_iter is None else SiConfig(max_iter=max_iter)
+    sol = si_shifted_solve(problem, spec, config)
+    x, errs, ress, reason = oracles.si_shift_per_sweep_reference(
+        problem, spec, config.max_iter, auto_tol(n))
+    assert np.array_equal(sol.x, x)
+    assert sol.err_history == errs and sol.res_history == ress
+    assert sol.stop_reason == reason
+
+
+@pytest.mark.parametrize("max_iter", [5, None])
+@pytest.mark.parametrize("n", [8, 256])
+def test_si_shift_block_size_rule(n, max_iter, monkeypatch):
+    # a block of B shifted sweeps stacks B n^2 residual entries: 16 sweeps a
+    # block at n = 8, so a run of k sweeps makes ceil(k / 16) 16 of them, and
+    # one at n = 256, where no sweep runs past the stop
+    import nare.si
+
+    calls = [0]
+
+    def counted(kernel, state, _step=nare.si.si_shift_step):
+        calls[0] += 1
+        return _step(kernel, state)
+
+    monkeypatch.setattr(nare.si, "si_shift_step", counted)
+    sol, _, _ = run_solver(build_problem(quadrature_params(n)), "si-double", max_iter=max_iter)
+    k = sol.iterations
+    assert k == max_iter if max_iter else sol.converged
+    assert calls[0] == (-(-k // 16) * 16 if n == 8 else k)
+
+
+@pytest.mark.parametrize("config", [SdaConfig, SiConfig])
+def test_unknown_stop_rule_rejected_when_config_built(config):
+    with pytest.raises(ValueError, match="stop rule must be one of"):
+        config(stop_rule="x")
+    assert config(stop_rule="residual").stop_rule == "residual"
 
 
 def test_si_critical_symmetry_and_bounds(prob8):
