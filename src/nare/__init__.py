@@ -33,12 +33,10 @@ from .errors import (
 from .linalg import inf_norm, lu_solve
 from .problem import (
     CoefficientQuadruple,
-    CriticalEigenvectors,
     TransportParams,
     TransportProblem,
     assemble_blocks,
     build_problem,
-    critical_eigenvectors,
     gauss_legendre_composite,
     quadrature_params,
 )

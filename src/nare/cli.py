@@ -89,6 +89,11 @@ def run_solver(problem, solver, eta=None, xi=None, gamma=None, tol=None,
     spec = None
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
+    # a setting the solver would not read is refused, not dropped
+    if solver in ("sda", "si") and (eta is not None or xi is not None):
+        raise ValueError(f"{solver} is not shifted: eta and xi apply to the shifted solvers")
+    if solver.startswith("si") and gamma is not None:
+        raise ValueError(f"{solver} takes no gamma: it applies to the doubling solvers")
     if solver in ("sda", "sda-single", "sda-double"):
         if solver == "sda":
             quad = problem.quad
@@ -122,8 +127,6 @@ def _csv_row(n, solver, spec, gamma_used, sol, wall_ms):
 
 def cmd_solve(args, out):
     problem = build_from_args(args)
-    if args.solver != "sda" and args.solver != "si" and not problem.is_critical:
-        raise ValueError("shifted solvers require the critical case (alpha, c) = (0, 1)")
     t0 = time.perf_counter()
     sol, spec, gamma_used = run_solver(
         problem, args.solver, eta=args.eta, xi=args.xi, gamma=args.gamma,
@@ -249,8 +252,6 @@ def cmd_table51(args, out):
 
 def cmd_spectrum(args, out):
     problem = build_from_args(args)
-    if not problem.is_critical:
-        raise ValueError("spectrum reports require the critical case")
     shifted = args.eta is not None or args.xi is not None
     if shifted:
         spec = _shift_for(problem, "si-double", args.eta, args.xi)

@@ -13,7 +13,7 @@ from scipy.linalg import lapack
 
 from .errors import InsufficientHistory, SingularMatrix
 from .linalg import EPS, inf_norm, lu_inverse
-from .problem import critical_eigenvectors, low_rank_form
+from .problem import low_rank_form, require_critical
 
 Z_PATTERN_TOL = 1e-14
 INVERSE_SIGN_TOL = 1e-12
@@ -142,13 +142,16 @@ def classic_sweep_metrics(sweeps, x_rows):
 def solution_identities(problem, x):
     """Gaps of the critical-case solution identities, each relative.
 
-    X v1 = v2, u2^T X = -u1^T, and X = X^T; returns their normalized
-    violations.  A non-solution X produces O(1) gaps.
+    X v1 = v2, u2^T X = -u1^T, and X = X^T, with the critical null vectors
+    v = (q/gamma, e/delta) and u = (e/gamma, -q/delta) of the block matrix;
+    returns their normalized violations.  A non-solution X produces O(1) gaps.
     """
-    vec = critical_eigenvectors(problem)
+    require_critical(problem, "the solution-identity check")
+    q, e, gamma, delta = problem.q, problem.e, problem.gamma, problem.delta
+    v1, v2, u1, u2 = q / gamma, e / delta, e / gamma, -q / delta
     x = np.asarray(x, dtype=np.float64)
-    gap_v = inf_norm(x @ vec.v1 - vec.v2) / inf_norm(vec.v2)
-    gap_u = inf_norm(vec.u2 @ x + vec.u1) / inf_norm(vec.u1)
+    gap_v = inf_norm(x @ v1 - v2) / inf_norm(v2)
+    gap_u = inf_norm(u2 @ x + u1) / inf_norm(u1)
     nx = inf_norm(x)
     gap_sym = inf_norm(x - x.T) / nx if nx > 0 else 0.0
     return {
@@ -299,12 +302,11 @@ def solution_report(problem, solution, shifted_quad=None):
     )
 
 
-def convergence_order(err_history, window=None):
+def convergence_order(err_history):
     """Empirical (rate, order) from an error history.
 
-    Works on the trailing strictly-decreasing positive window (or the
-    last ``window`` entries of it): rate is the geometric mean of
-    successive ratios, order the least-squares slope of
+    Works on the trailing strictly-decreasing positive run: rate is the
+    geometric mean of successive ratios, order the least-squares slope of
     log e_{k+1} against log e_k.
     """
     run = []
@@ -314,8 +316,6 @@ def convergence_order(err_history, window=None):
             break
         run.append(e)
     run.reverse()
-    if window is not None:
-        run = run[-int(window):]
     if len(run) < 4:
         raise InsufficientHistory(
             f"need at least 4 strictly decreasing positive entries, have {len(run)}"

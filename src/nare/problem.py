@@ -5,8 +5,9 @@ and a direction/weight set (omega_i, c_i).  Every coefficient quadruple is
 diagonal plus rank two, D = Gamma - Q1 E1^T, C = Q1 Q2^T, B = E2 E1^T,
 A = Delta - E2 Q2^T, and one assembly builds them all; the original
 A = Delta - e q^T, B = e e^T, C = q q^T, D = Gamma - q e^T is the zero
-shift, bit for bit.  The 2n x 2n block matrices and the critical-case
-eigenvector data used by the shift constructions are built on request.
+shift, bit for bit.  The 2n x 2n block matrices are built on request, and
+``require_critical`` is the one gate of every operation defined only at
+(alpha, c) = (0, 1).
 """
 
 from collections import namedtuple
@@ -131,38 +132,11 @@ class TransportProblem:
         return self.params.is_critical
 
 
-@dataclass(frozen=True)
-class CriticalEigenvectors:
-    """Null-vector data of the critical-case block matrices.
-
-    v and u are the right/left null vectors of the signed block matrix,
-    r and s the normalizing vectors with r.v = s.u = 1.
-    """
-
-    v1: np.ndarray
-    v2: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    r1: np.ndarray
-    r2: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-
-    @property
-    def v(self):
-        return np.concatenate([self.v1, self.v2])
-
-    @property
-    def u(self):
-        return np.concatenate([self.u1, self.u2])
-
-    @property
-    def r(self):
-        return np.concatenate([self.r1, self.r2])
-
-    @property
-    def s(self):
-        return np.concatenate([self.s1, self.s2])
+def require_critical(problem, what):
+    """Raise NotCriticalCase, naming ``what``, unless (alpha, c) = (0, 1) exactly."""
+    if not problem.is_critical:
+        raise NotCriticalCase(f"{what} requires the critical case (alpha, c) = (0, 1); "
+                              f"got ({problem.params.alpha}, {problem.params.c})")
 
 
 def gauss_legendre_composite(n):
@@ -242,24 +216,3 @@ def assemble_blocks(problem):
     h_block = m_block.copy()
     h_block[problem.n:, :] *= -1.0
     return m_block, h_block
-
-
-def critical_eigenvectors(problem):
-    """Null-vector data for the critical case; raises NotCriticalCase otherwise.
-
-    The shift constructions rely on these vectors being exact null vectors,
-    which only holds at (alpha, c) = (0, 1).
-    """
-    if not problem.is_critical:
-        raise NotCriticalCase(
-            f"(alpha, c) = ({problem.params.alpha}, {problem.params.c}); "
-            "shift vectors exist only at (0, 1)"
-        )
-    q, e = problem.q, problem.e
-    gamma, delta = problem.gamma, problem.delta
-    return CriticalEigenvectors(
-        v1=q / gamma, v2=e / delta,
-        u1=e / gamma, u2=-q / delta,
-        r1=e.copy(), r2=q.copy(),
-        s1=q.copy(), s2=-e.copy(),
-    )

@@ -9,7 +9,7 @@ nonnegative solution.
 from dataclasses import dataclass
 
 from .errors import ShiftOutOfRegion
-from .problem import assemble_quadruple, critical_eigenvectors, low_rank_form
+from .problem import assemble_quadruple, low_rank_form, require_critical
 
 
 def omega_lower_bound(eta, omega1):
@@ -75,7 +75,7 @@ def make_shift(problem, eta, xi, mode, relaxed=False):
 
     ``eta`` or ``xi`` None takes its ``default_shift`` value.
     """
-    critical_eigenvectors(problem)  # raises NotCriticalCase off the critical point
+    require_critical(problem, "a shift")
     om1 = float(problem.omegas[0])
     eta = 1.0 / (2.0 * om1) if eta is None else float(eta)
     xi = (0.0 if mode == "single" else -1.0 / (2.0 * om1)) if xi is None else float(xi)

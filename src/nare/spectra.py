@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailure, NotCriticalCase, PoleHit, ShiftOutOfRegion
+from .errors import BracketFailure, PoleHit, ShiftOutOfRegion
+from .problem import require_critical
 from .sda import SdaConfig, resolve_gamma
 from .shift import omega_lower_bound, validate_shift
 
@@ -58,13 +59,6 @@ class SpectrumReport:
         return np.sort(np.concatenate(parts))
 
 
-def _require_critical(problem):
-    if not problem.is_critical:
-        raise NotCriticalCase(
-            "secular machinery is defined for (alpha, c) = (0, 1) only"
-        )
-
-
 def _secular_evaluator(problem):
     """Return ``sums``: lams -> (g1, g2, g3), each an array over ``lams``.
 
@@ -92,7 +86,7 @@ def _secular_evaluator(problem):
 
 def secular_sums(problem, lam):
     """The three rational sums (g1, g2, g3) at ``lam``, as floats."""
-    _require_critical(problem)
+    require_critical(problem, "the secular machinery")
     lam = float(lam)
     if np.any(np.abs(1.0 / problem.omegas - lam) < POLE_GUARD):
         raise PoleHit(f"lambda = {lam!r} collides with a pole 1/omega_i")
@@ -106,10 +100,9 @@ def shifted_secular(problem, shift, lam):
     block matrix; at xi = 0 it reduces to g1, whose off-pole zeros are
     zero plus the interior eigenvalues of the unshifted matrix.
     """
-    _require_critical(problem)
+    g1, g2, g3 = secular_sums(problem, lam)  # the critical-case gate
     validate_shift(shift.eta, shift.xi, shift.mode, float(problem.omegas[0]),
                    relaxed=True)
-    g1, g2, g3 = secular_sums(problem, lam)
     return g1 + shift.eta * shift.xi * g2 * g3
 
 
@@ -149,7 +142,7 @@ def interlaced_spectrum(problem):
     |sum_j t_j| / max_j |t_j| with t_j = c_j/(1/om_j - lam): the level of
     cancellation left in g1/lam.
     """
-    _require_critical(problem)
+    require_critical(problem, "the secular machinery")
     poles = np.sort(1.0 / problem.omegas)
     width = BRACKET_WIDTH_FACTOR * poles[-1]
     sums = _secular_evaluator(problem)
@@ -184,7 +177,7 @@ def shifted_interlaced_spectrum(problem, shift):
     on each side of it.  A vanishing probe value marks a coalesced double
     root, which occurs exactly on the boundary of the admissible region.
     """
-    _require_critical(problem)
+    require_critical(problem, "the secular machinery")
     om1 = float(problem.omegas[0])
     validate_shift(shift.eta, shift.xi, shift.mode, om1, relaxed=True)
     eta, xi = shift.eta, shift.xi
@@ -251,7 +244,7 @@ def closed_loop_spectrum(problem):
     1 - sum c_j / (1 - om_j^2 lam^2), one per pole gap, where it falls
     from +inf just right of one pole to -inf just left of the next.
     """
-    _require_critical(problem)
+    require_critical(problem, "the secular machinery")
     om, c = problem.omegas, problem.weights
 
     def sign(lams, ks):
@@ -282,11 +275,10 @@ def sda_rate_bound(problem, shift=None, gamma=None):
     side, by -xi) when the corresponding shift is active.  Equals 1.0
     exactly for the unshifted critical case.
     """
-    _require_critical(problem)
+    lams = closed_loop_spectrum(problem)[1:]  # the critical-case gate
     if gamma is None:
         gamma = resolve_gamma(problem.quad, SdaConfig())
     eta, xi = (shift.eta, shift.xi) if shift is not None else (0.0, 0.0)
-    lams = closed_loop_spectrum(problem)[1:]
     # a single shift's xi = 0 gives |cayley(-0.0)| = 1, as an unshifted zero does
     rho1 = max(abs(cayley(z, gamma)) for z in np.concatenate([[eta], lams]))
     rho2 = max(abs(cayley(z, gamma)) for z in np.concatenate([[-xi], lams]))

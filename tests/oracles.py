@@ -138,18 +138,26 @@ def shift_equivalence_gap_dense(problem, quad, x):
     return float(np.abs(r1 - r0).sum(axis=1).max())
 
 
+def critical_null_vectors(problem):
+    """(v1, v2, u1, u2, r1, r2, s1, s2) of the critical block matrix, written out:
+
+    v = (q/gamma, e/delta) and u = (e/gamma, -q/delta) are the right and left null
+    vectors of the signed block matrix, r = (e, q) and s = (q, -e) the normalizing
+    vectors with r.v = s.u = 1.
+    """
+    q, e = problem.q, problem.e
+    return (q / problem.gamma, e / problem.delta, e / problem.gamma, -q / problem.delta,
+            e, q, q, -e)
+
+
 def shifted_quadruple_by_eigenvectors(problem, eta, xi):
     """(Abar, Bbar, Cbar, Dbar) as rank-one corrections by the critical null vectors.
 
     Dbar = D + eta v1 r1^T + xi s1 u1^T    Cbar = C - eta v1 r2^T - xi s1 u2^T
     Bbar = B + eta v2 r1^T + xi s2 u1^T    Abar = A - eta v2 r2^T - xi s2 u2^T
-    with v = (q/gamma, e/delta), u = (e/gamma, -q/delta), r = (e, q) and
-    s = (q, -e).
+    with the vectors of ``critical_null_vectors``.
     """
-    q, e = problem.q, problem.e
-    v1, v2 = q / problem.gamma, e / problem.delta
-    u1, u2 = e / problem.gamma, -q / problem.delta
-    r1, r2, s1, s2 = e, q, q, -e
+    v1, v2, u1, u2, r1, r2, s1, s2 = critical_null_vectors(problem)
     quad = problem.quad
     d = quad.D + eta * np.outer(v1, r1) + xi * np.outer(s1, u1)
     c = quad.C - eta * np.outer(v1, r2) - xi * np.outer(s1, u2)

@@ -106,6 +106,27 @@ def test_shifted_solver_requires_critical(capsys):
     assert "critical" in err
 
 
+@pytest.mark.parametrize("argv", [["solve", "--solver", "sda-double"],
+                                  ["solve", "--solver", "si-single"],
+                                  ["solve", "--solver", "si-double"],
+                                  ["spectrum", "--eta", "auto"]])
+def test_noncritical_refused_by_the_library_gate(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--n", "8", "--alpha", "0.5", "--c", "0.9")
+    assert code == 1 and out == ""
+    assert "requires the critical case (alpha, c) = (0, 1); got (0.5, 0.9)" in err
+
+
+@pytest.mark.parametrize("solver,flag,value", [
+    ("sda", "--eta", "1"), ("sda", "--xi", "-0.5"), ("si", "--eta", "auto"),
+    ("si", "--xi", "-0.5"), ("si", "--gamma", "5"), ("si-single", "--gamma", "5"),
+    ("si-double", "--gamma", "5")])
+def test_flag_the_solver_would_not_read_is_refused(capsys, solver, flag, value):
+    # sda used to print an empty eta column, and si to run to its cap with gamma unread
+    code, out, err = run_cli(capsys, "solve", "--n", "8", "--solver", solver, flag, value)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {solver} ") and flag[2:] in err
+
+
 def test_unknown_solver_is_invalid_input(capsys):
     code, _, err = run_cli(capsys, "solve", "--n", "8", "--solver", "newton")
     assert code == 1
@@ -215,6 +236,7 @@ def test_spectrum_noncritical_rejected(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--n", "8", "--alpha", "0.5",
                            "--c", "0.5")
     assert code == 1
+    assert "critical" in err
 
 
 def test_solve_out_file(tmp_path, capsys):

@@ -12,12 +12,13 @@ from nare import (
     TransportProblem,
     assemble_blocks,
     build_problem,
-    critical_eigenvectors,
     gauss_legendre_composite,
     inf_norm,
     quadrature_params,
 )
 from nare.cli import SOLVERS, run_solver
+from nare.problem import require_critical
+from nare.shift import make_shift
 
 # frozen from the bisection-on-recurrence oracle (tests below re-derive them)
 GL4_NODES_01 = np.array([0.0694318442029737, 0.3300094782075719,
@@ -135,34 +136,30 @@ def test_h_block_is_m_with_negated_bottom(prob8):
     assert np.array_equal(h_block[n:], -m_block[n:])
 
 
-def test_critical_eigenvectors_n1(prob1):
-    vec = critical_eigenvectors(prob1)
-    assert np.array_equal(vec.v, [0.5, 0.5])
-    assert np.array_equal(vec.u, [0.5, -0.5])
-    assert np.array_equal(vec.r, [1.0, 1.0])
-    assert np.array_equal(vec.s, [1.0, -1.0])
-
-
 def test_critical_eigenvectors_identities(prob32):
-    vec = critical_eigenvectors(prob32)
+    v1, v2, u1, u2, r1, r2, s1, s2 = oracles.critical_null_vectors(prob32)
+    v, u = np.concatenate([v1, v2]), np.concatenate([u1, u2])
+    r, s = np.concatenate([r1, r2]), np.concatenate([s1, s2])
     m_block, h_block = assemble_blocks(prob32)
     scale = inf_norm(h_block)
-    assert inf_norm(h_block @ vec.v) <= 1e-12 * scale
-    assert inf_norm(vec.u @ h_block) <= 1e-12 * scale
-    assert abs(vec.r @ vec.v - 1.0) < 1e-12
-    assert abs(vec.s @ vec.u - 1.0) < 1e-12
-    assert abs(vec.u1 @ vec.v1 + vec.u2 @ vec.v2) < 1e-12
+    assert inf_norm(h_block @ v) <= 1e-12 * scale
+    assert inf_norm(u @ h_block) <= 1e-12 * scale
+    assert abs(r @ v - 1.0) < 1e-12
+    assert abs(s @ u - 1.0) < 1e-12
+    assert abs(u1 @ v1 + u2 @ v2) < 1e-12
     # null vectors of M itself: M v = 0 and (u^T J) M = 0
-    uj = np.concatenate([vec.u1, -vec.u2])
-    assert inf_norm(m_block @ vec.v) <= 1e-12 * scale
+    uj = np.concatenate([u1, -u2])
+    assert inf_norm(m_block @ v) <= 1e-12 * scale
     assert inf_norm(uj @ m_block) <= 1e-12 * scale
 
 
 def test_not_critical_case():
     problem = build_problem(TransportParams(0.001, 1.0, np.array([1.0]),
                                             np.array([0.5])))
+    with pytest.raises(NotCriticalCase, match=r"critical case \(alpha, c\) = \(0, 1\)"):
+        require_critical(problem, "a shift")
     with pytest.raises(NotCriticalCase):
-        critical_eigenvectors(problem)
+        make_shift(problem, None, None, "single")
 
 
 def test_noncritical_m_is_nonsingular_m_matrix(prob_noncrit32):

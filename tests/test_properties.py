@@ -1,0 +1,78 @@
+"""Property tests over drawn direction sets: the critical-case theory, and the one
+gate that refuses every critical-only operation off (alpha, c) = (0, 1)."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from nare import NotCriticalCase, TransportParams, build_problem, spectra
+from nare.cli import run_solver
+from nare.diagnostics import solution_identities, solution_report
+from nare.shift import ShiftSpec, default_shift, make_shift, shifted_coefficients
+
+MIN_GAP = 1e-3
+SHIFTED = ("sda-single", "sda-double", "si-single", "si-double")
+
+
+@st.composite
+def directions(draw):
+    """Descending omegas in (0.01, 0.99) at least MIN_GAP apart, positive weights
+    summing to one.  Sorted u_k plus k MIN_GAP spreads the nodes out, which reaches
+    every such set without rejecting a draw."""
+    n = draw(st.integers(1, 24))
+    top = 0.99 - (n - 1) * MIN_GAP
+    u = sorted(draw(st.lists(st.floats(0.01, top, exclude_min=True, exclude_max=True),
+                             min_size=n, max_size=n)))
+    omegas = (np.array(u) + MIN_GAP * np.arange(n))[::-1]
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    return weights / weights.sum(), omegas
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(directions())
+def test_critical_solution_and_certificates(dirs):
+    problem = build_problem(TransportParams(0.0, 1.0, *dirs))
+    for solver in SHIFTED:
+        sol, spec, _ = run_solver(problem, solver)
+        assert sol.converged, solver
+        report = solution_report(problem, sol, shifted_coefficients(problem, spec))
+        certs = report.m_matrix_certificates
+        assert certs["closed_loop"] == "nonsingular_m_matrix", solver
+        # a single shift moves one of the two zero eigenvalues
+        assert certs["block_matrix"] == ("singular_or_not" if spec.mode == "single"
+                                         else "nonsingular_m_matrix"), solver
+        if solver == "sda-double":
+            assert np.all(sol.x >= 0.0)
+            assert max(report.identity_gaps.values()) < 1e-10, report.identity_gaps
+
+
+@st.composite
+def noncritical_params(draw):
+    alpha = draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)))
+    c = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True),
+                       st.floats(1e-15, 1e-6).map(lambda d: 1.0 - d)))
+    assume(not (alpha == 0.0 and c == 1.0))
+    return TransportParams(alpha, c, *draw(directions()))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(noncritical_params())
+def test_every_critical_only_entry_point_is_refused(params):
+    problem = build_problem(params)
+    om1 = float(problem.omegas[0])
+    spec = ShiftSpec(eta=0.5 / om1, xi=-0.5 / om1, mode="double")
+    calls = [
+        lambda: make_shift(problem, None, None, "double"),
+        lambda: default_shift(problem, "single"),
+        lambda: spectra.secular_sums(problem, 0.5),
+        lambda: spectra.shifted_secular(problem, spec, 0.5),
+        lambda: spectra.interlaced_spectrum(problem),
+        lambda: spectra.shifted_interlaced_spectrum(problem, spec),
+        lambda: spectra.closed_loop_spectrum(problem),
+        lambda: spectra.sda_rate_bound(problem, spec),
+        lambda: solution_identities(problem, np.zeros((problem.n, problem.n))),
+    ]
+    for call in calls:
+        with pytest.raises(NotCriticalCase, match=r"critical case \(alpha, c\) = \(0, 1\)"):
+            call()
