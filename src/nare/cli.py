@@ -29,7 +29,7 @@ EXIT_NUMERICAL = 3
 SOLVERS = ("sda", "sda-single", "sda-double", "si", "si-single", "si-double")
 CSV_HEADER = "n,solver,eta,xi,gamma,iterations,res,err_final,wall_ms,converged"
 TABLE_SIZES = (32, 64, 128, 256)
-SI_CAP = 10000
+SI_CAP = SiConfig.max_iter
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,53 +76,53 @@ def build_from_args(args):
     return build_problem(params)
 
 
-def _shift_for(problem, solver, eta_arg, xi_arg):
-    mode = "single" if solver.endswith("single") else "double"
+def _shift_for(problem, mode, eta_arg, xi_arg):
     eta = None if eta_arg in (None, "auto") else float(eta_arg)
     xi = None if xi_arg in (None, "auto") else float(xi_arg)
-    return shift.make_shift(problem, eta, xi, mode, relaxed=solver.startswith("si"))
+    return shift.make_shift(problem, eta, xi, mode)
 
 
 def run_solver(problem, solver, eta=None, xi=None, gamma=None, tol=None,
                max_iter=None):
-    """Dispatch one solver run; returns (solution, shift_spec, gamma_used)."""
-    spec = None
+    """Dispatch one solver run; returns (solution, shift_spec, gamma_used).
+
+    Unset settings take the config defaults; the solver checks the shift's region.
+    """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
+    family, _, mode = solver.partition("-")
     # a setting the solver would not read is refused, not dropped
-    if solver in ("sda", "si") and (eta is not None or xi is not None):
+    if not mode and (eta is not None or xi is not None):
         raise ValueError(f"{solver} is not shifted: eta and xi apply to the shifted solvers")
-    if solver.startswith("si") and gamma is not None:
+    if family == "si" and gamma is not None:
         raise ValueError(f"{solver} takes no gamma: it applies to the doubling solvers")
-    if solver in ("sda", "sda-single", "sda-double"):
-        if solver == "sda":
-            quad = problem.quad
-        else:
-            spec = _shift_for(problem, solver, eta, xi)
-            quad = shift.shifted_coefficients(problem, spec, check=False)  # checked by make_shift
-        config = SdaConfig(gamma=gamma if gamma is not None else "auto",
-                           tol=tol if tol is not None else "auto",
-                           max_iter=100 if max_iter is None else max_iter)
-        gamma_used = resolve_gamma(quad, config)
-        sol = sda_solve(problem, quad, config)
-        return sol, spec, gamma_used
-    config = SiConfig(tol=tol if tol is not None else "auto",
-                      max_iter=SI_CAP if max_iter is None else max_iter)
-    if solver == "si":
-        return si_solve(problem, config), None, None
-    spec = _shift_for(problem, solver, eta, xi)
-    return si_shifted_solve(problem, spec, config), spec, None
+    cap = {} if max_iter is None else {"max_iter": max_iter}
+    if family == "si":
+        config = SiConfig(tol=tol, **cap)
+        if not mode:
+            return si_solve(problem, config), None, None
+        spec = _shift_for(problem, mode, eta, xi)
+        return si_shifted_solve(problem, spec, config), spec, None
+    spec = _shift_for(problem, mode, eta, xi) if mode else None
+    quad = shift.shifted_coefficients(problem, spec) if spec else problem.quad
+    config = SdaConfig(gamma=gamma, tol=tol, **cap)
+    return sda_solve(problem, quad, config), spec, resolve_gamma(quad, config)
 
 
-def _csv_row(n, solver, spec, gamma_used, sol, wall_ms):
-    eta = _fmt(spec.eta) if spec else ""
-    xi = _fmt(spec.xi) if spec else ""
-    gam = _fmt(gamma_used) if gamma_used is not None else ""
-    if sol is None:
-        return f"{n},{solver},{eta},{xi},{gam},,,,{wall_ms:.3f},false"
-    return (f"{n},{solver},{eta},{xi},{gam},{sol.iterations},"
-            f"{_fmt(sol.res_final)},{_fmt(sol.err_final)},"
-            f"{wall_ms:.3f},{str(sol.converged).lower()}")
+def _fields(n, solver, sol, spec, gamma_used, wall_ms):
+    """The CSV_HEADER fields of one run, in order; None where one does not apply."""
+    eta, xi = (spec.eta, spec.xi) if spec else (None, None)
+    its, res, err, ok = ((sol.iterations, sol.res_final, sol.err_final, sol.converged)
+                         if sol else (None, None, None, False))
+    return dict(zip(CSV_HEADER.split(","),
+                    (n, solver, eta, xi, gamma_used, its, res, err, wall_ms, ok)))
+
+
+def _csv_row(fields):
+    cells = {**fields, "wall_ms": f"{fields['wall_ms']:.3f}",
+             "converged": str(fields["converged"]).lower()}
+    return ",".join("" if val is None else _fmt(val) if isinstance(val, float) else str(val)
+                    for val in cells.values())
 
 
 def cmd_solve(args, out):
@@ -131,32 +131,22 @@ def cmd_solve(args, out):
     sol, spec, gamma_used = run_solver(
         problem, args.solver, eta=args.eta, xi=args.xi, gamma=args.gamma,
         tol=args.tol, max_iter=args.max_iter)
-    wall_ms = (time.perf_counter() - t0) * 1e3
+    fields = _fields(problem.n, args.solver, sol, spec, gamma_used,
+                     (time.perf_counter() - t0) * 1e3)
     shifted_quad = None
-    if spec is not None:
+    if spec is not None:  # its region was checked by the run
         shifted_quad = shift.shifted_coefficients(problem, spec, check=False)
     t0 = time.perf_counter()
     report = diagnostics.solution_report(problem, sol, shifted_quad)
     report_ms = (time.perf_counter() - t0) * 1e3
     if args.format == "csv":
         print(CSV_HEADER, file=out)
-        print(_csv_row(problem.n, args.solver, spec, gamma_used, sol, wall_ms),
-              file=out)
+        print(_csv_row(fields), file=out)
     elif args.format == "json":
-        payload = {
-            "n": problem.n, "solver": args.solver,
-            "eta": spec.eta if spec else None,
-            "xi": spec.xi if spec else None,
-            "gamma": gamma_used,
-            "iterations": sol.iterations,
-            "res": sol.res_final, "err_final": sol.err_final,
-            "wall_ms": wall_ms, "converged": sol.converged,
-            "stop_reason": sol.stop_reason,
-            "res_normalized": report.res,
-            "identity_gaps": report.identity_gaps,
-            "m_matrix_certificates": report.m_matrix_certificates,
-            "report_ms": report_ms, "env": run_environment(),
-        }
+        payload = {**fields, "stop_reason": sol.stop_reason, "res_normalized": report.res,
+                   "identity_gaps": report.identity_gaps,
+                   "m_matrix_certificates": report.m_matrix_certificates,
+                   "report_ms": report_ms, "env": run_environment()}
         print(json.dumps(payload, default=float), file=out)
     else:
         print(f"solver      : {args.solver}", file=out)
@@ -192,17 +182,18 @@ def run_environment():
             **{name: os.environ.get(name) for name in threads}}
 
 
-def table51_rows(sizes, si_cap=SI_CAP):
+def table51_rows(sizes, si_cap=None):
     """Run the full solver grid; yields (n, solver, sol, spec, gamma, wall_ms).
 
-    A numerical failure in one cell (breakdown, bracket loss) is recorded
-    as ``sol = None`` so the rest of the grid still runs.
+    ``si_cap`` None keeps ``SiConfig``'s cap.  A numerical failure in one cell
+    (breakdown, bracket loss) is recorded as ``sol = None`` so the rest of the
+    grid still runs.
     """
     rows = []
     for n in sizes:
         problem = build_problem(quadrature_params(n))
         for solver in SOLVERS:
-            max_iter = si_cap if solver.startswith("si") else 100
+            max_iter = si_cap if solver.partition("-")[0] == "si" else None
             t0 = time.perf_counter()
             try:
                 sol, spec, gamma_used = run_solver(problem, solver,
@@ -224,39 +215,32 @@ def _cell(sol):
 
 def cmd_table51(args, out):
     sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else list(TABLE_SIZES)
-    rows = table51_rows(sizes, si_cap=SI_CAP if args.max_iter is None else args.max_iter)
+    rows = table51_rows(sizes, si_cap=args.max_iter)
     by_key = {(n, solver): sol for n, solver, sol, _, _, _ in rows}
-    groups = (("SDA(no shift)", "sda"), ("SDA(single shift)", "sda-single"),
-              ("SDA(double shifts)", "sda-double"))
-    si_groups = (("SI(no shift)", "si"), ("SI(single shift)", "si-single"),
-                 ("SI(double shifts)", "si-double"))
-    for block in (groups, si_groups):
-        header = "n".ljust(6) + "".join(title.ljust(22) for title, _ in block)
-        print(header, file=out)
+    titles = ("no shift", "single shift", "double shifts")
+    for family, block in (("SDA", SOLVERS[:3]), ("SI", SOLVERS[3:])):
+        print("n".ljust(6) + "".join(f"{family}({t})".ljust(22) for t in titles), file=out)
         for n in sizes:
-            line = str(n).ljust(6) + "".join(
-                _cell(by_key[(n, key)]).ljust(22) for _, key in block)
-            print(line, file=out)
+            print(str(n).ljust(6) + "".join(_cell(by_key[(n, s)]).ljust(22) for s in block),
+                  file=out)
         print("", file=out)
-    csv_lines = [CSV_HEADER]
-    for n, solver, sol, spec, gamma_used, wall_ms in rows:
-        csv_lines.append(_csv_row(n, solver, spec, gamma_used, sol, wall_ms))
+    csv_lines = [CSV_HEADER] + [_csv_row(_fields(*row)) for row in rows]
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(csv_lines) + "\n")
     elif args.format == "csv":
-        for line in csv_lines:
-            print(line, file=out)
+        print("\n".join(csv_lines), file=out)
     return EXIT_OK
 
 
 def cmd_spectrum(args, out):
     problem = build_from_args(args)
-    shifted = args.eta is not None or args.xi is not None
-    if shifted:
-        spec = _shift_for(problem, "si-double", args.eta, args.xi)
+    if args.eta is not None or args.xi is not None:
+        spec = _shift_for(problem, "double", args.eta, args.xi)
         if spec.xi == 0.0:
             # a single shift leaves the characteristic polynomial unchanged
+            shift.validate_shift(spec.eta, spec.xi, spec.mode, float(problem.omegas[0]),
+                                 relaxed=True)
             report = spectra.interlaced_spectrum(problem)
             print("# single-shift spectrum coincides with the unshifted one",
                   file=out)

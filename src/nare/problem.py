@@ -170,8 +170,11 @@ def build_problem(params):
     om = params.omegas
     q = params.weights / (2.0 * om)
     e = np.ones(params.n)
-    delta = 1.0 / (params.c * om * (1.0 + params.alpha))
-    gamma = 1.0 / (params.c * om * (1.0 - params.alpha))
+    with np.errstate(over="ignore", divide="ignore"):  # a subnormal c overflows them
+        delta = 1.0 / (params.c * om * (1.0 + params.alpha))
+        gamma = 1.0 / (params.c * om * (1.0 - params.alpha))
+    if not (np.all(np.isfinite(delta)) and np.all(np.isfinite(gamma))):
+        raise InvalidParams(f"c = {params.c!r} leaves Gamma or Delta not finite")
     return TransportProblem(params=params, q=q, e=e, delta=delta, gamma=gamma)
 
 

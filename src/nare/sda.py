@@ -22,7 +22,7 @@ residual against the original equation of the problem it is given.
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Union
+from typing import Optional
 
 import numpy as np
 
@@ -34,15 +34,15 @@ from .solution import check_config, iterate
 
 @dataclass(frozen=True)
 class SdaConfig:
-    """Doubling-run controls.
+    """Doubling-run controls; these are the defaults of every doubling run.
 
-    ``gamma="auto"`` takes equality in the admissibility bound,
+    ``gamma=None`` takes equality in the admissibility bound,
     gamma = max(max_i A_ii, max_i D_ii); smaller gamma gives smaller
-    Cayley radii on the positive axis.  ``tol="auto"`` is n^2 * eps.
+    Cayley radii on the positive axis.  ``tol=None`` is n^2 * eps.
     """
 
-    gamma: Union[float, str] = "auto"
-    tol: Union[float, str] = "auto"
+    gamma: Optional[float] = None
+    tol: Optional[float] = None
     max_iter: int = 100
     stop_rule: str = "either"
     __post_init__ = check_config
@@ -61,7 +61,7 @@ class SdaState:
 
 def resolve_gamma(quad, config):
     bound = max(float(np.max(np.diag(quad.A))), float(np.max(np.diag(quad.D))))
-    if config.gamma == "auto" or config.gamma is None:
+    if config.gamma is None:
         return bound
     gamma = float(config.gamma)
     if not 0 < gamma < np.inf:

@@ -19,13 +19,13 @@ def omega_lower_bound(eta, omega1):
 
 @dataclass(frozen=True)
 class ShiftSpec:
-    """Validated shift parameters.
+    """Shift parameters; the code that uses a shift checks its region.
 
     single mode: 0 < eta <= 1/omega1 and xi = 0.
     double mode: 0 < eta < 1/omega1 and (-1 + eta*omega1)/omega1 <= xi < 0.
-    The relaxed closure (used by the low-rank iteration) additionally
-    admits eta = 0 and, in double mode, xi = 0 and the eta = 1/omega1 edge;
-    single mode keeps xi = 0.
+    ``shifted_coefficients`` checks this region.  ``low_rank_factors``, the
+    spectra and ``sda_rate_bound`` check its closure, which adds eta = 0 and,
+    in double mode, xi = 0 and eta = 1/omega1; single mode keeps xi = 0.
     """
 
     eta: float
@@ -70,16 +70,16 @@ def validate_shift(eta, xi, mode, omega1, relaxed=False):
             )
 
 
-def make_shift(problem, eta, xi, mode, relaxed=False):
-    """Build a validated ShiftSpec for ``problem`` (critical case only).
+def make_shift(problem, eta, xi, mode):
+    """An unchecked ShiftSpec for ``problem`` (critical case only).
 
-    ``eta`` or ``xi`` None takes its ``default_shift`` value.
+    ``eta`` or ``xi`` None takes its ``default_shift`` value.  The code that
+    uses the shift checks the region it needs (see ``ShiftSpec``).
     """
     require_critical(problem, "a shift")
     om1 = float(problem.omegas[0])
     eta = 1.0 / (2.0 * om1) if eta is None else float(eta)
     xi = (0.0 if mode == "single" else -1.0 / (2.0 * om1)) if xi is None else float(xi)
-    validate_shift(eta, xi, mode, om1, relaxed=relaxed)
     return ShiftSpec(eta=eta, xi=xi, mode=mode)
 
 

@@ -20,7 +20,7 @@ run past the stop are dropped.  X or Z is built at return.
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Union
+from typing import Optional
 
 import numpy as np
 
@@ -34,7 +34,7 @@ SHIFT_STACK = SWEEP_BLOCK * 64 ** 2  # cap on B n^2, the entries of a shifted bl
 
 @dataclass(frozen=True)
 class SiConfig:
-    tol: Union[float, str] = "auto"
+    tol: Optional[float] = None
     max_iter: int = 10000
     stop_rule: str = "either"
     __post_init__ = check_config
@@ -126,7 +126,7 @@ def factors_to_solution(kernel, m_fac, n_fac):
 
 
 def si_shift_init(problem, shift):
-    """Zero iterate of the shifted scheme; validates the relaxed shift region."""
+    """Zero iterate of the shifted scheme; ``low_rank_factors`` checks the region's closure."""
     q1, q2, e1, e2 = low_rank_factors(problem, shift)
     q1e = np.vstack([q1.T, problem.e])[:, None]
     zero = np.zeros((2, problem.n))

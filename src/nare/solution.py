@@ -61,7 +61,7 @@ def check_config(config):
 
 
 def resolve_tol(tol, n):
-    if tol is None or tol == "auto":
+    if tol is None:
         return auto_tol(n)
     tol = float(tol)
     if not 0 < tol < math.inf:

@@ -272,13 +272,16 @@ def sda_rate_bound(problem, shift=None, gamma=None):
 
     The spectra come from the located eigenvalues: the closed-loop
     spectrum {0, lam_2..lam_n} with 0 replaced by eta (and, on the dual
-    side, by -xi) when the corresponding shift is active.  Equals 1.0
-    exactly for the unshifted critical case.
+    side, by -xi) when the corresponding shift is active; the shift must lie
+    in the closure of its region.  Equals 1.0 exactly for the unshifted
+    critical case.
     """
     lams = closed_loop_spectrum(problem)[1:]  # the critical-case gate
+    eta, xi = (shift.eta, shift.xi) if shift is not None else (0.0, 0.0)
+    if shift is not None:
+        validate_shift(eta, xi, shift.mode, float(problem.omegas[0]), relaxed=True)
     if gamma is None:
         gamma = resolve_gamma(problem.quad, SdaConfig())
-    eta, xi = (shift.eta, shift.xi) if shift is not None else (0.0, 0.0)
     # a single shift's xi = 0 gives |cayley(-0.0)| = 1, as an unshifted zero does
     rho1 = max(abs(cayley(z, gamma)) for z in np.concatenate([[eta], lams]))
     rho2 = max(abs(cayley(z, gamma)) for z in np.concatenate([[-xi], lams]))

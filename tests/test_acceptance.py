@@ -270,7 +270,7 @@ def test_criterion_7_rate_properties(prob32, ref32):
 
 def test_criterion_8_monotonicity_and_dominance(prob32, ref32):
     tol = 32 * 32 * EPS
-    spec0 = make_shift(prob32, 0.0, 0.0, "double", relaxed=True)
+    spec0 = make_shift(prob32, 0.0, 0.0, "double")
     spec1 = default_shift(prob32, "single")
     spec2 = default_shift(prob32, "double")
     s0 = si_shift_init(prob32, spec0)

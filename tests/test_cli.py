@@ -79,8 +79,8 @@ def test_run_solver_checks_the_shift_region_once(monkeypatch):
     for solver in ("sda-single", "sda-double", "si-single", "si-double"):
         calls.clear()
         assert run_solver(problem, solver)[0].converged
-        # the vector solvers check their own input again, by the contract of low_rank_factors
-        assert len(calls) == (1 if solver.startswith("sda") else 2), solver
+        # by shifted_coefficients (doubling) or low_rank_factors (vector), not by make_shift
+        assert len(calls) == 1, solver
 
 
 def test_solve_below_attainable_tolerance_is_not_converged(capsys):
@@ -230,6 +230,19 @@ def test_spectrum_shifted_auto(capsys):
     values = [line for line in out.splitlines() if not line.startswith("#")]
     assert len(values) == 16
     assert all(float(line.split()[0]) > 0 for line in values)
+
+
+def test_spectrum_single_shift_checks_the_closure(capsys):
+    # --xi 0 prints the unshifted spectrum, but only for a shift in the region's closure
+    code, out, err = run_cli(capsys, "spectrum", "--n", "8", "--eta", "-1", "--xi", "0")
+    assert code == 1 and out == ""
+    assert err == "error: relaxed region needs 0 <= eta <= 1/omega1; eta = -1.0\n"
+
+
+def test_subnormal_c_is_invalid_input(capsys):
+    code, out, err = run_cli(capsys, "solve", "--n", "8", "--c", "1e-310")
+    assert code == 1 and out == ""
+    assert err == "error: c = 1e-310 leaves Gamma or Delta not finite\n"
 
 
 def test_spectrum_noncritical_rejected(capsys):

@@ -86,8 +86,8 @@ def test_report_certificates_match_dense_at_region_edges(n):
     xi_edge = omega_lower_bound(eta, om1)
     specs = [ShiftSpec(1 / om1, 0.0, "single"), ShiftSpec(1.0001 / om1, 0.0, "single"),
              ShiftSpec(eta, xi_edge, "double"), ShiftSpec(eta, 1.01 * xi_edge, "double"),
-             make_shift(problem, 0.0, 0.0, "double", relaxed=True),
-             make_shift(problem, 0.0, -1 / om1, "double", relaxed=True)]
+             make_shift(problem, 0.0, 0.0, "double"),
+             make_shift(problem, 0.0, -1 / om1, "double")]
     rng = np.random.default_rng(9)
     for _ in range(5):
         eta_i = rng.uniform(0.05, 0.95) / om1

@@ -106,6 +106,14 @@ def test_non_finite_inputs_rejected():
                                       np.array([np.inf, 0.4])))
 
 
+@pytest.mark.parametrize("c", [1e-310, 5e-324])
+def test_subnormal_c_is_refused_without_a_warning(c):
+    # 1/(c omega) overflows at 1e-310 and divides by zero at 5e-324; the test
+    # configuration turns the RuntimeWarning either would raise into an error
+    with pytest.raises(InvalidParams, match="Gamma or Delta not finite"):
+        build_problem(quadrature_params(8, 0.0, c))
+
+
 def test_invalid_weights_and_nodes():
     with pytest.raises(InvalidParams):
         build_problem(TransportParams(0.0, 1.0, np.array([0.6, 0.6]),

@@ -1,15 +1,17 @@
-"""Property tests over drawn direction sets: the critical-case theory, and the one
-gate that refuses every critical-only operation off (alpha, c) = (0, 1)."""
+"""Property tests over drawn direction sets: the critical-case theory, the solvers
+off the critical point, and the one gate that refuses every critical-only operation
+off (alpha, c) = (0, 1)."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nare import NotCriticalCase, TransportParams, build_problem, spectra
+from nare import NotCriticalCase, TransportParams, build_problem, inf_norm, spectra
 from nare.cli import run_solver
 from nare.diagnostics import solution_identities, solution_report
 from nare.shift import ShiftSpec, default_shift, make_shift, shifted_coefficients
+from nare.si import build_kernel, si_init, si_step
 
 MIN_GAP = 1e-3
 SHIFTED = ("sda-single", "sda-double", "si-single", "si-double")
@@ -45,6 +47,35 @@ def test_critical_solution_and_certificates(dirs):
         if solver == "sda-double":
             assert np.all(sol.x >= 0.0)
             assert max(report.identity_gaps.values()) < 1e-10, report.identity_gaps
+
+
+@st.composite
+def off_critical_params(draw):
+    """alpha in [0, 0.99) and d = 1 - c log-uniform in [1e-3, 1], with the edges
+    alpha = 0 (d > 0) and c = 1 (alpha > 0) drawn on purpose."""
+    alpha = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99, exclude_max=True)))
+    log_d = st.floats(-3.0, 0.0).map(lambda t: 10.0 ** t).filter(lambda d: d < 1.0)  # c > 0
+    d = draw(log_d if alpha == 0.0 else st.one_of(st.just(0.0), log_d))
+    return TransportParams(alpha, 1.0 - d, *draw(directions()))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(off_critical_params())
+def test_off_critical_solvers_agree_and_iterate_monotonically(params):
+    problem = build_problem(params)
+    sda, _, _ = run_solver(problem, "sda")
+    si, _, _ = run_solver(problem, "si")
+    assert sda.converged and si.converged
+    assert inf_norm(sda.x - si.x) <= 1e-10 * inf_norm(sda.x)
+    assert np.all(sda.x >= 0.0) and np.all(si.x >= 0.0)
+    # the classic iterates rise entry by entry from m = n = e after the first sweep
+    kernel, state = build_kernel(problem), si_init(problem)
+    for sweep in range(min(si.iterations, 200)):
+        nxt = si_step(kernel, state)
+        assert np.all(nxt.mn >= state.mn) and np.all(nxt.mn >= 1.0), sweep
+        state = nxt
+    report = solution_report(problem, sda)
+    assert report.m_matrix_certificates["closed_loop"] == "nonsingular_m_matrix"
 
 
 @st.composite

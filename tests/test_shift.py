@@ -121,6 +121,20 @@ def test_out_of_region_rejected_by_default(prob32):
         shifted_coefficients(prob32, bad)
 
 
+@pytest.mark.parametrize("mode,xi", [("single", 0.0), ("double", -0.3)])
+def test_every_user_of_a_shift_checks_its_region(prob8, mode, xi):
+    # make_shift checks no region; each code that uses a shift checks the one it needs
+    from nare.si import si_shifted_solve
+    from nare.spectra import sda_rate_bound, shifted_interlaced_spectrum
+
+    bad = ShiftSpec(eta=5.0, xi=xi, mode=mode)  # eta above 1/omega1 = 1.036
+    assert make_shift(prob8, 5.0, xi, mode) == bad
+    for use in (shifted_coefficients, si_shifted_solve, shifted_interlaced_spectrum,
+                sda_rate_bound):
+        with pytest.raises(ShiftOutOfRegion, match="1/omega1; eta = 5.0"):
+            use(prob8, bad)
+
+
 def test_spectrum_preserved_by_single_shift(prob8):
     # determinant sign patterns of M and Mhat agree on a dense grid
     m_block, _ = assemble_blocks(prob8)
@@ -142,7 +156,7 @@ def test_single_shift_relocates_null_vector(prob32):
 
 
 def test_low_rank_factors_zero_shift(prob8):
-    spec = make_shift(prob8, 0.0, 0.0, "double", relaxed=True)
+    spec = make_shift(prob8, 0.0, 0.0, "double")
     q1, q2, e1, e2 = low_rank_factors(prob8, spec)
     assert np.array_equal(q1[:, 0], prob8.q) and np.array_equal(q1[:, 1], prob8.q)
     assert np.all(q2[:, 1] == 0.0) and np.all(e1[:, 1] == 0.0)
@@ -178,7 +192,7 @@ def test_low_rank_factors_reconstruct(prob32, rng):
     for _ in range(5):
         eta = rng.uniform(0.0, 1.0) / om1
         xi = rng.uniform(omega_lower_bound(eta, om1), 0.0)
-        spec = make_shift(prob32, eta, xi, "double", relaxed=True)
+        spec = make_shift(prob32, eta, xi, "double")
         a, b, c, d = oracles.shifted_quadruple_by_eigenvectors(prob32, eta, xi)
         q1, q2, e1, e2 = low_rank_factors(prob32, spec)
         assert np.max(np.abs(np.diag(prob32.gamma) - q1 @ e1.T - d)) < 1e-13

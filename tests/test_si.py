@@ -203,7 +203,7 @@ def test_si_single_second_dual_column_vanishes(prob8):
 
 
 def test_zero_shift_matches_classic_iteration(prob8):
-    spec = make_shift(prob8, 0.0, 0.0, "double", relaxed=True)
+    spec = make_shift(prob8, 0.0, 0.0, "double")
     kernel = build_kernel(prob8)
     z_state = si_shift_init(prob8, spec)
     v_state = si_init(prob8)
@@ -216,7 +216,7 @@ def test_zero_shift_matches_classic_iteration(prob8):
 
 
 def test_shift_dominance_small(prob8):
-    spec0 = make_shift(prob8, 0.0, 0.0, "double", relaxed=True)
+    spec0 = make_shift(prob8, 0.0, 0.0, "double")
     spec1 = default_shift(prob8, "single")
     spec2 = default_shift(prob8, "double")
     s0 = si_shift_init(prob8, spec0)
@@ -243,7 +243,7 @@ def test_monotone_increase_random_admissible_shifts(prob8, rng):
     for _ in range(4):
         eta = rng.uniform(0.0, 1.0) / om1
         xi = rng.uniform(omega_lower_bound(eta, om1), 0.0)
-        spec = make_shift(prob8, eta, xi, "double", relaxed=True)
+        spec = make_shift(prob8, eta, xi, "double")
         state = si_shift_init(prob8, spec)
         prev = factors_to_solution(kernel, state.M, state.N)
         for _ in range(30):
@@ -343,7 +343,7 @@ def vector_runs(draw):
     om1 = float(problem.omegas[0])
     eta = draw(st.floats(0.0, 1.0)) / om1
     xi = 0.0 if mode == "single" else draw(st.floats(omega_lower_bound(eta, om1), 0.0))
-    return problem, make_shift(problem, eta, xi, mode, relaxed=True)
+    return problem, make_shift(problem, eta, xi, mode)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
