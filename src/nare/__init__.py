@@ -44,7 +44,6 @@ from .sda import SdaConfig, SdaState, sda_init, sda_solve, sda_step
 from .shift import (
     ShiftSpec,
     default_shift,
-    low_rank_factors,
     make_shift,
     shifted_coefficients,
     validate_shift,
@@ -52,10 +51,8 @@ from .shift import (
 from .si import (
     HadamardKernel,
     SiConfig,
-    SiShiftState,
     SiState,
     build_kernel,
-    factors_to_solution,
     si_init,
     si_shift_init,
     si_shift_step,

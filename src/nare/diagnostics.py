@@ -88,22 +88,23 @@ def relative_update_error(pairs):
     return worst
 
 
-def factor_sweep_metrics(factors, ab, x_rows):
+def factor_sweep_metrics(sweeps, x_rows):
     """``relative_update_error`` and ``relative_residual`` of each step of a block of
     sweeps on X = T o (M N^T), in one call that never forms X.
 
-    ``factors`` stacks [M^T, N^T] of B + 1 iterates, shape (B + 1, 2, r, n); step k
-    goes from ``factors[k]`` to ``factors[k + 1]``.  ``ab`` (B, 2, n) holds each step's
-    next-sweep columns a = Xq + e, b = X^T q + e, so R(X) = M N^T - a b^T, and
-    ``x_rows`` (B, n) the row sums of |X|.  The rows of |[M, -a] [N, b]^T| are summed
-    from one stacked matmul, O(B n^2 r).  A NaN reports NaN, else a zero M or N
-    an infinite error and a zero X an infinite residual.
+    ``sweeps`` stacks the rows [M^T; N^T] of B + 1 iterates and the last one's next
+    sweep, shape (B + 2, 2, r, n); step k goes from ``sweeps[k]`` to ``sweeps[k + 1]``,
+    whose next sweep ``sweeps[k + 2]`` holds a = Xq + e as the last row of M^T and
+    b = X^T q + e as the first row of N^T, so R(X) = M N^T - a b^T; ``x_rows`` (B, n)
+    holds the row sums of |X|.  The rows of |[M, -a] [N, b]^T| are summed from one
+    stacked matmul, O(B n^2 r).  A NaN reports NaN, else a zero M or N an infinite
+    error and a zero X an infinite residual.
     """
-    cur = factors[1:]
-    left = np.concatenate([cur[:, 0], -ab[:, :1]], axis=1).transpose(0, 2, 1)
-    r = left @ np.concatenate([cur[:, 1], ab[:, 1:]], axis=1)
+    cur, nxt = sweeps[1:-1], sweeps[2:]
+    left = np.concatenate([cur[:, 0], -nxt[:, 0, -1:]], axis=1).transpose(0, 2, 1)
+    r = left @ np.concatenate([cur[:, 1], nxt[:, 1, :1]], axis=1)
     rows = np.abs(r, out=r).sum(axis=2).max(axis=1)
-    norms = np.abs(np.concatenate([cur - factors[:-1], cur], axis=1)).sum(axis=2).max(axis=2)
+    norms = np.abs(np.concatenate([cur - sweeps[:-2], cur], axis=1)).sum(axis=2).max(axis=2)
     metrics = []  # B is small: plain floats divide faster than arrays under errstate
     for (dm, dn, m, n), row, nx in zip(norms.tolist(), rows.tolist(), x_rows.max(axis=1).tolist()):
         err = math.nan if math.isnan(dm + dn + m + n) else (
@@ -134,8 +135,7 @@ def classic_sweep_metrics(sweeps, x_rows):
         res = np.where(nx == 0.0, math.inf, rows.max(axis=1) / (2.0 * nx))
     metrics = list(zip(err.tolist(), res.tolist()))
     for k in np.flatnonzero(~(low >= 0.0)):
-        metrics[k] = factor_sweep_metrics(sweeps[k:k + 2, :, None], sweeps[k + 2:k + 3],
-                                          x_rows[k:k + 1])[0]
+        metrics[k] = factor_sweep_metrics(sweeps[k:k + 3, :, None], x_rows[k:k + 1])[0]
     return metrics
 
 

@@ -56,8 +56,9 @@ class TransportParams:
             raise InvalidParams(f"alpha must be in [0, 1), got {self.alpha}")
         if not 0.0 < self.c <= 1.0:
             raise InvalidParams(f"c must be in (0, 1], got {self.c}")
-        if self.weights.shape != self.omegas.shape or self.omegas.ndim != 1:
-            raise InvalidParams("weights and omegas must be aligned 1-D arrays")
+        if not (isinstance(self.weights, np.ndarray) and isinstance(self.omegas, np.ndarray)
+                and self.weights.shape == self.omegas.shape and self.omegas.ndim == 1):
+            raise InvalidParams("weights and omegas must be aligned 1-D numpy arrays")
         if self.n == 0:
             raise InvalidParams("at least one direction is required")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.omegas))):

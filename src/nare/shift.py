@@ -23,7 +23,7 @@ class ShiftSpec:
 
     single mode: 0 < eta <= 1/omega1 and xi = 0.
     double mode: 0 < eta < 1/omega1 and (-1 + eta*omega1)/omega1 <= xi < 0.
-    ``shifted_coefficients`` checks this region.  ``low_rank_factors``, the
+    ``shifted_coefficients`` checks this region.  ``si.si_shift_init``, the
     spectra and ``sda_rate_bound`` check its closure, which adds eta = 0 and,
     in double mode, xi = 0 and eta = 1/omega1; single mode keeps xi = 0.
     """
@@ -96,7 +96,7 @@ def shifted_coefficients(problem, shift, check=True):
     """Coefficient quadruple of the shifted equation.
 
     Assembled by ``problem.assemble_quadruple`` from the rank-two factors of
-    ``low_rank_factors``, which it keeps as ``form``.  Dbar, Cbar, Bbar, Abar
+    ``problem.low_rank_form``, which it keeps as ``form``.  Dbar, Cbar, Bbar, Abar
     equal D + eta v1 r1^T + xi s1 u1^T, C - eta v1 r2^T - xi s1 u2^T,
     B + eta v2 r1^T + xi s2 u1^T and A - eta v2 r2^T - xi s2 u2^T; single
     mode is the xi = 0 specialization.  ``check=False`` skips region
@@ -107,14 +107,3 @@ def shifted_coefficients(problem, shift, check=True):
         validate_shift(shift.eta, shift.xi, shift.mode, float(problem.omegas[0]))
     tag = "single-shift" if shift.mode == "single" else "double-shift"
     return assemble_quadruple(low_rank_form(problem, shift.eta, shift.xi), tag)
-
-
-def low_rank_factors(problem, shift):
-    """Rank-two factors (Q1, Q2, E1, E2) of the shifted quadruple for the O(n^2)
-    iteration, as ``problem.low_rank_form`` defines them, reconstructing
-    Dbar = Gamma - Q1 E1^T, Cbar = Q1 Q2^T, Bbar = E2 E1^T,
-    Abar = Delta - E2 Q2^T.  The closure of the shift region is allowed.
-    """
-    validate_shift(shift.eta, shift.xi, shift.mode, float(problem.omegas[0]),
-                   relaxed=True)
-    return low_rank_form(problem, shift.eta, shift.xi)[2:]

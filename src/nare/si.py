@@ -6,16 +6,17 @@ vector fixed point
 
     m = m o (P n) + e,   n = n o (Q m) + e.
 
-The shifted variant iterates rank-two factors M = [m1, m2], N = [n1, n2]
-of Z = T o (M N^T) through two thin GEMMs with T per sweep, O(n^2).  X and Z
-are not formed in the loop (Z only for ||Z|| if a factor entry turns negative):
-X Gamma + Delta X = M N^T, and Xq + e, X^T q + e are columns a, b of the next
-sweep, which each state carries, so the residual is R = M N^T - a b^T, exact
-up to rounding.  Both solvers run their sweeps in blocks, each measured in
-one call: ``diagnostics.classic_sweep_metrics``, O(n) a sweep, takes
-SWEEP_BLOCK classic sweeps; ``diagnostics.factor_sweep_metrics``, O(n^2) a
-sweep, up to SHIFT_STACK / n^2 shifted ones (one a block from n = 256).  Sweeps
-run past the stop are dropped.  X or Z is built at return.
+The shifted variant iterates rank-two factors M = [m1, m2], N = [n1, n2] of
+Z = T o (M N^T) through two thin GEMMs with T per sweep, O(n^2).  Both carry one
+``SiState``: factor rows ([m; n], 2 x n, or [M^T; N^T], 2 x 2 x n), the next sweep's
+rows and X's row sums.  X is not formed in the loop (Z only for ||Z|| if a factor
+entry turns negative): X Gamma + Delta X = M N^T, and Xq + e, X^T q + e are rows
+a, b of the next sweep, so the residual is R = M N^T - a b^T, exact up to rounding.
+Sweeps run in blocks, each measured in one call on its (B + 2, 2, r, n) stack of
+rows: ``diagnostics.classic_sweep_metrics``, O(n) a sweep, for SWEEP_BLOCK classic
+sweeps; ``diagnostics.factor_sweep_metrics``, O(n^2) a sweep, for up to
+SHIFT_STACK / n^2 shifted ones (one from n = 256).  Sweeps run past the stop are
+dropped.  X or Z is built at return, by ``si_solution``.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,8 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics
-from .shift import low_rank_factors
+from .problem import low_rank_form
+from .shift import validate_shift
 from .solution import check_config, iterate
 
 SWEEP_BLOCK = 16  # classic sweeps run, and measured in one call, at a time
@@ -57,7 +59,10 @@ class HadamardKernel:
 
 @dataclass
 class SiState:
-    """2 x n rows [m; n] and the next sweep's [Xq + e; X^T q + e]; X's row sums m o (T n)."""
+    """Factor rows [m; n] of X = T o (m^T n), the next sweep's rows [a; b] and X's row sums.
+
+    Classic sweeps hold 2 x n rows; shifted ones 2 x 2 x n rows [M^T; N^T].
+    """
 
     mn: np.ndarray
     ab: np.ndarray
@@ -65,18 +70,6 @@ class SiState:
 
     m = property(lambda self: self.mn[0])
     n = property(lambda self: self.mn[1])
-
-
-@dataclass
-class SiShiftState:
-    """Factors of Z = T o (M N^T), the next sweep's factors, and Z's row sums."""
-
-    M: np.ndarray
-    N: np.ndarray
-    M_next: np.ndarray
-    N_next: np.ndarray
-    z_rows: np.ndarray
-    low_rank: tuple  # [Q1 e]^T, Q2^T (with a broadcast axis), E1^T, E2^T
 
 
 def build_kernel(problem):
@@ -99,14 +92,16 @@ def si_step(kernel, state):
     return SiState(state.ab, ab, state.ab[0] * t_b)
 
 
-def _classic_metrics(states):
-    sweeps = np.array([s.mn for s in states] + [states[-1].ab])
-    return diagnostics.classic_sweep_metrics(sweeps, np.array([s.x_rows for s in states[1:]]))
-
-
 def si_solution(kernel, m, n):
-    """X = T o (m n^T) for the classic iterate vectors."""
-    return kernel.T * np.outer(m, n)
+    """X = T o (m^T n) for factor rows m, n: vectors (r = 1) or r x n."""
+    k = m.shape[-1]
+    return kernel.T * (m.reshape(-1, k).T @ n.reshape(-1, k))
+
+
+def _block_metrics(metric, states):
+    """``metric`` of a block on its (B + 2, 2, r, n) stack of rows and X's row sums."""
+    return metric(np.array([s.mn for s in states] + [states[-1].ab]),
+                  np.array([s.x_rows for s in states[1:]]))
 
 
 def si_solve(problem, config=None):
@@ -116,30 +111,32 @@ def si_solve(problem, config=None):
     which case the iteration is expected to hit max_iter.
     """
     kernel = build_kernel(problem)
-    return iterate(problem, si_init(problem), partial(si_step, kernel), _classic_metrics,
-                   SWEEP_BLOCK, lambda s: si_solution(kernel, *s.mn), config or SiConfig(), "si")
-
-
-def factors_to_solution(kernel, m_fac, n_fac):
-    """Z = T o (M N^T) for n x 2 factor matrices."""
-    return kernel.T * (m_fac @ n_fac.T)
+    return iterate(problem, si_init(problem), partial(si_step, kernel),
+                   partial(_block_metrics, diagnostics.classic_sweep_metrics), SWEEP_BLOCK,
+                   lambda s: si_solution(kernel, *s.mn), config or SiConfig(), "si")
 
 
 def si_shift_init(problem, shift):
-    """Zero iterate of the shifted scheme; ``low_rank_factors`` checks the region's closure."""
-    q1, q2, e1, e2 = low_rank_factors(problem, shift)
-    q1e = np.vstack([q1.T, problem.e])[:, None]
-    zero = np.zeros((2, problem.n))
-    return SiShiftState(zero.T, zero.T, e2, e1, zero[0],
-                        (q1e, q2.T[:, None], e1.T.copy(), e2.T.copy()))
+    """The shifted sweep's constant rows and its zero iterate, M = N = 0.
+
+    Checks the closure of the shift region.  The rows are [Q1 e]^T and Q2^T, each
+    with a broadcast axis, then E1^T and E2^T, of ``problem.low_rank_form``.
+    """
+    validate_shift(shift.eta, shift.xi, shift.mode, float(problem.omegas[0]), relaxed=True)
+    q1, q2, e1, e2 = low_rank_form(problem, shift.eta, shift.xi)[2:]
+    rows = (np.vstack([q1.T, problem.e])[:, None], q2.T[:, None], e1.T.copy(), e2.T.copy())
+    # the first sweep reads E2^T, E1^T as transposed views of the column-stacked
+    # factors: C-ordered rows change the last bits of its GEMMs' sums
+    ab = np.array([e2, e1]).transpose(0, 2, 1)
+    return rows, SiState(np.zeros((2, 2, problem.n)), ab, np.zeros(problem.n))
 
 
-def si_shift_step(kernel, state):
-    """Make the next sweep's factors current and run the shifted sweep after them:
+def si_shift_step(kernel, rows, state):
+    """Make the next sweep's factor rows current and run the shifted sweep after them:
 
         M_next = Z Q1 + E2,   N_next = Z^T Q2 + E1,   Z = T o (M N^T)
 
-    with the factors of ``shift.low_rank_factors``.  Z is never formed:
+    with ``rows`` from ``si_shift_init``.  Z is never formed:
     Z Q1 = sum_k M_k o T (N_k o Q1) and Z^T Q2 = sum_k N_k o T^T (M_k o Q2) take
     one thin GEMM per side, and e beside Q1 gives the row sums Z e.  Column
     by column, m1 = Z (I - eta Gamma^-1) q + (I + eta Delta^-1) e, m2 = Z q + e,
@@ -147,10 +144,9 @@ def si_shift_step(kernel, state):
     second dual column vanishes identically and the scheme degenerates to the
     classic fixed point on Z.
     """
-    q1e, q2, e1, e2 = state.low_rank
+    q1e, q2, e1, e2 = rows
     # factors as 2 x n rows: a k x n by n x n GEMM ran faster than n x n by n x k
-    m_fac, n_fac = state.M_next, state.N_next
-    m_t, n_t = m_fac.T, n_fac.T
+    m_t, n_t = state.ab
     n = m_t.shape[1]
     t_nq = ((q1e * n_t).reshape(6, n) @ kernel.T.T).reshape(3, 2, n)  # T (N_k o [Q1 e])
     zq = (t_nq * m_t).sum(axis=1)  # rows (Z Q1)^T and (Z e)^T
@@ -158,23 +154,15 @@ def si_shift_step(kernel, state):
     ztq = (tt_mq * n_t).sum(axis=1)
     z_rows = zq[2]
     if min(m_t.min(), n_t.min()) < 0.0:  # Z may hold negative entries
-        z_rows = np.abs(factors_to_solution(kernel, m_fac, n_fac)).sum(axis=1)
-    return SiShiftState(m_fac, n_fac, (zq[:2] + e2).T, (ztq + e1).T, z_rows,
-                        state.low_rank)
+        z_rows = np.abs(si_solution(kernel, m_t, n_t)).sum(axis=1)
+    return SiState(state.ab, np.array([zq[:2] + e2, ztq + e1]), z_rows)
 
 
 def si_shifted_solve(problem, shift, config=None):
     """Shifted low-rank iteration from M = N = 0 (closure of the region allowed)."""
     kernel = build_kernel(problem)
+    rows, state = si_shift_init(problem, shift)
     size = max(1, min(SWEEP_BLOCK, SHIFT_STACK // problem.n ** 2))
-    return iterate(problem, si_shift_init(problem, shift), partial(si_shift_step, kernel),
-                   _shifted_metrics, size,
-                   lambda s: factors_to_solution(kernel, s.M, s.N),
-                   config or SiConfig(), f"si-{shift.mode}")
-
-
-def _shifted_metrics(states):
-    return diagnostics.factor_sweep_metrics(
-        np.array([(s.M.T, s.N.T) for s in states]),
-        np.array([(s.M_next[:, 1], s.N_next[:, 0]) for s in states[1:]]),
-        np.array([s.z_rows for s in states[1:]]))
+    return iterate(problem, state, partial(si_shift_step, kernel, rows),
+                   partial(_block_metrics, diagnostics.factor_sweep_metrics), size,
+                   lambda s: si_solution(kernel, *s.mn), config or SiConfig(), f"si-{shift.mode}")

@@ -280,8 +280,7 @@ def sda_rate_bound(problem, shift=None, gamma=None):
     eta, xi = (shift.eta, shift.xi) if shift is not None else (0.0, 0.0)
     if shift is not None:
         validate_shift(eta, xi, shift.mode, float(problem.omegas[0]), relaxed=True)
-    if gamma is None:
-        gamma = resolve_gamma(problem.quad, SdaConfig())
+    gamma = resolve_gamma(problem.quad, SdaConfig(gamma=gamma))  # sda_solve's gamma rule
     # a single shift's xi = 0 gives |cayley(-0.0)| = 1, as an unshifted zero does
     rho1 = max(abs(cayley(z, gamma)) for z in np.concatenate([[eta], lams]))
     rho2 = max(abs(cayley(z, gamma)) for z in np.concatenate([[-xi], lams]))

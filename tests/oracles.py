@@ -232,13 +232,13 @@ def si_shift_per_sweep_reference(problem, shift, max_iter, tol):
     M = N = 0, each sweep measured on its own, under the "either" stop rule.
 
     Q1 = [(I - eta G^-1) q, q], Q2 = [q, xi D^-1 q], E1 = [e, -xi G^-1 e] and
-    E2 = [(I + eta D^-1) e, e], with G = Gamma, D = Delta.  Z Q1 and Z^T Q2 are
-    sums over the factor columns k of M_k o T (N_k o Q1) and N_k o T^T (M_k o Q2),
-    taken as one (6, n) and one (4, n) product with T, the shapes that set their
-    rounding.  The update error is max over M, N of ||cur - prev|| / ||cur|| (n x 2
-    row sums); the residual is the row sums of |[M, -a] [N, b]^T| with a = m2,
-    b = n1 of the next sweep, over twice the row sums of |Z|.  Returns
-    (Z, err_history, res_history, stop_reason).
+    E2 = [(I + eta D^-1) e, e], with G = Gamma, D = Delta.  M and N are kept as
+    2 x n rows M^T, N^T.  Z Q1 and Z^T Q2 are sums over the factor columns k of
+    M_k o T (N_k o Q1) and N_k o T^T (M_k o Q2), taken as one (6, n) and one (4, n)
+    product with T, the shapes that set their rounding.  The update error is max
+    over M, N of ||cur - prev|| / ||cur|| (n x 2 row sums); the residual is the row
+    sums of |[M, -a] [N, b]^T| with a = m2, b = n1 of the next sweep, over twice the
+    row sums of |Z|.  Returns (Z, err_history, res_history, stop_reason).
     """
     q, e, gamma, delta = problem.q, problem.e, problem.gamma, problem.delta
     eta, xi = shift.eta, shift.xi
@@ -251,28 +251,28 @@ def si_shift_per_sweep_reference(problem, shift, max_iter, tol):
     q1e, q2t = np.vstack([q1.T, e])[:, None], q2.T[:, None]
 
     def sweep(m, nf):
-        zq = ((((q1e * nf.T).reshape(6, n) @ t.T).reshape(3, 2, n)) * m.T).sum(axis=1)
-        ztq = ((((q2t * m.T).reshape(4, n) @ t).reshape(2, 2, n)) * nf.T).sum(axis=1)
-        z_rows = zq[2] if min(m.min(), nf.min()) >= 0.0 else np.abs(t * (m @ nf.T)).sum(axis=1)
-        return (zq[:2] + e2.T).T, (ztq + e1.T).T, z_rows
+        zq = ((((q1e * nf).reshape(6, n) @ t.T).reshape(3, 2, n)) * m).sum(axis=1)
+        ztq = ((((q2t * m).reshape(4, n) @ t).reshape(2, 2, n)) * nf).sum(axis=1)
+        z_rows = zq[2] if min(m.min(), nf.min()) >= 0.0 else np.abs(t * (m.T @ nf)).sum(axis=1)
+        return zq[:2] + e2.T, ztq + e1.T, z_rows
 
-    m = nf = np.zeros((n, 2))
-    m_next, n_next = e2, e1
+    m = nf = np.zeros((2, n))
+    m_next, n_next = e2.T, e1.T
     errs, ress, reason = [], [], "max_iter"
     for _ in range(max_iter):
         prev = (m, nf)
         m, nf = m_next, n_next
         m_next, n_next, z_rows = sweep(m, nf)
-        err = max(float(np.abs(c - p).sum(axis=1).max()) / float(np.abs(c).sum(axis=1).max())
+        err = max(float(np.abs(c - p).sum(axis=0).max()) / float(np.abs(c).sum(axis=0).max())
                   for p, c in zip(prev, (m, nf)))
-        r = np.column_stack([m, -m_next[:, 1]]) @ np.column_stack([nf, n_next[:, 0]]).T
+        r = np.vstack([m, -m_next[1]]).T @ np.vstack([nf, n_next[0]])
         res = float(np.abs(r).sum(axis=1).max()) / (2.0 * float(z_rows.max()))
         errs.append(err)
         ress.append(res)
         if err < tol or res < tol:
             reason = "converged"
             break
-    return t * (m @ nf.T), errs, ress, reason
+    return t * (m.T @ nf), errs, ress, reason
 
 
 def hadamard_triple_loop(t, m_fac, n_fac):

@@ -21,7 +21,6 @@ from nare import (
     certify_m_matrix,
     convergence_order,
     default_shift,
-    factors_to_solution,
     inf_norm,
     interlaced_spectrum,
     quadrature_params,
@@ -246,11 +245,11 @@ def test_criterion_7_rate_properties(prob32, ref32):
 
     spec = default_shift(prob32, "double")
     kernel = build_kernel(prob32)
-    zstate = si_shift_init(prob32, spec)
+    rows, zstate = si_shift_init(prob32, spec)
     errs_z = []
     for _ in range(60):
-        zstate = si_shift_step(kernel, zstate)
-        z = factors_to_solution(kernel, zstate.M, zstate.N)
+        zstate = si_shift_step(kernel, rows, zstate)
+        z = si_solution(kernel, *zstate.mn)
         errs_z.append(inf_norm(z - ref32) / scale)
     late = [errs_z[i + 1] / errs_z[i] for i in range(30, 55)]
     assert all(0.0 < r < 0.95 for r in late), late
@@ -273,29 +272,27 @@ def test_criterion_8_monotonicity_and_dominance(prob32, ref32):
     spec0 = make_shift(prob32, 0.0, 0.0, "double")
     spec1 = default_shift(prob32, "single")
     spec2 = default_shift(prob32, "double")
-    s0 = si_shift_init(prob32, spec0)
-    s1 = si_shift_init(prob32, spec1)
-    s2 = si_shift_init(prob32, spec2)
+    (r0, s0), (r1, s1), (r2, s2) = (si_shift_init(prob32, s) for s in (spec0, spec1, spec2))
     kernel = build_kernel(prob32)
     xi = spec2.xi
     n2_cap = -xi / prob32.gamma
     m_lim = ref32 @ prob32.q + 1.0
     n_lim = ref32.T @ prob32.q + 1.0
     bound_slack = 1e-10
-    z2 = factors_to_solution(kernel, s2.M, s2.N)
+    z2 = si_solution(kernel, *s2.mn)
     for k in range(1, 201):
         prev2 = z2
-        s0 = si_shift_step(kernel, s0)
-        s1 = si_shift_step(kernel, s1)
-        s2 = si_shift_step(kernel, s2)
-        z0, z1, z2 = (factors_to_solution(kernel, s.M, s.N) for s in (s0, s1, s2))
+        s0 = si_shift_step(kernel, r0, s0)
+        s1 = si_shift_step(kernel, r1, s1)
+        s2 = si_shift_step(kernel, r2, s2)
+        z0, z1, z2 = (si_solution(kernel, *s.mn) for s in (s0, s1, s2))
         slack = 1e-13 * max(1.0, inf_norm(z2))
         assert np.min(z1 - z0) >= -slack, f"dominance (eta,0) at k={k}"
         assert np.min(z2 - z1) >= -slack, f"dominance (eta,xi) at k={k}"
         if inf_norm(z2 - ref32) > 10 * tol * inf_norm(ref32):
             assert np.min(z2 - prev2) > 0.0, f"strict increase at k={k}"
-        m1, m2 = s2.M[:, 0], s2.M[:, 1]
-        n1, n2 = s2.N[:, 0], s2.N[:, 1]
+        m1, m2 = s2.m
+        n1, n2 = s2.n
         assert np.all(m1 >= 1.0 - bound_slack) and np.all(m2 >= 1.0 - bound_slack)
         assert np.all(n1 >= 1.0 - bound_slack)
         assert np.all(m1 <= m_lim * (1 + bound_slack) + bound_slack)

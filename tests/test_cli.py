@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from nare import build_problem, quadrature_params, shift
+from nare import build_problem, quadrature_params, shift, si
 from nare.cli import CSV_HEADER, main, run_solver
 from nare.sda import SdaConfig
 from nare.si import SiConfig
@@ -75,11 +75,12 @@ def test_run_solver_checks_the_shift_region_once(monkeypatch):
         return check(*args, **kwargs)
 
     monkeypatch.setattr(shift, "validate_shift", counted)
+    monkeypatch.setattr(si, "validate_shift", counted)  # si_shift_init's lookup
     problem = build_problem(quadrature_params(8))
     for solver in ("sda-single", "sda-double", "si-single", "si-double"):
         calls.clear()
         assert run_solver(problem, solver)[0].converged
-        # by shifted_coefficients (doubling) or low_rank_factors (vector), not by make_shift
+        # by shifted_coefficients (doubling) or si_shift_init (vector), not by make_shift
         assert len(calls) == 1, solver
 
 

@@ -27,8 +27,7 @@ from nare.sda import SdaConfig, sda_solve
 
 def one_step_metrics(prev, cur, ab, x_rows):
     """``factor_sweep_metrics`` of one step on rank-one factors, rows [m; n]."""
-    return factor_sweep_metrics(np.array([prev, cur])[:, :, None], np.array(ab)[None],
-                                np.asarray(x_rows)[None])[0]
+    return factor_sweep_metrics(np.array([prev, cur, ab])[:, :, None], np.asarray(x_rows)[None])[0]
 
 
 @pytest.fixture(scope="module")
@@ -83,10 +82,12 @@ def test_residual_matrix_bitwise_equals_direct_expression(n, rng):
 def test_factor_sweep_metrics_on_classic_sweeps(alpha, c):
     # every classic sweep is monotone, so the O(n) path runs; it must return
     # exactly the update error and the one-sign row sums of R = m n^T - a b^T,
-    # and agree with the generic row sums of the exact path to rounding
+    # and agree with the generic row sums of the exact path to rounding, step
+    # by step and on the one block stack that both metrics take
     problem = build_problem(quadrature_params(16, alpha, c))
     kernel = build_kernel(problem)
     state = si_init(problem)
+    states = [state]
     for _ in range(60):
         nxt = si_step(kernel, state)
         (m, n), (a, b) = nxt.mn, nxt.ab
@@ -98,6 +99,15 @@ def test_factor_sweep_metrics_on_classic_sweeps(alpha, c):
         assert generic[0] == err
         assert generic[1] == pytest.approx(res, rel=1e-13)
         state = nxt
+        states.append(state)
+    sweeps = np.array([s.mn for s in states] + [state.ab])
+    x_rows = np.array([s.x_rows for s in states[1:]])
+    classic = classic_sweep_metrics(sweeps, x_rows)
+    generic = factor_sweep_metrics(sweeps[:, :, None], x_rows)
+    assert len(classic) == len(generic) == 60
+    for (err, res), (g_err, g_res) in zip(classic, generic):
+        assert g_err == err
+        assert g_res == pytest.approx(res, rel=1e-13)
 
 
 def test_classic_sweep_metrics_batch_with_falling_and_nan_steps():
@@ -177,18 +187,18 @@ def test_factor_sweep_metrics_block_equals_steps_alone(mode, prob8):
     # a block of 16 shifted sweeps measured at once gives each step bit for bit
     # what it gives alone, and the update error is relative_update_error's
     kernel = build_kernel(prob8)
-    states = [si_shift_init(prob8, default_shift(prob8, mode))]
+    rows, state = si_shift_init(prob8, default_shift(prob8, mode))
+    states = [state]
     for _ in range(16):
-        states.append(si_shift_step(kernel, states[-1]))
-    factors = np.array([(s.M.T, s.N.T) for s in states])
-    ab = np.array([(s.M_next[:, 1], s.N_next[:, 0]) for s in states[1:]])
-    x_rows = np.array([s.z_rows for s in states[1:]])
-    block = factor_sweep_metrics(factors, ab, x_rows)
+        states.append(si_shift_step(kernel, rows, states[-1]))
+    sweeps = np.array([s.mn for s in states] + [states[-1].ab])
+    x_rows = np.array([s.x_rows for s in states[1:]])
+    block = factor_sweep_metrics(sweeps, x_rows)
     assert len(block) == 16
     for k, (prev, cur) in enumerate(zip(states, states[1:])):
-        assert block[k] == factor_sweep_metrics(factors[k:k + 2], ab[k:k + 1], x_rows[k:k + 1])[0]
-        assert block[k][0] == relative_update_error(((prev.M, cur.M), (prev.N, cur.N)))
-        z = kernel.T * (cur.M @ cur.N.T)
+        assert block[k] == factor_sweep_metrics(sweeps[k:k + 3], x_rows[k:k + 1])[0]
+        assert block[k][0] == relative_update_error(((prev.m.T, cur.m.T), (prev.n.T, cur.n.T)))
+        z = kernel.T * (cur.m.T @ cur.n)
         assert block[k][1] == pytest.approx(relative_residual(prob8, z), rel=1e-12)
 
 

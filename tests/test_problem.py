@@ -106,6 +106,16 @@ def test_non_finite_inputs_rejected():
                                       np.array([np.inf, 0.4])))
 
 
+@pytest.mark.parametrize("weights, omegas", [
+    ([0.5, 0.5], np.array([0.8, 0.4])),
+    (np.array([0.5, 0.5]), [0.8, 0.4]),
+    ([0.5, 0.5], [0.8, 0.4]),
+])
+def test_non_array_inputs_are_invalid_params(weights, omegas):
+    with pytest.raises(InvalidParams, match="1-D numpy arrays"):
+        build_problem(TransportParams(0.0, 1.0, weights, omegas))
+
+
 @pytest.mark.parametrize("c", [1e-310, 5e-324])
 def test_subnormal_c_is_refused_without_a_warning(c):
     # 1/(c omega) overflows at 1e-310 and divides by zero at 5e-324; the test

@@ -1,4 +1,6 @@
 from dataclasses import replace
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from nare import (
     build_kernel,
     build_problem,
     default_shift,
-    factors_to_solution,
     inf_norm,
     quadrature_params,
     relative_residual,
@@ -132,9 +133,9 @@ def test_si_shift_block_size_rule(n, max_iter, monkeypatch):
 
     calls = [0]
 
-    def counted(kernel, state, _step=nare.si.si_shift_step):
+    def counted(kernel, rows, state, _step=nare.si.si_shift_step):
         calls[0] += 1
-        return _step(kernel, state)
+        return _step(kernel, rows, state)
 
     monkeypatch.setattr(nare.si, "si_shift_step", counted)
     sol, _, _ = run_solver(build_problem(quadrature_params(n)), "si-double", max_iter=max_iter)
@@ -196,22 +197,22 @@ def test_si_shifted_double_count(prob32):
 def test_si_single_second_dual_column_vanishes(prob8):
     spec = default_shift(prob8, "single")
     kernel = build_kernel(prob8)
-    state = si_shift_init(prob8, spec)
+    rows, state = si_shift_init(prob8, spec)
     for _ in range(10):
-        state = si_shift_step(kernel, state)
-        assert np.all(state.N[:, 1] == 0.0)
+        state = si_shift_step(kernel, rows, state)
+        assert np.all(state.n[1] == 0.0)
 
 
 def test_zero_shift_matches_classic_iteration(prob8):
     spec = make_shift(prob8, 0.0, 0.0, "double")
     kernel = build_kernel(prob8)
-    z_state = si_shift_init(prob8, spec)
+    rows, z_state = si_shift_init(prob8, spec)
     v_state = si_init(prob8)
     for _ in range(25):
-        z_state = si_shift_step(kernel, z_state)
+        z_state = si_shift_step(kernel, rows, z_state)
         v_state = si_step(kernel, v_state)
         x_classic = si_solution(kernel, v_state.m, v_state.n)
-        z = factors_to_solution(kernel, z_state.M, z_state.N)
+        z = si_solution(kernel, z_state.m, z_state.n)
         assert np.max(np.abs(z - x_classic)) < 1e-13
 
 
@@ -219,15 +220,13 @@ def test_shift_dominance_small(prob8):
     spec0 = make_shift(prob8, 0.0, 0.0, "double")
     spec1 = default_shift(prob8, "single")
     spec2 = default_shift(prob8, "double")
-    s0 = si_shift_init(prob8, spec0)
-    s1 = si_shift_init(prob8, spec1)
-    s2 = si_shift_init(prob8, spec2)
     kernel = build_kernel(prob8)
+    (r0, s0), (r1, s1), (r2, s2) = (si_shift_init(prob8, s) for s in (spec0, spec1, spec2))
     for _ in range(40):
-        s0 = si_shift_step(kernel, s0)
-        s1 = si_shift_step(kernel, s1)
-        s2 = si_shift_step(kernel, s2)
-        z0, z1, z2 = (factors_to_solution(kernel, s.M, s.N) for s in (s0, s1, s2))
+        s0 = si_shift_step(kernel, r0, s0)
+        s1 = si_shift_step(kernel, r1, s1)
+        s2 = si_shift_step(kernel, r2, s2)
+        z0, z1, z2 = (si_solution(kernel, *s.mn) for s in (s0, s1, s2))
         slack = 1e-13 * max(1.0, inf_norm(z2))
         assert np.min(z1 - z0) >= -slack
         assert np.min(z2 - z1) >= -slack
@@ -244,11 +243,11 @@ def test_monotone_increase_random_admissible_shifts(prob8, rng):
         eta = rng.uniform(0.0, 1.0) / om1
         xi = rng.uniform(omega_lower_bound(eta, om1), 0.0)
         spec = make_shift(prob8, eta, xi, "double")
-        state = si_shift_init(prob8, spec)
-        prev = factors_to_solution(kernel, state.M, state.N)
+        rows, state = si_shift_init(prob8, spec)
+        prev = si_solution(kernel, *state.mn)
         for _ in range(30):
-            state = si_shift_step(kernel, state)
-            z = factors_to_solution(kernel, state.M, state.N)
+            state = si_shift_step(kernel, rows, state)
+            z = si_solution(kernel, *state.mn)
             assert np.min(z - prev) > 0.0
             prev = z
 
@@ -257,11 +256,11 @@ def test_monotone_increase_and_upper_bound(prob8):
     spec = default_shift(prob8, "double")
     ref = sda_solve(prob8, shifted_coefficients(prob8, spec), SdaConfig(tol=1e-14))
     kernel = build_kernel(prob8)
-    state = si_shift_init(prob8, spec)
-    prev = factors_to_solution(kernel, state.M, state.N)
+    rows, state = si_shift_init(prob8, spec)
+    prev = si_solution(kernel, *state.mn)
     for _ in range(60):
-        state = si_shift_step(kernel, state)
-        z = factors_to_solution(kernel, state.M, state.N)
+        state = si_shift_step(kernel, rows, state)
+        z = si_solution(kernel, *state.mn)
         gap = inf_norm(z - ref.x)
         if gap <= 10 * 64 * 2.0 ** -52:
             break
@@ -275,12 +274,12 @@ def test_component_limits(prob32):
     # cycles in the last bit, so exact stationarity never happens)
     spec = default_shift(prob32, "double")
     kernel = build_kernel(prob32)
-    state = si_shift_init(prob32, spec)
+    rows, state = si_shift_init(prob32, spec)
     for _ in range(300):
-        state = si_shift_step(kernel, state)
-    x = factors_to_solution(kernel, state.M, state.N)
-    m1, m2 = state.M[:, 0], state.M[:, 1]
-    n1, n2 = state.N[:, 0], state.N[:, 1]
+        state = si_shift_step(kernel, rows, state)
+    x = si_solution(kernel, *state.mn)
+    m1, m2 = state.m
+    n1, n2 = state.n
     m_lim = x @ prob32.q + 1.0
     n_lim = x.T @ prob32.q + 1.0
     assert inf_norm(m1 - m2) <= 1e-8 * inf_norm(m_lim)
@@ -293,12 +292,20 @@ def test_factors_to_solution_matches_triple_loop(prob4, rng):
     kernel = build_kernel(prob4)
     m_fac = rng.uniform(0.0, 2.0, (prob4.n, 2))
     n_fac = rng.uniform(0.0, 2.0, (prob4.n, 2))
-    direct = factors_to_solution(kernel, m_fac, n_fac)
+    direct = si_solution(kernel, m_fac.T, n_fac.T)
     brute = oracles.hadamard_triple_loop(kernel.T, m_fac, n_fac)
     assert np.max(np.abs(direct - brute)) < 1e-14
-    assert np.array_equal(factors_to_solution(kernel, np.zeros((prob4.n, 2)),
-                                              np.zeros((prob4.n, 2))),
+    assert np.array_equal(si_solution(kernel, np.zeros((2, prob4.n)), np.zeros((2, prob4.n))),
                           np.zeros((prob4.n, prob4.n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 64, 255, 512])
+def test_si_solution_of_vectors_is_bitwise_the_outer_product(n, rng):
+    # the classic X takes the rank-one path of the factor-row product, a
+    # one-term matmul, which must round as np.outer does
+    kernel = SimpleNamespace(T=rng.uniform(0.0, 1.0, (n, n)))
+    m, nv = rng.uniform(0.0, 3.0, (2, n))
+    assert np.array_equal(si_solution(kernel, m, nv), kernel.T * np.outer(m, nv))
 
 
 def test_scalar_shifted_limit(prob1):
@@ -354,27 +361,26 @@ def test_factored_residual_matches_dense_residual(run):
     config = SiConfig(tol=1e-300, max_iter=40)
     if spec is None:
         sol = si_solve(problem, config)
-        state, step = si_init(problem), si_step
-        x_of = lambda s: si_solution(kernel, s.m, s.n)  # noqa: E731
+        state, step = si_init(problem), partial(si_step, kernel)
     else:
         sol = si_shifted_solve(problem, spec, config)
-        state, step = si_shift_init(problem, spec), si_shift_step
-        x_of = lambda s: factors_to_solution(kernel, s.M, s.N)  # noqa: E731
+        rows, state = si_shift_init(problem, spec)
+        step = partial(si_shift_step, kernel, rows)
     # both metrics round at the scale of Gamma and Delta, 1/(c (1 -+ alpha))
     tol = 4 * problem.n * EPS / (problem.params.c * (1.0 - problem.params.alpha))
     for res in sol.res_history:
-        state = step(kernel, state)
-        assert abs(res - relative_residual(problem, x_of(state))) <= tol
+        state = step(state)
+        assert abs(res - relative_residual(problem, si_solution(kernel, *state.mn))) <= tol
 
 
 def test_shift_step_row_sums_of_z_with_negative_factor_entries(prob8, rng):
     # a negative factor entry can make Z negative somewhere; the row sums that
     # scale the residual must then be those of |Z|
     kernel = build_kernel(prob8)
-    state = si_shift_init(prob8, default_shift(prob8, "double"))
+    rows, state = si_shift_init(prob8, default_shift(prob8, "double"))
     m_fac, n_fac = rng.uniform(0.5, 2.0, (2, prob8.n, 2))
     n_fac[:, 1] *= -4.0
-    state = si_shift_step(kernel, replace(state, M_next=m_fac, N_next=n_fac))
-    z = factors_to_solution(kernel, m_fac, n_fac)
+    state = si_shift_step(kernel, rows, replace(state, ab=np.array([m_fac.T, n_fac.T])))
+    z = si_solution(kernel, m_fac.T, n_fac.T)
     assert np.min(z) < 0.0
-    assert state.z_rows == pytest.approx(np.abs(z).sum(axis=1), rel=1e-14)
+    assert state.x_rows == pytest.approx(np.abs(z).sum(axis=1), rel=1e-14)

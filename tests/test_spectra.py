@@ -328,6 +328,19 @@ def test_rate_bounds(prob32):
     assert 0.0 < double < single < 1.0
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, "below"])
+def test_rate_bound_refuses_a_gamma_that_sda_solve_refuses(prob8, gamma):
+    # the bound takes gamma through the doubling's own rule, so a gamma the
+    # solver would refuse gives no rate
+    if gamma == "below":
+        gamma = 0.5 * float(np.max(np.diag(prob8.quad.D)))
+    with pytest.raises(ValueError, match="gamma"):
+        sda_solve(prob8, prob8.quad, SdaConfig(gamma=gamma))
+    for spec in (None, default_shift(prob8, "double")):
+        with pytest.raises(ValueError, match="gamma"):
+            sda_rate_bound(prob8, spec, gamma=gamma)
+
+
 def test_rate_bound_single_second_factor_is_one(prob32):
     # with a single shift the dual side keeps its zero eigenvalue, so the
     # product equals the primal factor alone
