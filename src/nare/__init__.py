@@ -40,7 +40,7 @@ from .problem import (
     gauss_legendre_composite,
     quadrature_params,
 )
-from .sda import SdaConfig, SdaState, sda_init, sda_solve, sda_step
+from .sda import SdaConfig, sda_init, sda_solve, sda_step
 from .shift import (
     ShiftSpec,
     default_shift,
@@ -49,7 +49,6 @@ from .shift import (
     validate_shift,
 )
 from .si import (
-    HadamardKernel,
     SiConfig,
     SiState,
     build_kernel,
@@ -70,7 +69,6 @@ from .spectra import (
     sda_rate_bound,
     secular_sums,
     shifted_interlaced_spectrum,
-    shifted_secular,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@
 
 ``certify_m_matrix`` checks a dense matrix by its LU inverse.  The two that
 ``solution_report`` certifies, [[D, -C], [-B, A]] and D - CX, are a positive
-diagonal minus rank two on the quadruple's ``form``, and are checked in O(n^2).
+diagonal minus rank two on the quadruple's factors, and are checked in O(n^2).
 """
 
 import math
@@ -13,7 +13,7 @@ from scipy.linalg import lapack
 
 from .errors import InsufficientHistory, SingularMatrix
 from .linalg import EPS, inf_norm, lu_inverse
-from .problem import low_rank_form, require_critical
+from .problem import require_critical
 
 Z_PATTERN_TOL = 1e-14
 INVERSE_SIGN_TOL = 1e-12
@@ -166,13 +166,14 @@ def shift_equivalence_gap(problem, quad, x):
 
     Rbar uses the shifted coefficients and R the original equation; their
     agreement at the minimal solution is what makes the shifted equation
-    interchangeable with the original.  On the quadruple's ``form`` both
+    interchangeable with the original.  On the quadruple's factors both
     share -X Gamma - Delta X, so the gap is
     ||(X Q1 + E2)(X^T Q2 + E1)^T - (Xq + e)(q^T X + e^T)||, O(n^2).
     """
-    x, f = np.asarray(x, dtype=np.float64), quad.form
-    left = np.column_stack([x @ f.q1 + f.e2, -(x @ problem.q + problem.e)])
-    return inf_norm(left @ np.column_stack([x.T @ f.q2 + f.e1, problem.q @ x + problem.e]).T)
+    x = np.asarray(x, dtype=np.float64)
+    left = np.column_stack([x @ quad.q1 + quad.e2, -(x @ problem.q + problem.e)])
+    return inf_norm(left @ np.column_stack([x.T @ quad.q2 + quad.e1,
+                                            problem.q @ x + problem.e]).T)
 
 
 @dataclass(frozen=True)
@@ -270,23 +271,21 @@ def solution_report(problem, solution, shifted_quad=None):
     """Assemble a SolutionReport for a solve on ``problem``.
 
     Identity gaps are only defined in the critical case; the certificates
-    use the ``form`` of the quadruple that was actually solved when a
+    use the factors of the quadruple that was actually solved when a
     shifted one is supplied, and D - CX = Gamma - Q1 (X^T Q2 + E1)^T.
     """
     x = np.asarray(solution.x, dtype=np.float64)
-    form = shifted_quad.form if shifted_quad is not None else low_rank_form(problem)
-    if form is None:
-        raise ValueError("a quadruple built by hand carries no form to report on")
+    quad = problem.quad if shifted_quad is None else shifted_quad
     gaps = {}
     if problem.is_critical:
         gaps = solution_identities(problem, x)
         if shifted_quad is not None:
             gaps["shift_equivalence_gap"] = shift_equivalence_gap(problem, shifted_quad, x)
     certs = {
-        "closed_loop": _certify_low_rank(form.gamma, form.q1, x.T @ form.q2 + form.e1).status,
-        "block_matrix": _certify_low_rank(np.concatenate([form.gamma, form.delta]),
-                                          np.vstack([form.q1, form.e2]),
-                                          np.vstack([form.e1, form.q2])).status,
+        "closed_loop": _certify_low_rank(quad.gamma, quad.q1, x.T @ quad.q2 + quad.e1).status,
+        "block_matrix": _certify_low_rank(np.concatenate([quad.gamma, quad.delta]),
+                                          np.vstack([quad.q1, quad.e2]),
+                                          np.vstack([quad.e1, quad.q2])).status,
     }
     try:
         rate, order = convergence_order(solution.err_history)

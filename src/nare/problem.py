@@ -1,16 +1,14 @@
 """Transport-problem construction.
 
 Derives the vectors q, e, delta, gamma from physical parameters (alpha, c)
-and a direction/weight set (omega_i, c_i).  Every coefficient quadruple is
-diagonal plus rank two, D = Gamma - Q1 E1^T, C = Q1 Q2^T, B = E2 E1^T,
-A = Delta - E2 Q2^T, and one assembly builds them all; the original
-A = Delta - e q^T, B = e e^T, C = q q^T, D = Gamma - q e^T is the zero
-shift, bit for bit.  The 2n x 2n block matrices are built on request, and
-``require_critical`` is the one gate of every operation defined only at
-(alpha, c) = (0, 1).
+and a direction/weight set (omega_i, c_i).  Every coefficient quadruple is a
+positive diagonal plus rank two (``CoefficientQuadruple``), and
+``low_rank_form`` builds them all; the original A = Delta - e q^T, B = e e^T,
+C = q q^T, D = Gamma - q e^T is the zero shift, bit for bit.  The 2n x 2n
+block matrices are built on request, and ``require_critical`` is the one
+gate of every operation defined only at (alpha, c) = (0, 1).
 """
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,30 +73,41 @@ class TransportParams:
             raise InvalidParams("omegas must be strictly descending")
 
 
-# Gamma, Delta and the n x 2 factors of D = Gamma - Q1 E1^T, C = Q1 Q2^T,
-# B = E2 E1^T and A = Delta - E2 Q2^T: the form every quadruple is built from
-LowRankForm = namedtuple("LowRankForm", "gamma delta q1 q2 e1 e2")
-
-
 @dataclass(frozen=True)
 class CoefficientQuadruple:
-    """Four n x n coefficient matrices of a Riccati instance.
-
-    ``tag`` records how the quadruple was generated (original,
-    single-shift, double-shift); ``form`` is the LowRankForm it was
-    assembled from, None for one built by hand.
+    """The coefficient quadruple of a Riccati instance: the diagonals Gamma, Delta and
+    the n x 2 factors Q1, Q2, E1, E2 of D = Gamma - Q1 E1^T, C = Q1 Q2^T, B = E2 E1^T
+    and A = Delta - E2 Q2^T, whose dense forms are built on each access, not stored.
+    ``tag`` records how it was generated (original, single-shift, double-shift).
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
+    gamma: np.ndarray
+    delta: np.ndarray
+    q1: np.ndarray
+    q2: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
     tag: str = "original"
-    form: LowRankForm = None
 
     @property
     def n(self):
-        return self.A.shape[0]
+        return len(self.gamma)
+
+    @property
+    def A(self):
+        return np.diag(self.delta) - self.e2 @ self.q2.T
+
+    @property
+    def B(self):
+        return self.e2 @ self.e1.T
+
+    @property
+    def C(self):
+        return self.q1 @ self.q2.T
+
+    @property
+    def D(self):
+        return np.diag(self.gamma) - self.q1 @ self.e1.T
 
 
 @dataclass(frozen=True)
@@ -114,7 +123,7 @@ class TransportProblem:
     @property
     def quad(self):
         """The original coefficient quadruple, built on each access, not stored."""
-        return assemble_quadruple(low_rank_form(self))
+        return low_rank_form(self)
 
     @property
     def n(self):
@@ -179,33 +188,23 @@ def build_problem(params):
     return TransportProblem(params=params, q=q, e=e, delta=delta, gamma=gamma)
 
 
-def low_rank_form(problem, eta=0.0, xi=0.0):
-    """The LowRankForm of the quadruple shifted by (eta, xi); (0, 0) is the original.
+def low_rank_form(problem, eta=0.0, xi=0.0, tag="original"):
+    """The quadruple shifted by (eta, xi); (0, 0) is the original.
 
     Q1 = [(I - eta G^-1) q, q]      Q2 = [q, xi D^-1 q]
     E1 = [e, -xi G^-1 e]            E2 = [(I + eta D^-1) e, e]
 
     with G = Gamma, D = Delta.  At (0, 0) the second columns of Q2 and E1 are
-    zeros, so ``assemble_quadruple``'s products round as rank-one outer products.
+    zeros, so the dense A-D round as rank-one outer products.
     """
     q, e, gamma, delta = problem.q, problem.e, problem.gamma, problem.delta
-    return LowRankForm(
+    return CoefficientQuadruple(
         gamma, delta,
         q1=np.column_stack([(1.0 - eta / gamma) * q, q]),
         q2=np.column_stack([q, xi * q / delta]),
         e1=np.column_stack([e, -xi * e / gamma]),
         e2=np.column_stack([(1.0 + eta / delta) * e, e]),
-    )
-
-
-def assemble_quadruple(form, tag="original"):
-    """The dense quadruple of a LowRankForm, which it keeps as ``form``."""
-    return CoefficientQuadruple(
-        A=np.diag(form.delta) - form.e2 @ form.q2.T,
-        B=form.e2 @ form.e1.T,
-        C=form.q1 @ form.q2.T,
-        D=np.diag(form.gamma) - form.q1 @ form.e1.T,
-        tag=tag, form=form,
+        tag=tag,
     )
 
 

@@ -60,7 +60,9 @@ class SdaState:
 
 
 def resolve_gamma(quad, config):
-    bound = max(float(np.max(np.diag(quad.A))), float(np.max(np.diag(quad.D))))
+    # diag(A) = Delta - rowsum(E2 o Q2) and diag(D) = Gamma - rowsum(Q1 o E1), O(n)
+    bound = max(float(np.max(quad.delta - (quad.e2 * quad.q2).sum(axis=1))),
+                float(np.max(quad.gamma - (quad.q1 * quad.e1).sum(axis=1))))
     if config.gamma is None:
         return bound
     gamma = float(config.gamma)
@@ -80,11 +82,11 @@ def sda_init(quad, config=None):
     which signals an invalid quadruple or gamma.
     """
     gamma = resolve_gamma(quad, config or SdaConfig())
-    eye = np.eye(quad.n)
+    eye, b = np.eye(quad.n), quad.B  # each access builds the array
     dg_inv = lu_inverse(quad.D + gamma * eye)
     dg_inv_c = dg_inv @ quad.C
-    w_inv = lu_inverse(quad.A + gamma * eye - quad.B @ dg_inv_c)
-    b_dg_inv = quad.B @ dg_inv
+    w_inv = lu_inverse(quad.A + gamma * eye - b @ dg_inv_c)
+    b_dg_inv = b @ dg_inv
     g0 = 2.0 * gamma * dg_inv_c @ w_inv
     e0 = eye - 2.0 * gamma * dg_inv - g0 @ b_dg_inv
     return SdaState(E=e0, F=eye - 2.0 * gamma * w_inv, G=g0,

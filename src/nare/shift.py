@@ -9,7 +9,7 @@ nonnegative solution.
 from dataclasses import dataclass
 
 from .errors import ShiftOutOfRegion
-from .problem import assemble_quadruple, low_rank_form, require_critical
+from .problem import low_rank_form, require_critical
 
 
 def omega_lower_bound(eta, omega1):
@@ -95,8 +95,7 @@ def default_shift(problem, mode):
 def shifted_coefficients(problem, shift, check=True):
     """Coefficient quadruple of the shifted equation.
 
-    Assembled by ``problem.assemble_quadruple`` from the rank-two factors of
-    ``problem.low_rank_form``, which it keeps as ``form``.  Dbar, Cbar, Bbar, Abar
+    The ``problem.low_rank_form`` at (eta, xi), after the region check.  Dbar, Cbar, Bbar, Abar
     equal D + eta v1 r1^T + xi s1 u1^T, C - eta v1 r2^T - xi s1 u2^T,
     B + eta v2 r1^T + xi s2 u1^T and A - eta v2 r2^T - xi s2 u2^T; single
     mode is the xi = 0 specialization.  ``check=False`` skips region
@@ -106,4 +105,4 @@ def shifted_coefficients(problem, shift, check=True):
     if check:
         validate_shift(shift.eta, shift.xi, shift.mode, float(problem.omegas[0]))
     tag = "single-shift" if shift.mode == "single" else "double-shift"
-    return assemble_quadruple(low_rank_form(problem, shift.eta, shift.xi), tag)
+    return low_rank_form(problem, shift.eta, shift.xi, tag)

@@ -123,11 +123,11 @@ def si_shift_init(problem, shift):
     with a broadcast axis, then E1^T and E2^T, of ``problem.low_rank_form``.
     """
     validate_shift(shift.eta, shift.xi, shift.mode, float(problem.omegas[0]), relaxed=True)
-    q1, q2, e1, e2 = low_rank_form(problem, shift.eta, shift.xi)[2:]
-    rows = (np.vstack([q1.T, problem.e])[:, None], q2.T[:, None], e1.T.copy(), e2.T.copy())
+    f = low_rank_form(problem, shift.eta, shift.xi)
+    rows = (np.vstack([f.q1.T, problem.e])[:, None], f.q2.T[:, None], f.e1.T.copy(), f.e2.T.copy())
     # the first sweep reads E2^T, E1^T as transposed views of the column-stacked
     # factors: C-ordered rows change the last bits of its GEMMs' sums
-    ab = np.array([e2, e1]).transpose(0, 2, 1)
+    ab = np.array([f.e2, f.e1]).transpose(0, 2, 1)
     return rows, SiState(np.zeros((2, 2, problem.n)), ab, np.zeros(problem.n))
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketFailure, PoleHit, ShiftOutOfRegion
-from .problem import require_critical
+from .problem import low_rank_form, require_critical
 from .sda import SdaConfig, resolve_gamma
 from .shift import omega_lower_bound, validate_shift
 
@@ -91,19 +91,6 @@ def secular_sums(problem, lam):
     if np.any(np.abs(1.0 / problem.omegas - lam) < POLE_GUARD):
         raise PoleHit(f"lambda = {lam!r} collides with a pole 1/omega_i")
     return tuple(float(g[0]) for g in _secular_evaluator(problem)(lam))
-
-
-def shifted_secular(problem, shift, lam):
-    """Secular function of the shifted block matrix: g1 + eta*xi*g2*g3.
-
-    Off the poles its zeros are exactly the eigenvalues of the shifted
-    block matrix; at xi = 0 it reduces to g1, whose off-pole zeros are
-    zero plus the interior eigenvalues of the unshifted matrix.
-    """
-    g1, g2, g3 = secular_sums(problem, lam)  # the critical-case gate
-    validate_shift(shift.eta, shift.xi, shift.mode, float(problem.omegas[0]),
-                   relaxed=True)
-    return g1 + shift.eta * shift.xi * g2 * g3
 
 
 def _bisect(sign, lo, hi, sign_lo, width):
@@ -280,7 +267,8 @@ def sda_rate_bound(problem, shift=None, gamma=None):
     eta, xi = (shift.eta, shift.xi) if shift is not None else (0.0, 0.0)
     if shift is not None:
         validate_shift(eta, xi, shift.mode, float(problem.omegas[0]), relaxed=True)
-    gamma = resolve_gamma(problem.quad, SdaConfig(gamma=gamma))  # sda_solve's gamma rule
+    # sda_solve's gamma rule, on the quadruple that the shifted run iterates
+    gamma = resolve_gamma(low_rank_form(problem, eta, xi), SdaConfig(gamma=gamma))
     # a single shift's xi = 0 gives |cayley(-0.0)| = 1, as an unshifted zero does
     rho1 = max(abs(cayley(z, gamma)) for z in np.concatenate([[eta], lams]))
     rho2 = max(abs(cayley(z, gamma)) for z in np.concatenate([[-xi], lams]))

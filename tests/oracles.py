@@ -130,6 +130,20 @@ def shifted_quadruple_dense(problem, eta, xi):
             np.diag(gamma) - q1 @ e1.T)
 
 
+def shifted_secular(problem, shift, lam):
+    """The shifted block matrix's secular function g1 + eta xi g2 g3, written out:
+
+    g1 = lam sum c_i/(1/om_i - lam), g2 = sum c_i om_i/(1/om_i - lam) and
+    g3 = sum c_i/(om_i (1/om_i - lam)).  Off the poles its zeros are exactly the
+    eigenvalues of the shifted block matrix; at xi = 0 it reduces to g1, whose
+    off-pole zeros are zero plus the interior eigenvalues of the unshifted matrix.
+    """
+    om, c = problem.omegas, problem.weights
+    den = 1.0 / om - lam
+    g1 = lam * np.sum(c / den)
+    return float(g1 + shift.eta * shift.xi * np.sum(c * om / den) * np.sum(c / om / den))
+
+
 def shift_equivalence_gap_dense(problem, quad, x):
     """||Rbar(X) - R(X)||_inf with R(X) = XCX - XD - AX + B formed densely for both."""
     a, b, c, d = original_quadruple_dense(problem)

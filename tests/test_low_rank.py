@@ -11,7 +11,6 @@ import pytest
 
 from oracles import original_quadruple_dense, shifted_quadruple_dense
 from nare import (
-    CoefficientQuadruple,
     Solution,
     SdaConfig,
     TransportParams,
@@ -26,6 +25,7 @@ from nare import (
 from nare.cli import SOLVERS, run_solver
 from nare.diagnostics import _certify_low_rank
 from nare.problem import block_matrix
+from nare.sda import resolve_gamma
 from nare.shift import ShiftSpec, make_shift, omega_lower_bound
 
 POINTS = ((0.0, 1.0), (0.3, 0.9), (1e-6, 1.0 - 1e-6))
@@ -49,7 +49,7 @@ def dense_statuses(quad, x):
 def test_quadruples_equal_the_written_out_formulas(n, alpha, c):
     problem = small_problem(n, alpha, c)
     quad = problem.quad
-    assert quad.tag == "original" and quad.form is not None
+    assert quad.tag == "original" and quad.n == n
     for got, want in zip((quad.A, quad.B, quad.C, quad.D), original_quadruple_dense(problem)):
         assert np.array_equal(got, want)
     half = 1.0 / (2.0 * float(problem.omegas[0]))
@@ -58,6 +58,17 @@ def test_quadruples_equal_the_written_out_formulas(n, alpha, c):
         want = shifted_quadruple_dense(problem, spec.eta, spec.xi)
         for got, ref in zip((quad.A, quad.B, quad.C, quad.D), want):
             assert np.array_equal(got, ref), spec
+
+
+@pytest.mark.parametrize("alpha, c", ((0.0, 1.0), (0.3, 0.9), (0.5, 0.5), (1e-6, 1.0 - 1e-6)))
+@pytest.mark.parametrize("n", (1, 4, 32))
+def test_gamma_bound_from_factors_is_the_dense_diagonal_bound(n, alpha, c):
+    problem = small_problem(n, alpha, c)
+    half = 1.0 / (2.0 * float(problem.omegas[0]))
+    for spec in (None, ShiftSpec(half, 0.0, "single"), ShiftSpec(half, -half, "double")):
+        quad = problem.quad if spec is None else shifted_coefficients(problem, spec, check=False)
+        dense = max(float(np.max(np.diag(quad.A))), float(np.max(np.diag(quad.D))))
+        assert resolve_gamma(quad, SdaConfig()) == dense, spec
 
 
 @pytest.mark.parametrize("alpha, c", POINTS)
@@ -125,12 +136,3 @@ def test_factored_certificate_matches_dense_on_random_matrices(rng):
         assert cert.worst_offdiag == pytest.approx(dense.worst_offdiag, rel=1e-12, abs=1e-15)
         counts[cert.status] = counts.get(cert.status, 0) + 1
     assert len(counts) == 3, counts
-
-
-def test_report_refuses_a_quadruple_without_form(prob8):
-    quad = shifted_coefficients(prob8, default_shift(prob8, "double"))
-    sol = sda_solve(prob8, quad)
-    by_hand = CoefficientQuadruple(A=quad.A, B=quad.B, C=quad.C, D=quad.D)
-    assert sda_solve(prob8, by_hand).x.tobytes() == sol.x.tobytes()
-    with pytest.raises(ValueError, match="no form"):
-        solution_report(prob8, sol, by_hand)

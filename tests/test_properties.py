@@ -4,10 +4,11 @@ off (alpha, c) = (0, 1)."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
-from nare import NotCriticalCase, TransportParams, build_problem, inf_norm, spectra
+from nare import (InvalidParams, NotCriticalCase, TransportParams, build_problem, inf_norm,
+                  spectra)
 from nare.cli import run_solver
 from nare.diagnostics import solution_identities, solution_report
 from nare.shift import ShiftSpec, default_shift, make_shift, shifted_coefficients
@@ -84,7 +85,12 @@ def noncritical_params(draw):
     c = draw(st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True),
                        st.floats(1e-15, 1e-6).map(lambda d: 1.0 - d)))
     assume(not (alpha == 0.0 and c == 1.0))
-    return TransportParams(alpha, c, *draw(directions()))
+    params = TransportParams(alpha, c, *draw(directions()))
+    try:
+        build_problem(params)
+    except InvalidParams:  # a c so small that Gamma or Delta overflow, as a subnormal c does
+        reject()
+    return params
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -97,7 +103,6 @@ def test_every_critical_only_entry_point_is_refused(params):
         lambda: make_shift(problem, None, None, "double"),
         lambda: default_shift(problem, "single"),
         lambda: spectra.secular_sums(problem, 0.5),
-        lambda: spectra.shifted_secular(problem, spec, 0.5),
         lambda: spectra.interlaced_spectrum(problem),
         lambda: spectra.shifted_interlaced_spectrum(problem, spec),
         lambda: spectra.closed_loop_spectrum(problem),

@@ -37,9 +37,14 @@ def test_init_nonnegative_coupling(prob32):
     assert np.min(state.H) >= 0.0
 
 
+def factor_quadruple(gamma, delta):
+    """The 2 x 2 quadruple diag(delta), 0, 0, diag(gamma): zero factors."""
+    zero = np.zeros((2, 2))
+    return CoefficientQuadruple(np.full(2, gamma), np.full(2, delta), zero, zero, zero, zero)
+
+
 def test_init_degenerate_raises():
-    eye = np.eye(2)
-    quad = CoefficientQuadruple(A=eye, B=eye, C=eye, D=-eye, tag="original")
+    quad = factor_quadruple(-1.0, 1.0)  # D + gamma I = 0 at the bound gamma = 1
     with pytest.raises(SingularMatrix):
         sda_init(quad, SdaConfig(gamma=1.0))
 
@@ -193,8 +198,7 @@ def test_gamma_below_bound_rejected(prob32):
 
 
 def test_quadruple_size_mismatch_rejected(prob8, monkeypatch):
-    eye = np.eye(2)
-    quad = CoefficientQuadruple(A=2 * eye, B=eye, C=eye, D=2 * eye)
+    quad = factor_quadruple(2.0, 2.0)
     steps = []
     monkeypatch.setattr("nare.sda.sda_init", lambda *a: steps.append(a))
     with pytest.raises(ValueError, match="size"):

@@ -157,7 +157,8 @@ def test_single_shift_relocates_null_vector(prob32):
 
 def test_low_rank_factors_zero_shift(prob8):
     spec = make_shift(prob8, 0.0, 0.0, "double")
-    q1, q2, e1, e2 = low_rank_form(prob8, spec.eta, spec.xi)[2:]
+    form = low_rank_form(prob8, spec.eta, spec.xi)
+    q1, q2, e1, e2 = form.q1, form.q2, form.e1, form.e2
     assert np.array_equal(q1[:, 0], prob8.q) and np.array_equal(q1[:, 1], prob8.q)
     assert np.all(q2[:, 1] == 0.0) and np.all(e1[:, 1] == 0.0)
     quad = prob8.quad
@@ -169,7 +170,8 @@ def test_low_rank_factors_zero_shift(prob8):
 
 def test_low_rank_factors_n1(prob1):
     spec = default_shift(prob1, "double")
-    q1, q2, e1, e2 = low_rank_form(prob1, spec.eta, spec.xi)[2:]
+    form = low_rank_form(prob1, spec.eta, spec.xi)
+    q1, q2, e1, e2 = form.q1, form.q2, form.e1, form.e2
     assert np.allclose(q1, [[0.5, 1.0]], atol=0)
     assert np.allclose(q2, [[1.0, -0.5]], atol=0)
     assert np.allclose(e1, [[1.0, 0.5]], atol=0)
@@ -194,7 +196,8 @@ def test_low_rank_factors_reconstruct(prob32, rng):
         xi = rng.uniform(omega_lower_bound(eta, om1), 0.0)
         spec = make_shift(prob32, eta, xi, "double")
         a, b, c, d = oracles.shifted_quadruple_by_eigenvectors(prob32, eta, xi)
-        q1, q2, e1, e2 = low_rank_form(prob32, spec.eta, spec.xi)[2:]
+        form = low_rank_form(prob32, spec.eta, spec.xi)
+        q1, q2, e1, e2 = form.q1, form.q2, form.e1, form.e2
         assert np.max(np.abs(np.diag(prob32.gamma) - q1 @ e1.T - d)) < 1e-13
         assert np.max(np.abs(q1 @ q2.T - c)) < 1e-13
         assert np.max(np.abs(e2 @ e1.T - b)) < 1e-13

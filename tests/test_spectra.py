@@ -19,7 +19,6 @@ from nare import (
     secular_sums,
     shifted_coefficients,
     shifted_interlaced_spectrum,
-    shifted_secular,
 )
 from nare.sda import SdaConfig, sda_solve
 from nare.shift import make_shift, omega_lower_bound
@@ -129,7 +128,7 @@ def test_secular_sums_gap_chain(prob8):
 
 def test_shifted_secular_at_zero(prob8):
     spec = default_shift(prob8, "double")
-    val = shifted_secular(prob8, spec, 0.0)
+    val = oracles.shifted_secular(prob8, spec, 0.0)
     om, c = prob8.omegas, prob8.weights
     expected = spec.eta * spec.xi * float(np.sum(c * om ** 2)) * float(np.sum(c))
     assert val == pytest.approx(expected, rel=1e-14)
@@ -140,7 +139,7 @@ def test_shifted_secular_xi_zero_reduces_to_g1(prob8):
     spec = make_shift(prob8, 0.3, 0.0, "single")
     for lam in (0.1, 0.7, 1.9):
         g1, _, _ = secular_sums(prob8, lam)
-        assert shifted_secular(prob8, spec, lam) == pytest.approx(g1, rel=1e-15)
+        assert oracles.shifted_secular(prob8, spec, lam) == pytest.approx(g1, rel=1e-15)
 
 
 def test_shifted_secular_vanishes_at_shifted_eigenvalues(prob4):
@@ -149,7 +148,7 @@ def test_shifted_secular_vanishes_at_shifted_eigenvalues(prob4):
     for lam in np.linalg.eigvals(mbar).real:
         g1, g2, g3 = secular_sums(prob4, lam)
         scale = max(1.0, abs(g1), abs(spec.eta * spec.xi * g2 * g3))
-        assert abs(shifted_secular(prob4, spec, lam)) <= 1e-7 * scale
+        assert abs(oracles.shifted_secular(prob4, spec, lam)) <= 1e-7 * scale
 
 
 def test_interlaced_spectrum_n1(prob1):
@@ -343,9 +342,17 @@ def test_rate_bound_refuses_a_gamma_that_sda_solve_refuses(prob8, gamma):
 
 def test_rate_bound_single_second_factor_is_one(prob32):
     # with a single shift the dual side keeps its zero eigenvalue, so the
-    # product equals the primal factor alone
+    # product equals the primal factor alone; gamma is the shifted run's bound
     spec = default_shift(prob32, "single")
-    gamma = float(np.max(np.diag(prob32.quad.D)))
+    quad = shifted_coefficients(prob32, spec)
+    gamma = max(float(np.max(np.diag(quad.A))), float(np.max(np.diag(quad.D))))
     lams = closed_loop_spectrum(prob32)[1:]
     primal = max(abs(cayley(z, gamma)) for z in np.concatenate([[spec.eta], lams]))
     assert sda_rate_bound(prob32, spec, gamma=gamma) == pytest.approx(primal, rel=1e-12)
+    # the original quadruple's bound is below it: the shifted run refuses it, and so does the rate
+    below = float(np.max(np.diag(prob32.quad.D)))
+    assert below < gamma
+    for call in (lambda: sda_solve(prob32, quad, SdaConfig(gamma=below)),
+                 lambda: sda_rate_bound(prob32, spec, gamma=below)):
+        with pytest.raises(ValueError, match="below the admissible bound"):
+            call()
