@@ -67,7 +67,6 @@ from .spectra import (
     closed_loop_spectrum,
     interlaced_spectrum,
     sda_rate_bound,
-    secular_sums,
     shifted_interlaced_spectrum,
 )
 

@@ -237,17 +237,9 @@ def cmd_spectrum(args, out):
     problem = build_from_args(args)
     if args.eta is not None or args.xi is not None:
         spec = _shift_for(problem, "double", args.eta, args.xi)
-        if spec.xi == 0.0:
-            # a single shift leaves the characteristic polynomial unchanged
-            shift.validate_shift(spec.eta, spec.xi, spec.mode, float(problem.omegas[0]),
-                                 relaxed=True)
-            report = spectra.interlaced_spectrum(problem)
-            print("# single-shift spectrum coincides with the unshifted one",
-                  file=out)
-        else:
-            report = spectra.shifted_interlaced_spectrum(problem, spec)
-            print(f"# eigenvalues of the double-shifted block matrix "
-                  f"(eta={spec.eta:.6g}, xi={spec.xi:.6g})", file=out)
+        report = spectra.shifted_interlaced_spectrum(problem, spec)
+        print(f"# eigenvalues of the double-shifted block matrix "
+              f"(eta={spec.eta:.6g}, xi={spec.xi:.6g})", file=out)
     else:
         report = spectra.interlaced_spectrum(problem)
         print("# eigenvalues of the critical block matrix", file=out)

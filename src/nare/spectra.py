@@ -1,19 +1,20 @@
 """Secular-equation machinery: eigenvalue location by bisection, Cayley rates.
 
-The double-shifted block matrix factors as
+The shifted block matrix factors as
 
     det(Mbar - lam I) = -prod_i(1/om_i - lam)^2 * (g1 + eta*xi*g2*g3)(lam)
 
-with the rational sums g1, g2, g3 below, and the critical-case block
-matrix is its eta*xi = 0 case,
+with g1 = lam s(c), g2 = s(c om), g3 = s(c/om) for the rational sums
+s(num) = sum_i num_i/(1/om_i - lam).  A shift with eta*xi = 0, the single
+shift among them, leaves the factor of the critical block matrix,
 
     det(M - lam I) = -prod_i(1/om_i - lam)^2 * g1(lam),
 
 so the eigenvalues of M are 0 (g1 carries the factor lam), the n poles
 1/om_i (the squared prefactor cancels each simple pole of g1) and one root
 of g1 per pole gap.  The rational sums stay finite at any n, so the roots
-are bisected on their sign, all gaps of a spectrum at once, and the
-product prefactor, which overflows doubles near the spectrum edges, is
+are bisected on their sign, all gaps at once and on only the sums read, and
+the product prefactor, which overflows doubles near the spectrum edges, is
 never formed.  (Deriving the determinant of the diagonal-plus-rank-2 form
 gives g1, not lam*g1, in the first term; the n=1 case with the boundary
 shift confirms it: the shifted matrix has the double eigenvalue
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketFailure, PoleHit, ShiftOutOfRegion
+from .errors import BracketFailure, PoleHit
 from .problem import low_rank_form, require_critical
 from .sda import SdaConfig, resolve_gamma
 from .shift import omega_lower_bound, validate_shift
@@ -59,38 +60,20 @@ class SpectrumReport:
         return np.sort(np.concatenate(parts))
 
 
-def _secular_evaluator(problem):
-    """Return ``sums``: lams -> (g1, g2, g3), each an array over ``lams``.
+def _rational_sums(problem, *nums):
+    """Return ``sums``: lams -> [s(num) at each of lams, for num in nums].
 
-    g1 = lam * sum c_i/(1/om_i - lam)
-    g2 = sum c_i om_i/(1/om_i - lam)
-    g3 = sum c_i/(om_i (1/om_i - lam))
-
-    The poles and numerators are formed once per problem.  Each point is
-    one row of the n-wide denominators, summed along the row, so a point
-    rounds the same in a batch as in a call of its own.
+    Each point is one row of the n-wide denominators, summed along the row,
+    so a point rounds the same in a batch as in a call of its own.
     """
-    om, c = problem.omegas, problem.weights
-    poles = 1.0 / om
-    num1, num2, num3 = c, c * om, c / om
+    poles = 1.0 / problem.omegas
 
     def sums(lams):
         lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
         den = poles - lams[:, None]
-        return (lams * np.sum(num1 / den, axis=1),
-                np.sum(num2 / den, axis=1),
-                np.sum(num3 / den, axis=1))
+        return [np.sum(num / den, axis=1) for num in nums]
 
     return sums
-
-
-def secular_sums(problem, lam):
-    """The three rational sums (g1, g2, g3) at ``lam``, as floats."""
-    require_critical(problem, "the secular machinery")
-    lam = float(lam)
-    if np.any(np.abs(1.0 / problem.omegas - lam) < POLE_GUARD):
-        raise PoleHit(f"lambda = {lam!r} collides with a pole 1/omega_i")
-    return tuple(float(g[0]) for g in _secular_evaluator(problem)(lam))
 
 
 def _bisect(sign, lo, hi, sign_lo, width):
@@ -119,24 +102,32 @@ def _bisect(sign, lo, hi, sign_lo, width):
     return 0.5 * (lo + hi), lo, hi
 
 
+def _gap_roots(problem, sign, sign_lo):
+    """Bisect ``sign`` over every gap between the sorted poles 1/om_i at once.
+
+    Returns the sorted poles and ``_bisect``'s roots, lower and upper ends.
+    """
+    poles = np.sort(1.0 / problem.omegas)
+    return (poles, *_bisect(sign, poles[:-1], poles[1:], sign_lo,
+                            BRACKET_WIDTH_FACTOR * poles[-1]))
+
+
 def interlaced_spectrum(problem):
     """Eigenvalues of the critical block matrix M.
 
     Returns 0, the n poles 1/om_i, and one bisected root of g1 strictly
     inside each pole gap, with the strict interlacing verified.  g1 falls
     to -inf just right of each pole and rises to +inf just left of the
-    next, which fixes the starting signs.  The residual of a root is
-    |sum_j t_j| / max_j |t_j| with t_j = c_j/(1/om_j - lam): the level of
-    cancellation left in g1/lam.
+    next, which fixes the starting signs; every gap lies at lam > 0, so
+    s(c) = g1/lam, which is bisected, has g1's sign.  The residual of a
+    root is |sum_j t_j| / max_j |t_j| with t_j = c_j/(1/om_j - lam): the
+    level of cancellation left in g1/lam.
     """
     require_critical(problem, "the secular machinery")
-    poles = np.sort(1.0 / problem.omegas)
-    width = BRACKET_WIDTH_FACTOR * poles[-1]
-    sums = _secular_evaluator(problem)
-    roots, lo, hi = _bisect(lambda lams, ks: np.sign(sums(lams)[0]),
-                            poles[:-1], poles[1:], -1.0, width)
+    sums = _rational_sums(problem, problem.weights)
+    poles, roots, lo, hi = _gap_roots(problem, lambda lams, ks: np.sign(sums(lams)[0]), -1.0)
     terms = problem.weights / (1.0 / problem.omegas - roots[:, None])
-    residuals = np.abs(sums(roots)[0]) / (roots * np.max(np.abs(terms), axis=1))
+    residuals = np.abs(roots * sums(roots)[0]) / (roots * np.max(np.abs(terms), axis=1))
     if not bool(np.all((roots > poles[:-1]) & (roots < poles[1:]))):
         raise BracketFailure("interior root escaped its pole gap")
     report = SpectrumReport(
@@ -153,9 +144,11 @@ def interlaced_spectrum(problem):
 
 
 def shifted_interlaced_spectrum(problem, shift):
-    """Eigenvalues of the double-shifted block matrix.
+    """Eigenvalues of the shifted block matrix, for a shift in the closure of its region.
 
-    Locates two roots of the shifted secular function in (0, 1/om_1) and
+    With eta*xi = 0 (a single shift, or eta = 0) the characteristic
+    polynomial is g1's, and this is ``interlaced_spectrum``.  Otherwise it
+    locates two roots of the shifted secular function in (0, 1/om_1) and
     two in each pole gap.  The function is negative at 0 and tends to -inf
     at every pole (eta*xi*g2*g3 has double poles), and an analytic probe
     is positive inside each interval: 1/(2 om_1) in the first, and in each
@@ -169,22 +162,20 @@ def shifted_interlaced_spectrum(problem, shift):
     validate_shift(shift.eta, shift.xi, shift.mode, om1, relaxed=True)
     eta, xi = shift.eta, shift.xi
     if eta * xi == 0.0:
-        raise ShiftOutOfRegion(
-            "shifted spectrum needs eta > 0 and xi < 0 (double shift)"
-        )
+        return interlaced_spectrum(problem)
     on_boundary = abs(xi - omega_lower_bound(eta, om1)) <= 1e-12 * abs(xi)
-    sums = _secular_evaluator(problem)
+    om, c = problem.omegas, problem.weights
+    sums = _rational_sums(problem, c, c * om, c / om)
 
     def gbar(lams):
-        g1, g2, g3 = sums(lams)
-        return g1 + eta * xi * g2 * g3
+        s1, g2, g3 = sums(lams)
+        return lams * s1 + eta * xi * g2 * g3
 
-    poles = np.sort(1.0 / problem.omegas)
-    width = BRACKET_WIDTH_FACTOR * poles[-1]
+    level_sums = _rational_sums(problem, c / om)
+    target = 4.0 * om1 ** 2 / (om[:-1] * om[1:])
+    poles, level, _, _ = _gap_roots(
+        problem, lambda lams, ks: np.sign(level_sums(lams)[0] - target[ks]), -1.0)
     lo_end = np.concatenate([[0.0], poles[:-1]])
-    target = 4.0 * om1 ** 2 / (problem.omegas[:-1] * problem.omegas[1:])
-    level, _, _ = _bisect(lambda lams, ks: np.sign(sums(lams)[2] - target[ks]),
-                          poles[:-1], poles[1:], -1.0, width)
     probe = np.concatenate([[1.0 / (2.0 * om1)], level])
     gp = gbar(probe)
     coalesced = ~(gp > 0.0)
@@ -201,7 +192,7 @@ def shifted_interlaced_spectrum(problem, shift):
     lo[coalesced] = hi[coalesced] = probe[coalesced, None]
     free, lo, hi = _bisect(lambda lams, ks: np.sign(gbar(lams)),
                            lo.ravel(), hi.ravel(), np.tile([-1.0, 1.0], problem.n),
-                           width)
+                           BRACKET_WIDTH_FACTOR * poles[-1])
     report = SpectrumReport(
         fixed_roots=np.array([]),
         free_roots=free,
@@ -237,19 +228,17 @@ def closed_loop_spectrum(problem):
     def sign(lams, ks):
         return np.sign(1.0 - np.sum(c / (1.0 - om ** 2 * lams[:, None] ** 2), axis=1))
 
-    poles = np.sort(1.0 / om)
-    width = BRACKET_WIDTH_FACTOR * poles[-1]
-    roots, _, _ = _bisect(sign, poles[:-1], poles[1:], 1.0, width)
+    _, roots, _, _ = _gap_roots(problem, sign, 1.0)
     return np.concatenate([[0.0], roots])
 
 
 def cayley(z, gamma):
-    """Cayley transform (z - gamma)/(z + gamma); maps (0, inf) into (-1, 1)."""
-    z = float(z)
+    """Cayley transform (z - gamma)/(z + gamma), elementwise; maps (0, inf) into (-1, 1)."""
+    z = np.asarray(z, dtype=np.float64)
     gamma = float(gamma)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if abs(z + gamma) < POLE_GUARD:
+    if np.any(np.abs(z + gamma) < POLE_GUARD):
         raise PoleHit(f"Cayley transform pole at z = -gamma = {-gamma}")
     return (z - gamma) / (z + gamma)
 
@@ -270,6 +259,6 @@ def sda_rate_bound(problem, shift=None, gamma=None):
     # sda_solve's gamma rule, on the quadruple that the shifted run iterates
     gamma = resolve_gamma(low_rank_form(problem, eta, xi), SdaConfig(gamma=gamma))
     # a single shift's xi = 0 gives |cayley(-0.0)| = 1, as an unshifted zero does
-    rho1 = max(abs(cayley(z, gamma)) for z in np.concatenate([[eta], lams]))
-    rho2 = max(abs(cayley(z, gamma)) for z in np.concatenate([[-xi], lams]))
+    rho1 = float(np.max(np.abs(cayley(np.concatenate([[eta], lams]), gamma))))
+    rho2 = float(np.max(np.abs(cayley(np.concatenate([[-xi], lams]), gamma))))
     return rho1 * rho2

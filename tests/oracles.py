@@ -5,11 +5,15 @@ touch the package's own algorithms: bisection on the Legendre
 recurrence for quadrature data, LU determinant signs for spectra, and a
 direct transcription of the shifted fixed-point iteration for reference
 solutions, the classic and the shifted vector iterations one sweep and one
-measurement at a time, and the coefficient quadruples and the shift-equivalence gap written
-out densely.
+measurement at a time, the rational secular sums one point at a time, and
+the coefficient quadruples and the shift-equivalence gap written out densely.
 """
 
 import numpy as np
+
+from nare import PoleHit
+from nare.problem import require_critical
+from nare.spectra import POLE_GUARD
 
 
 def legendre_value(k, x):
@@ -128,6 +132,23 @@ def shifted_quadruple_dense(problem, eta, xi):
     e2 = np.column_stack([(1.0 + eta / delta) * e, e])
     return (np.diag(delta) - e2 @ q2.T, e2 @ e1.T, q1 @ q2.T,
             np.diag(gamma) - q1 @ e1.T)
+
+
+def secular_sums(problem, lam):
+    """The three rational sums (g1, g2, g3) at ``lam``, as floats, written out:
+
+    g1 = lam sum c_i/(1/om_i - lam), g2 = sum c_i om_i/(1/om_i - lam) and
+    g3 = sum c_i/(om_i (1/om_i - lam)); critical case only, and ``PoleHit``
+    within ``POLE_GUARD`` of a pole 1/om_i.
+    """
+    require_critical(problem, "the secular machinery")
+    lam = float(lam)
+    om, c = problem.omegas, problem.weights
+    den = 1.0 / om - lam
+    if np.any(np.abs(den) < POLE_GUARD):
+        raise PoleHit(f"lambda = {lam!r} collides with a pole 1/omega_i")
+    return (float(lam * np.sum(c / den)), float(np.sum(c * om / den)),
+            float(np.sum(c / om / den)))
 
 
 def shifted_secular(problem, shift, lam):

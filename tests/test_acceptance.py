@@ -24,7 +24,6 @@ from nare import (
     inf_norm,
     interlaced_spectrum,
     quadrature_params,
-    secular_sums,
     shift_equivalence_gap,
     shifted_coefficients,
     shifted_interlaced_spectrum,
@@ -215,7 +214,7 @@ def test_criterion_6_rational_sum_identities(prob32):
         if np.min(np.abs(poles - lam)) < 1e-8:
             continue
         checked += 1
-        g1, g2, g3 = secular_sums(prob32, lam)
+        g1, g2, g3 = oracles.secular_sums(prob32, lam)
         assert abs(g1 - lam * lam * g2 - lam * cw) <= \
             1e-9 * max(1.0, abs(g1), abs(lam * lam * g2))
         assert abs(g1 - g3 + 1.0) <= 1e-9 * max(1.0, abs(g1), abs(g3))

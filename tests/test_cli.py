@@ -233,6 +233,16 @@ def test_spectrum_shifted_auto(capsys):
     assert all(float(line.split()[0]) > 0 for line in values)
 
 
+def test_spectrum_eta_zero_prints_the_unshifted_spectrum(capsys):
+    # eta*xi = 0 leaves the spectrum unshifted, for eta = 0 as for xi = 0
+    code, out, err = run_cli(capsys, "spectrum", "--n", "8", "--eta", "0", "--xi", "auto")
+    assert code == 0 and err == ""
+    values = [line for line in out.splitlines() if not line.startswith("#")]
+    assert len(values) == 16
+    _, unshifted, _ = run_cli(capsys, "spectrum", "--n", "8")
+    assert values == [line for line in unshifted.splitlines() if not line.startswith("#")]
+
+
 def test_spectrum_single_shift_checks_the_closure(capsys):
     # --xi 0 prints the unshifted spectrum, but only for a shift in the region's closure
     code, out, err = run_cli(capsys, "spectrum", "--n", "8", "--eta", "-1", "--xi", "0")

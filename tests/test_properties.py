@@ -102,7 +102,6 @@ def test_every_critical_only_entry_point_is_refused(params):
     calls = [
         lambda: make_shift(problem, None, None, "double"),
         lambda: default_shift(problem, "single"),
-        lambda: spectra.secular_sums(problem, 0.5),
         lambda: spectra.interlaced_spectrum(problem),
         lambda: spectra.shifted_interlaced_spectrum(problem, spec),
         lambda: spectra.closed_loop_spectrum(problem),

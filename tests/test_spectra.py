@@ -16,13 +16,13 @@ from nare import (
     interlaced_spectrum,
     quadrature_params,
     sda_rate_bound,
-    secular_sums,
     shifted_coefficients,
     shifted_interlaced_spectrum,
 )
-from nare.sda import SdaConfig, sda_solve
+from nare.sda import SdaConfig, resolve_gamma, sda_solve
 from nare.shift import make_shift, omega_lower_bound
-from nare.spectra import _secular_evaluator
+from nare.spectra import _rational_sums
+from oracles import secular_sums
 
 
 def shifted_block(problem, spec):
@@ -87,11 +87,12 @@ def test_secular_sums_scalar_case(prob1):
 
 def test_batched_sums_round_like_single_calls(rng):
     problem = build_problem(quadrature_params(64))
-    poles = 1.0 / problem.omegas
+    om, c = problem.omegas, problem.weights
+    poles = 1.0 / om
     lams = rng.uniform(0.0, poles.max(), 200)
-    batched = _secular_evaluator(problem)(lams)
+    s1, g2, g3 = _rational_sums(problem, c, c * om, c / om)(lams)
     for i, lam in enumerate(lams):
-        assert secular_sums(problem, lam) == tuple(float(g[i]) for g in batched)
+        assert secular_sums(problem, lam) == (float(lam * s1[i]), float(g2[i]), float(g3[i]))
 
 
 def test_secular_sums_identities(prob32, rng):
@@ -284,12 +285,18 @@ def test_spectra_match_dense_eigenvalues(problem, eta_frac, xi_frac):
                          shifted_block(problem, spec))
 
 
-def test_shifted_spectrum_rejects_single_shift(prob8):
-    from nare import ShiftOutOfRegion
-
-    spec = make_shift(prob8, 0.3, 0.0, "single")
-    with pytest.raises(ShiftOutOfRegion):
-        shifted_interlaced_spectrum(prob8, spec)
+def test_shifted_spectrum_at_eta_xi_zero_is_the_unshifted_one(prob8):
+    # eta*xi = 0 leaves the characteristic polynomial g1's: a single shift,
+    # and a double shift with eta = 0
+    om1 = float(prob8.omegas[0])
+    unshifted = interlaced_spectrum(prob8)
+    for spec in (make_shift(prob8, 0.3 / om1, 0.0, "single"),
+                 make_shift(prob8, 0.0, -0.5 / om1, "double")):
+        shifted = shifted_interlaced_spectrum(prob8, spec)
+        assert shifted.eigenvalues.tobytes() == unshifted.eigenvalues.tobytes()
+        assert shifted.residuals.tobytes() == unshifted.residuals.tobytes()
+        assert shifted.includes_zero and not shifted.on_boundary
+        assert_same_spectrum(shifted.eigenvalues, shifted_block(prob8, spec))
 
 
 def test_closed_loop_spectrum_matches_eig(prob8):
@@ -317,6 +324,29 @@ def test_cayley_contracts_positive_axis(rng):
 def test_cayley_pole():
     with pytest.raises(PoleHit):
         cayley(-1.0, 1.0)
+    with pytest.raises(PoleHit):
+        cayley(np.array([2.0, -1.0]), 1.0)
+
+
+def test_cayley_on_an_array_rounds_like_scalar_calls(rng):
+    z = np.concatenate([[0.0, -0.0], rng.uniform(1e-8, 1e3, 200)])
+    for gamma in (0.7, 3.0, 250.0):
+        batched = cayley(z, gamma)
+        assert batched.tobytes() == np.array([cayley(float(v), gamma) for v in z]).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 8, 64])
+def test_rate_bound_equals_the_max_of_scalar_cayley_calls(n):
+    problem = (build_problem(TransportParams(0.0, 1.0, np.array([1.0]), np.array([0.5])))
+               if n == 1 else build_problem(quadrature_params(n)))
+    lams = closed_loop_spectrum(problem)[1:]
+    for spec in (None, default_shift(problem, "single"), default_shift(problem, "double")):
+        eta, xi = (spec.eta, spec.xi) if spec else (0.0, 0.0)
+        quad = shifted_coefficients(problem, spec) if spec else problem.quad
+        gamma = resolve_gamma(quad, SdaConfig())
+        rho1 = max(abs(float(cayley(z, gamma))) for z in np.concatenate([[eta], lams]))
+        rho2 = max(abs(float(cayley(z, gamma))) for z in np.concatenate([[-xi], lams]))
+        assert sda_rate_bound(problem, spec) == rho1 * rho2
 
 
 def test_rate_bounds(prob32):

@@ -1,4 +1,4 @@
-"""Record the answers of a fixed grid of solver runs, or compare with a record.
+"""Record the answers of a fixed grid of solver and spectra runs, or compare with a record.
 
     python tools/answers.py --write ANSWERS_baseline.json
     python tools/answers.py --check ANSWERS_baseline.json
@@ -8,10 +8,14 @@ at (0.3, 0.9), for n in {1, 2, 4, 8, 32, 64, 128, 256} and ``max_iter`` in
 {None, 1, 17}, each through ``cli.run_solver``; plus the criterion-2 scalar
 cells (n = 1, omega1 in {0.5, 0.37}, the strict xfails among them).  For each
 run it records the SHA-256 of x, y and both histories, the stop reason, the
-iteration count, ``res_final`` and the gamma used.
+iteration count, ``res_final`` and the gamma used.  For each n of the grid at
+(0, 1) it also records the SHA-256 of the eigenvalues of the interlaced and
+closed-loop spectra, of the double-shifted spectrum at the default shift and
+at (eta, xi) = (0.3, -0.2)/omega1, and of the unshifted, single and double
+rate bounds.
 
-``--check`` prints every run whose record differs.  It exits 1 only when an
-iteration count or a stop reason differs, or a run is missing: hashes and
+``--check`` prints every record that differs.  It exits 1 only when an
+iteration count or a stop reason differs, or a record is missing: hashes and
 residuals depend on the BLAS build.  BLAS threads default to one, as in the
 committed record; the environment can override them.
 """
@@ -35,10 +39,15 @@ from nare import (  # noqa: E402
     SiConfig,
     TransportParams,
     build_problem,
+    closed_loop_spectrum,
     default_shift,
+    interlaced_spectrum,
+    make_shift,
     quadrature_params,
+    sda_rate_bound,
     sda_solve,
     shifted_coefficients,
+    shifted_interlaced_spectrum,
     si_shifted_solve,
     si_solve,
 )
@@ -47,7 +56,9 @@ from nare.cli import SOLVERS, run_solver  # noqa: E402
 SIZES = (1, 2, 4, 8, 32, 64, 128, 256)
 CAPS = (None, 1, 17)
 GATED = ("iterations", "stop_reason")
-HASHED = ("x", "y", "err_history", "res_history")
+SPECTRA = ("interlaced", "closed_loop", "shifted_default", "shifted_interior",
+           "rate_unshifted", "rate_single", "rate_double")
+HASHED = ("x", "y", "err_history", "res_history") + SPECTRA
 
 
 def grid_problem(n, alpha, c):
@@ -87,6 +98,19 @@ def scalar_runs():
                 prob, spec, SiConfig(tol=1e-300, stop_rule="error", max_iter=500))
 
 
+def spectra_record(prob):
+    """Digests of the spectra and rate bounds of a critical problem."""
+    om1 = float(prob.omegas[0])
+    single, double = default_shift(prob, "single"), default_shift(prob, "double")
+    interior = make_shift(prob, 0.3 / om1, -0.2 / om1, "double")
+    values = (interlaced_spectrum(prob).eigenvalues, closed_loop_spectrum(prob),
+              shifted_interlaced_spectrum(prob, double).eigenvalues,
+              shifted_interlaced_spectrum(prob, interior).eigenvalues,
+              [sda_rate_bound(prob)], [sda_rate_bound(prob, single)],
+              [sda_rate_bound(prob, double)])
+    return dict(zip(SPECTRA, map(digest, values)))
+
+
 def answers():
     runs = {}
     for (alpha, c), solvers in (((0.0, 1.0), SOLVERS), ((0.3, 0.9), ("sda", "si"))):
@@ -98,6 +122,8 @@ def answers():
                     runs[f"{solver} n={n} ({alpha}, {c}) max_iter={cap}"] = record(sol, gamma)
     for key, sol in scalar_runs():
         runs[key] = record(sol)
+    for n in SIZES:
+        runs[f"spectra n={n} (0.0, 1.0)"] = spectra_record(grid_problem(n, 0.0, 1.0))
     return runs
 
 
@@ -108,7 +134,7 @@ def environment():
 
 
 def check(path):
-    """Print each differing run; return 1 if a count, a stop reason or a run differs."""
+    """Print each differing record; return 1 if a count, a stop reason or a record differs."""
     want = json.loads(Path(path).read_text())["runs"]
     got = answers()
     failed = False
@@ -123,7 +149,7 @@ def check(path):
                                          f"{name} {want[key][name]!r} -> {got[key].get(name)!r}"
                                          for name in diff))
             failed |= any(name in GATED for name in diff)
-    print(f"{len(got)} runs checked against {path}: "
+    print(f"{len(got)} records checked against {path}: "
           + ("counts or stop reasons differ" if failed else "counts and stop reasons agree"))
     return int(failed)
 
@@ -138,7 +164,7 @@ def main(argv=None):
         return check(args.check)
     payload = {"env": environment(), "runs": answers()}
     Path(args.write).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    print(f"{len(payload['runs'])} runs written to {args.write}")
+    print(f"{len(payload['runs'])} records written to {args.write}")
     return 0
 
 
