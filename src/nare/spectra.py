@@ -1,4 +1,4 @@
-"""Secular-equation machinery: eigenvalue location by bisection, Cayley rates.
+"""Secular-equation machinery: eigenvalue location by safeguarded Newton, Cayley rates.
 
 The shifted block matrix factors as
 
@@ -13,8 +13,8 @@ shift among them, leaves the factor of the critical block matrix,
 so the eigenvalues of M are 0 (g1 carries the factor lam), the n poles
 1/om_i (the squared prefactor cancels each simple pole of g1) and one root
 of g1 per pole gap.  The rational sums stay finite at any n, so the roots
-are bisected on their sign, all gaps at once and on only the sums read, and
-the product prefactor, which overflows doubles near the spectrum edges, is
+are found on the sums and their derivatives, all brackets at once, and the
+product prefactor, which overflows doubles near the spectrum edges, is
 never formed.  (Deriving the determinant of the diagonal-plus-rank-2 form
 gives g1, not lam*g1, in the first term; the n=1 case with the boundary
 shift confirms it: the shifted matrix has the double eigenvalue
@@ -32,7 +32,8 @@ from .shift import omega_lower_bound, validate_shift
 
 POLE_GUARD = 1e-14
 BRACKET_WIDTH_FACTOR = 1e-12
-MAX_BISECT = 200
+MAX_ROUNDS = 200
+ROW_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class SpectrumReport:
     """Located eigenvalues with their brackets and secular residuals.
 
     ``fixed_roots`` holds the poles 1/om_i when they are eigenvalues
-    (unshifted critical case only); ``free_roots`` the bisected ones.
+    (unshifted critical case only); ``free_roots`` the located ones.
     """
 
     fixed_roots: np.ndarray
@@ -60,76 +61,110 @@ class SpectrumReport:
         return np.sort(np.concatenate(parts))
 
 
-def _rational_sums(problem, *nums):
-    """Return ``sums``: lams -> [s(num) at each of lams, for num in nums].
+def _rational_sums(problem, *nums, poles=None):
+    """Return ``sums``: lams -> array (2, len(nums), len(lams)) of s(num) =
+    sum_i num_i/(p_i - lam) and s'(num), over the poles p_i = 1/om_i or ``poles``.
 
     Each point is one row of the n-wide denominators, summed along the row,
-    so a point rounds the same in a batch as in a call of its own.
+    so a point rounds the same in a batch as in a call of its own.  The
+    points go ``ROW_BLOCK // n`` at a time, so the temporaries stay in cache.
     """
-    poles = 1.0 / problem.omegas
+    poles = 1.0 / problem.omegas if poles is None else poles
+    nums = np.array(nums)[:, None, :]
+    rows = max(1, ROW_BLOCK // poles.size)
 
     def sums(lams):
-        lams = np.atleast_1d(np.asarray(lams, dtype=np.float64))
-        den = poles - lams[:, None]
-        return [np.sum(num / den, axis=1) for num in nums]
+        out = np.empty((2, len(nums), lams.size))
+        for i in range(0, lams.size, rows):
+            den = poles - lams[i:i + rows, None]
+            t = nums / den
+            out[0, :, i:i + rows] = np.sum(t, axis=2)
+            out[1, :, i:i + rows] = np.einsum("krn,rn->kr", t, 1.0 / den)
+        return out
 
     return sums
 
 
-def _bisect(sign, lo, hi, sign_lo, width):
-    """Bisect every bracket [lo_k, hi_k] at once on sign values.
+def _secular_roots(fn, lo, hi, sign_lo, poles, width):
+    """Find the root in every bracket [lo_k, hi_k] at once, by safeguarded Newton.
 
-    ``sign(lams, ks)`` gives the signs at the midpoints ``lams`` of the
-    open brackets ``ks``; ``sign_lo`` is each bracket's sign just right of
-    its lower end.  Only midpoints are evaluated, so the ends may be poles.
-    A bracket closes at width ``width``, after ``MAX_BISECT`` rounds, or on
-    an exact zero, which collapses it to its midpoint.  Returns the roots
-    and the final lower and upper ends.
+    ``fn(lams, ks)`` gives values and derivatives at points ``lams`` of brackets
+    ``ks``; ``sign_lo`` is each bracket's sign just right of lo.  The step divides
+    out the poles ``(a, m_a, b, m_b)``, a <= lo and b >= hi of orders m_a, m_b:
+    dx = f / (f' + f (m_a/(x - a) - m_b/(b - x))).  A step that leaves the
+    bracket, or is not below half the move two rounds before, takes the
+    midpoint.  A step below width/4, or a bracket below ``width``, makes the
+    point a candidate: the bracket closes on the points 0.45 width either side
+    of it when their signs straddle, so no end sits on the root, where the sign
+    is rounding; else a bracket below ``width`` closes as it is.  Only points
+    inside the starting brackets are evaluated, so their ends may be poles.
+    Returns the roots and the ends; ``BracketFailure`` names a bracket still
+    open after ``MAX_ROUNDS``.
     """
-    lo = np.array(lo, dtype=np.float64)
-    hi = np.array(hi, dtype=np.float64)
-    sign_lo = np.broadcast_to(sign_lo, lo.shape)
-    ks = np.flatnonzero(hi - lo > width)
-    for _ in range(MAX_BISECT):
+    lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
+    out, ks = np.array([lo, hi, 0.5 * (lo + hi)]), np.flatnonzero(hi - lo > width)
+    # a column per open bracket: ends, point, its last two moves, starting ends, poles, sign
+    state = np.array([*out, hi - lo, hi - lo, lo, hi,
+                      *(np.broadcast_to(v, lo.shape) for v in (*poles, sign_lo))])[:, ks]
+    for _ in range(MAX_ROUNDS):
         if ks.size == 0:
             break
-        mid = 0.5 * (lo[ks] + hi[ks])
-        sm = sign(mid, ks)
-        up = sm == sign_lo[ks]
-        lo[ks[up | (sm == 0)]] = mid[up | (sm == 0)]
-        hi[ks[~up]] = mid[~up]
-        ks = ks[(sm != 0) & (hi[ks] - lo[ks] > width)]
-    return 0.5 * (lo + hi), lo, hi
+        lo_k, hi_k, x_k, move, move2, lo0, hi0, a, m_a, b, m_b, s_lo = state
+        f, df = fn(x_k, ks)
+        side = np.sign(f) * s_lo  # 1 left of the root, -1 right of it
+        np.copyto(lo_k, x_k, where=side >= 0)
+        np.copyto(hi_k, x_k, where=side <= 0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = f / (df + f * (m_a / (x_k - a) - m_b / (b - x_k)))
+        small, xn = np.abs(step) < 0.25 * width, x_k - step
+        ok = (small & (lo0 < xn) & (xn < hi0)
+              | (lo_k < xn) & (xn < hi_k) & (np.abs(step) <= 0.5 * move2))
+        xn = np.where(ok, xn, np.where(hi_k - lo_k > width, 0.5 * (lo_k + hi_k), x_k))
+        move2[:], move[:], x_k[:] = move, np.abs(xn - x_k), xn
+        cand, shut, h = small | (hi_k - lo_k <= width), np.zeros(ks.size, dtype=bool), 0.45 * width
+        c = np.flatnonzero(cand & (lo0 < x_k - h) & (x_k + h < hi0))
+        if c.size:
+            cc, pts = np.tile(c, 2), np.concatenate([x_k[c] - h, x_k[c] + h])
+            side = np.sign(fn(pts, ks[cc])[0]) * s_lo[cc]
+            np.maximum.at(lo_k, cc[side >= 0], pts[side >= 0])
+            np.minimum.at(hi_k, cc[side <= 0], pts[side <= 0])
+            shut[c] = (side[:c.size] == 1) & (side[c.size:] == -1)
+            lo_k[shut], hi_k[shut] = x_k[shut] - h, x_k[shut] + h
+        done = shut | (hi_k - lo_k <= width)
+        x_k[cand & ~done] = 0.5 * (lo_k + hi_k)[cand & ~done]
+        out[:, ks[done]] = state[:3, done]
+        state, ks = state[:, ~done], ks[~done]
+    if ks.size:
+        raise BracketFailure(f"bracket {ks[0]} ({state[0, 0]}, {state[1, 0]}) still open "
+                             f"after {MAX_ROUNDS} rounds")
+    return np.clip(out[2], out[0], out[1]), out[0], out[1]
 
 
-def _gap_roots(problem, sign, sign_lo):
-    """Bisect ``sign`` over every gap between the sorted poles 1/om_i at once.
-
-    Returns the sorted poles and ``_bisect``'s roots, lower and upper ends.
-    """
-    poles = np.sort(1.0 / problem.omegas)
-    return (poles, *_bisect(sign, poles[:-1], poles[1:], sign_lo,
-                            BRACKET_WIDTH_FACTOR * poles[-1]))
+def _gap_roots(poles, fn, sign_lo, m_lo=1.0):
+    """``_secular_roots`` over the gaps of the sorted ``poles``, left ones of order ``m_lo``."""
+    return _secular_roots(fn, poles[:-1], poles[1:], sign_lo, (poles[:-1], m_lo, poles[1:], 1.0),
+                          BRACKET_WIDTH_FACTOR * poles[-1])
 
 
 def interlaced_spectrum(problem):
     """Eigenvalues of the critical block matrix M.
 
-    Returns 0, the n poles 1/om_i, and one bisected root of g1 strictly
+    Returns 0, the n poles 1/om_i, and one located root of g1 strictly
     inside each pole gap, with the strict interlacing verified.  g1 falls
     to -inf just right of each pole and rises to +inf just left of the
     next, which fixes the starting signs; every gap lies at lam > 0, so
-    s(c) = g1/lam, which is bisected, has g1's sign.  The residual of a
+    s(c) = g1/lam, which is solved for, has g1's sign.  The residual of a
     root is |sum_j t_j| / max_j |t_j| with t_j = c_j/(1/om_j - lam): the
     level of cancellation left in g1/lam.
     """
     require_critical(problem, "the secular machinery")
     sums = _rational_sums(problem, problem.weights)
-    poles, roots, lo, hi = _gap_roots(problem, lambda lams, ks: np.sign(sums(lams)[0]), -1.0)
-    terms = problem.weights / (1.0 / problem.omegas - roots[:, None])
-    residuals = np.abs(roots * sums(roots)[0]) / (roots * np.max(np.abs(terms), axis=1))
+    poles = np.sort(1.0 / problem.omegas)
+    roots, lo, hi = _gap_roots(poles, lambda lams, ks: sums(lams)[:, 0], -1.0)
     if not bool(np.all((roots > poles[:-1]) & (roots < poles[1:]))):
         raise BracketFailure("interior root escaped its pole gap")
+    terms = problem.weights / (1.0 / problem.omegas - roots[:, None])
+    residuals = np.abs(roots * np.sum(terms, axis=1)) / (roots * np.max(np.abs(terms), axis=1))
     report = SpectrumReport(
         fixed_roots=poles.copy(),
         free_roots=roots,
@@ -153,9 +188,10 @@ def shifted_interlaced_spectrum(problem, shift):
     at every pole (eta*xi*g2*g3 has double poles), and an analytic probe
     is positive inside each interval: 1/(2 om_1) in the first, and in each
     gap the point where g3 = 4 om_1^2/(om_{k-1} om_k).  The probe is the
-    only source of brackets: all intervals are bisected together, one root
-    on each side of it.  A vanishing probe value marks a coalesced double
-    root, which occurs exactly on the boundary of the admissible region.
+    only source of brackets: all intervals are solved together, one root on
+    each side of it, with g3 = sum(c) + lam s(c).  A vanishing probe value
+    marks a coalesced double root, which occurs exactly on the boundary of
+    the admissible region.
     """
     require_critical(problem, "the secular machinery")
     om1 = float(problem.omegas[0])
@@ -165,19 +201,23 @@ def shifted_interlaced_spectrum(problem, shift):
         return interlaced_spectrum(problem)
     on_boundary = abs(xi - omega_lower_bound(eta, om1)) <= 1e-12 * abs(xi)
     om, c = problem.omegas, problem.weights
-    sums = _rational_sums(problem, c, c * om, c / om)
+    sums = _rational_sums(problem, c, c * om)
+    w = float(np.sum(c))
 
-    def gbar(lams):
-        s1, g2, g3 = sums(lams)
-        return lams * s1 + eta * xi * g2 * g3
+    def gbar(lams, ks=None):
+        (s, g2), (ds, dg2) = sums(lams)
+        g3, dg3 = w + lams * s, s + lams * ds
+        return lams * s + eta * xi * g2 * g3, s + lams * ds + eta * xi * (dg2 * g3 + g2 * dg3)
 
     level_sums = _rational_sums(problem, c / om)
     target = 4.0 * om1 ** 2 / (om[:-1] * om[1:])
-    poles, level, _, _ = _gap_roots(
-        problem, lambda lams, ks: np.sign(level_sums(lams)[0] - target[ks]), -1.0)
+    # g3 - target sits near -target away from the right pole: divide out that pole only
+    poles = np.sort(1.0 / om)
+    level, _, _ = _gap_roots(poles, lambda lams, ks: level_sums(lams)[:, 0]
+                             - target[ks] * [[1.0], [0.0]], -1.0, m_lo=0.0)
     lo_end = np.concatenate([[0.0], poles[:-1]])
     probe = np.concatenate([[1.0 / (2.0 * om1)], level])
-    gp = gbar(probe)
+    gp = gbar(probe)[0]
     coalesced = ~(gp > 0.0)
     failed = coalesced & ~(on_boundary & (np.abs(gp) <= 1e-9))
     if np.any(failed):
@@ -190,19 +230,11 @@ def shifted_interlaced_spectrum(problem, shift):
     lo = np.column_stack([lo_end, probe])
     hi = np.column_stack([probe, poles])
     lo[coalesced] = hi[coalesced] = probe[coalesced, None]
-    free, lo, hi = _bisect(lambda lams, ks: np.sign(gbar(lams)),
-                           lo.ravel(), hi.ravel(), np.tile([-1.0, 1.0], problem.n),
-                           BRACKET_WIDTH_FACTOR * poles[-1])
-    report = SpectrumReport(
-        fixed_roots=np.array([]),
-        free_roots=free,
-        brackets=tuple(zip(lo, hi)),
-        residuals=np.abs(gbar(free)),
-        bracket_widths=hi - lo,
-        includes_zero=False,
-        on_boundary=on_boundary,
-        coalesced=tuple(int(k) for k in np.flatnonzero(coalesced)),
-    )
+    # divide out the interval's double poles; lam = 0 is no pole
+    m_a = np.repeat(np.where(lo_end > 0.0, 2.0, 0.0), 2)
+    free, lo, hi = _secular_roots(gbar, lo.ravel(), hi.ravel(), np.tile([-1.0, 1.0], problem.n),
+                                  (np.repeat(lo_end, 2), m_a, np.repeat(poles, 2), 2.0),
+                                  BRACKET_WIDTH_FACTOR * poles[-1])
     # two positive roots per interval, in order, strictly between its ends
     a, b = free[0::2], free[1::2]
     inside = (lo_end < a) & (a < poles) & (lo_end < b) & (b < poles)
@@ -211,7 +243,16 @@ def shifted_interlaced_spectrum(problem, shift):
         k = bad[0]
         raise BracketFailure(f"interval {k}: pair ({a[k]}, {b[k]}) violates "
                              f"the interlacing pattern")
-    return report
+    return SpectrumReport(
+        fixed_roots=np.array([]),
+        free_roots=free,
+        brackets=tuple(zip(lo, hi)),
+        residuals=np.abs(gbar(free)[0]),
+        bracket_widths=hi - lo,
+        includes_zero=False,
+        on_boundary=on_boundary,
+        coalesced=tuple(int(k) for k in np.flatnonzero(coalesced)),
+    )
 
 
 def closed_loop_spectrum(problem):
@@ -224,12 +265,11 @@ def closed_loop_spectrum(problem):
     """
     require_critical(problem, "the secular machinery")
     om, c = problem.omegas, problem.weights
-
-    def sign(lams, ks):
-        return np.sign(1.0 - np.sum(c / (1.0 - om ** 2 * lams[:, None] ** 2), axis=1))
-
-    _, roots, _, _ = _gap_roots(problem, sign, 1.0)
-    return np.concatenate([[0.0], roots])
+    # in mu = lam^2 the sum is s(c/om^2) over the poles 1/om^2; find s - 1 = 0 in mu
+    sums = _rational_sums(problem, c / om ** 2, poles=1.0 / om ** 2)
+    mus, _, _ = _gap_roots(np.sort(1.0 / om ** 2),
+                           lambda mus, ks: sums(mus)[:, 0] - [[1.0], [0.0]], -1.0)
+    return np.concatenate([[0.0], np.sqrt(mus)])
 
 
 def cayley(z, gamma):

@@ -6,7 +6,8 @@ recurrence for quadrature data, LU determinant signs for spectra, and a
 direct transcription of the shifted fixed-point iteration for reference
 solutions, the classic and the shifted vector iterations one sweep and one
 measurement at a time, the rational secular sums one point at a time, and
-the coefficient quadruples and the shift-equivalence gap written out densely.
+the coefficient quadruples and the shift-equivalence gap written out densely,
+and the secular roots bisected in mpmath.
 """
 
 import numpy as np
@@ -163,6 +164,58 @@ def shifted_secular(problem, shift, lam):
     den = 1.0 / om - lam
     g1 = lam * np.sum(c / den)
     return float(g1 + shift.eta * shift.xi * np.sum(c * om / den) * np.sum(c / om / den))
+
+
+def secular_roots_mp(problem, dps=40, shift=None):
+    """Roots of the secular functions of ``problem``'s float64 data, by mpmath
+    bisection at ``dps`` digits, as floats.
+
+    The omegas, weights and shift are taken as the exact binary values they
+    hold.  Returns a dict: "interlaced", the root of sum_i c_i/(1/om_i - lam)
+    in each gap between consecutive poles 1/om_i; "closed_loop", the root of
+    1 - sum_i c_i/(1 - om_i^2 lam^2) in each gap; with a double ``shift``,
+    "shifted", the two roots of g1 + eta xi g2 g3 in each interval (0 or a
+    pole, next pole), one on each side of the probe: 1/(2 om_1) in the first,
+    else the point of the gap before where g3 = 4 om_1^2/(om_{k-1} om_k).
+    Each bisection halves its interval log2(10) dps + 10 times.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        om = [mpmath.mpf(float(w)) for w in problem.omegas]  # descending
+        c = [mpmath.mpf(float(w)) for w in problem.weights]
+        poles = [1 / w for w in om]
+
+        def s(num, lam):
+            return mpmath.fsum(v / (p - lam) for v, p in zip(num, poles))
+
+        def bisect(f, lo, hi, sign_lo):
+            for _ in range(int(3.33 * dps) + 10):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if mpmath.sign(f(mid)) == sign_lo else (lo, mid)
+            return (lo + hi) / 2
+
+        gaps = list(zip(poles, poles[1:]))
+        out = {
+            "interlaced": [bisect(lambda lam: s(c, lam), a, b, -1) for a, b in gaps],
+            "closed_loop": [bisect(lambda lam: 1 - mpmath.fsum(
+                ci / (1 - w * w * lam * lam) for ci, w in zip(c, om)), a, b, 1) for a, b in gaps],
+        }
+        if shift is not None:
+            eta, xi = mpmath.mpf(float(shift.eta)), mpmath.mpf(float(shift.xi))
+            c_om, c_by_om = [ci * w for ci, w in zip(c, om)], [ci / w for ci, w in zip(c, om)]
+
+            def gbar(lam):
+                return lam * s(c, lam) + eta * xi * s(c_om, lam) * s(c_by_om, lam)
+
+            probes = [1 / (2 * om[0])] + [
+                bisect(lambda lam: s(c_by_om, lam) - 4 * om[0] ** 2 / (om[k] * om[k + 1]),
+                       a, b, -1) for k, (a, b) in enumerate(gaps)]
+            out["shifted"] = []
+            for lo, probe, hi in zip([mpmath.mpf(0)] + poles, probes, poles):
+                assert gbar(probe) > 0
+                out["shifted"] += [bisect(gbar, lo, probe, -1), bisect(gbar, probe, hi, 1)]
+        return {key: np.array([float(v) for v in vals]) for key, vals in out.items()}
 
 
 def shift_equivalence_gap_dense(problem, quad, x):

@@ -12,7 +12,7 @@ from nare import (InvalidParams, NotCriticalCase, TransportParams, build_problem
 from nare.cli import run_solver
 from nare.diagnostics import solution_identities, solution_report
 from nare.shift import ShiftSpec, default_shift, make_shift, shifted_coefficients
-from nare.si import build_kernel, si_init, si_step
+from nare.si import SiConfig, build_kernel, si_init, si_step
 
 MIN_GAP = 1e-3
 SHIFTED = ("sda-single", "sda-double", "si-single", "si-double")
@@ -53,10 +53,11 @@ def test_critical_solution_and_certificates(dirs):
 @st.composite
 def off_critical_params(draw):
     """alpha in [0, 0.99) and d = 1 - c log-uniform in [1e-3, 1], with the edges
-    alpha = 0 (d > 0) and c = 1 (alpha > 0) drawn on purpose."""
+    alpha = 0 (d > 0) and c = 1 (alpha >= sqrt(1e-3)) drawn on purpose, so that
+    s = sqrt(d + alpha^2) >= sqrt(1e-3) on both edges."""
     alpha = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.99, exclude_max=True)))
     log_d = st.floats(-3.0, 0.0).map(lambda t: 10.0 ** t).filter(lambda d: d < 1.0)  # c > 0
-    d = draw(log_d if alpha == 0.0 else st.one_of(st.just(0.0), log_d))
+    d = draw(log_d if alpha < np.sqrt(1e-3) else st.one_of(st.just(0.0), log_d))
     return TransportParams(alpha, 1.0 - d, *draw(directions()))
 
 
@@ -77,6 +78,18 @@ def test_off_critical_solvers_agree_and_iterate_monotonically(params):
         state = nxt
     report = solution_report(problem, sda)
     assert report.m_matrix_certificates["closed_loop"] == "nonsingular_m_matrix"
+
+
+def test_off_critical_edge_below_the_drawn_floor():
+    # alpha = 2^-9 at c = 1, below the strategy's floor: s = sqrt(d + alpha^2)
+    # ~ 0.002, so the classic sweep needs ~27/s ~ 14,000 sweeps and meets its
+    # cap, while doubling converges
+    problem = build_problem(TransportParams(2.0 ** -9, 1.0, np.array([1.0]), np.array([0.5])))
+    sda, _, _ = run_solver(problem, "sda")
+    si, _, _ = run_solver(problem, "si")
+    assert sda.converged
+    assert si.stop_reason == "max_iter"
+    assert si.iterations == len(si.err_history) == len(si.res_history) == SiConfig.max_iter
 
 
 @st.composite

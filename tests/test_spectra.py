@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from nare import (
+    BracketFailure,
     NotCriticalCase,
     PoleHit,
     TransportParams,
@@ -19,6 +20,7 @@ from nare import (
     shifted_coefficients,
     shifted_interlaced_spectrum,
 )
+from nare import spectra
 from nare.sda import SdaConfig, resolve_gamma, sda_solve
 from nare.shift import make_shift, omega_lower_bound
 from nare.spectra import _rational_sums
@@ -90,7 +92,7 @@ def test_batched_sums_round_like_single_calls(rng):
     om, c = problem.omegas, problem.weights
     poles = 1.0 / om
     lams = rng.uniform(0.0, poles.max(), 200)
-    s1, g2, g3 = _rational_sums(problem, c, c * om, c / om)(lams)
+    (s1, g2, g3), _ = _rational_sums(problem, c, c * om, c / om)(lams)
     for i, lam in enumerate(lams):
         assert secular_sums(problem, lam) == (float(lam * s1[i]), float(g2[i]), float(g3[i]))
 
@@ -188,6 +190,28 @@ def test_interlaced_spectrum_ordering_and_oracle(n):
         s_lo = oracles.det_sign(m_block - lo * eye)
         s_hi = oracles.det_sign(m_block - hi * eye)
         assert s_lo != 0 and s_hi != 0 and s_lo != s_hi
+
+
+@pytest.mark.parametrize("n", [2, 8, 16])
+def test_roots_are_relatively_accurate(n, prob2):
+    # against 40-digit bisection of the same float64 data; a root that is
+    # only bracketed to 1e-12 * max pole misses this by orders of magnitude
+    problem = prob2 if n == 2 else build_problem(quadrature_params(n))
+    om1 = float(problem.omegas[0])
+    spec = make_shift(problem, 0.3 / om1, -0.2 / om1, "double")
+    ref = oracles.secular_roots_mp(problem, shift=spec if n <= 8 else None)
+    mine = {"interlaced": interlaced_spectrum(problem).free_roots,
+            "closed_loop": closed_loop_spectrum(problem)[1:]}
+    if n <= 8:
+        mine["shifted"] = shifted_interlaced_spectrum(problem, spec).free_roots
+    for kind, roots in mine.items():
+        assert np.all(np.abs(roots - ref[kind]) <= 1e-14 * np.abs(ref[kind])), kind
+
+
+def test_a_bracket_open_at_the_round_cap_is_named(prob8, monkeypatch):
+    monkeypatch.setattr(spectra, "MAX_ROUNDS", 2)
+    with pytest.raises(BracketFailure, match=r"bracket \d+ \(.*\) still open after 2 rounds"):
+        interlaced_spectrum(prob8)
 
 
 def test_shifted_spectrum_n1_boundary_coalesced(prob1):
