@@ -17,6 +17,7 @@ from .problem import require_critical
 
 Z_PATTERN_TOL = 1e-14
 INVERSE_SIGN_TOL = 1e-12
+SHIFT_STACK = 16 * 64 ** 2  # cap on the entries of a residual temporary, at every n
 
 
 def residual_matrix(problem, x):
@@ -96,14 +97,19 @@ def factor_sweep_metrics(sweeps, x_rows):
     sweep, shape (B + 2, 2, r, n); step k goes from ``sweeps[k]`` to ``sweeps[k + 1]``,
     whose next sweep ``sweeps[k + 2]`` holds a = Xq + e as the last row of M^T and
     b = X^T q + e as the first row of N^T, so R(X) = M N^T - a b^T; ``x_rows`` (B, n)
-    holds the row sums of |X|.  The rows of |[M, -a] [N, b]^T| are summed from one
-    stacked matmul, O(B n^2 r).  A NaN reports NaN, else a zero M or N an infinite
-    error and a zero X an infinite residual.
+    holds the row sums of |X|.  The rows of |[M, -a] [N, b]^T| are summed in chunks, each
+    a stacked matmul of at most SHIFT_STACK entries, O(B n^2 r).  A NaN reports NaN, else
+    a zero M or N an infinite error and a zero X an infinite residual.
     """
     cur, nxt = sweeps[1:-1], sweeps[2:]
     left = np.concatenate([cur[:, 0], -nxt[:, 0, -1:]], axis=1).transpose(0, 2, 1)
-    r = left @ np.concatenate([cur[:, 1], nxt[:, 1, :1]], axis=1)
-    rows = np.abs(r, out=r).sum(axis=2).max(axis=1)
+    right = np.concatenate([cur[:, 1], nxt[:, 1, :1]], axis=1)
+    sums = np.empty(left.shape[:2])  # (B, n) row sums
+    chunk = max(1, SHIFT_STACK // sums.size)
+    for i in range(0, sums.shape[1], chunk):
+        r = left[:, i:i + chunk] @ right
+        np.abs(r, out=r).sum(axis=2, out=sums[:, i:i + chunk])
+    rows = sums.max(axis=1)
     norms = np.abs(np.concatenate([cur - sweeps[:-2], cur], axis=1)).sum(axis=2).max(axis=2)
     metrics = []  # B is small: plain floats divide faster than arrays under errstate
     for (dm, dn, m, n), row, nx in zip(norms.tolist(), rows.tolist(), x_rows.max(axis=1).tolist()):

@@ -7,16 +7,17 @@ vector fixed point
     m = m o (P n) + e,   n = n o (Q m) + e.
 
 The shifted variant iterates rank-two factors M = [m1, m2], N = [n1, n2] of
-Z = T o (M N^T) through two thin GEMMs with T per sweep, O(n^2).  Both carry one
-``SiState``: factor rows ([m; n], 2 x n, or [M^T; N^T], 2 x 2 x n), the next sweep's
-rows and X's row sums.  X is not formed in the loop (Z only for ||Z|| if a factor
+Z = T o (M N^T) at (alpha, c) = (0, 1), where T = T^T, through one thin (10 x n) GEMM
+with T per sweep, O(n^2).  Both carry one ``SiState``: factor rows ([m; n], 2 x n,
+or [M^T; N^T], 2 x 2 x n), the next sweep's rows and X's row sums.  X is not formed in the loop (Z only for ||Z|| if a factor
 entry turns negative): X Gamma + Delta X = M N^T, and Xq + e, X^T q + e are rows
 a, b of the next sweep, so the residual is R = M N^T - a b^T, exact up to rounding.
 Sweeps run in blocks, each measured in one call on its (B + 2, 2, r, n) stack of
 rows: ``diagnostics.classic_sweep_metrics``, O(n) a sweep, for SWEEP_BLOCK classic
 sweeps; ``diagnostics.factor_sweep_metrics``, O(n^2) a sweep, for up to
-SHIFT_STACK / n^2 shifted ones (one from n = 256).  Sweeps run past the stop are
-dropped.  X or Z is built at return, by ``si_solution``.
+``diagnostics.SHIFT_STACK`` / n^2 shifted ones (one from n = 256, and above that
+its residual in row chunks).  Sweeps run past the stop are dropped.  X or Z is
+built at return, by ``si_solution``.
 """
 
 from dataclasses import dataclass
@@ -26,12 +27,13 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics
-from .problem import low_rank_form
+from .problem import low_rank_form, require_critical
 from .shift import validate_shift
 from .solution import check_config, iterate
 
 SWEEP_BLOCK = 16  # classic sweeps run, and measured in one call, at a time
-SHIFT_STACK = SWEEP_BLOCK * 64 ** 2  # cap on B n^2, the entries of a shifted block's residuals
+# [M, M, N, N, M, M, N] of [M^T; N^T]: [2:] scales [Q1^T; Q2^T; e] before T, [:5] after
+_PICK = np.array([0, 0, 1, 1, 0, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -119,16 +121,14 @@ def si_solve(problem, config=None):
 def si_shift_init(problem, shift):
     """The shifted sweep's constant rows and its zero iterate, M = N = 0.
 
-    Checks the closure of the shift region.  The rows are [Q1 e]^T and Q2^T, each
-    with a broadcast axis, then E1^T and E2^T, of ``problem.low_rank_form``.
+    Checks the critical case, whose T = T^T the sweep relies on, and the closure of the
+    shift region.  The rows are [Q1^T; Q2^T; e] (with a broadcast axis) and [E2^T; E1^T].
     """
+    require_critical(problem, "the shifted vector iteration")
     validate_shift(shift.eta, shift.xi, shift.mode, float(problem.omegas[0]), relaxed=True)
     f = low_rank_form(problem, shift.eta, shift.xi)
-    rows = (np.vstack([f.q1.T, problem.e])[:, None], f.q2.T[:, None], f.e1.T.copy(), f.e2.T.copy())
-    # the first sweep reads E2^T, E1^T as transposed views of the column-stacked
-    # factors: C-ordered rows change the last bits of its GEMMs' sums
-    ab = np.array([f.e2, f.e1]).transpose(0, 2, 1)
-    return rows, SiState(np.zeros((2, 2, problem.n)), ab, np.zeros(problem.n))
+    rows = np.vstack([f.q1.T, f.q2.T, problem.e])[:, None], np.array([f.e2.T, f.e1.T])
+    return rows, SiState(np.zeros((2, 2, problem.n)), rows[1], np.zeros(problem.n))
 
 
 def si_shift_step(kernel, rows, state):
@@ -136,33 +136,27 @@ def si_shift_step(kernel, rows, state):
 
         M_next = Z Q1 + E2,   N_next = Z^T Q2 + E1,   Z = T o (M N^T)
 
-    with ``rows`` from ``si_shift_init``.  Z is never formed:
-    Z Q1 = sum_k M_k o T (N_k o Q1) and Z^T Q2 = sum_k N_k o T^T (M_k o Q2) take
-    one thin GEMM per side, and e beside Q1 gives the row sums Z e.  Column
-    by column, m1 = Z (I - eta Gamma^-1) q + (I + eta Delta^-1) e, m2 = Z q + e,
-    n1 = Z^T q + e and n2 = -xi (Gamma^-1 e - Z^T Delta^-1 q); at xi = 0 the
-    second dual column vanishes identically and the scheme degenerates to the
-    classic fixed point on Z.
+    with ``rows`` from ``si_shift_init``.  Z is never formed: Z Q1 = sum_k M_k o T (N_k o Q1)
+    and Z^T Q2 = sum_k N_k o T^T (M_k o Q2) come, as T = T^T, from one thin GEMM, with e
+    beside Q1 for the row sums Z e.  Column by column, m1 = Z (I - eta Gamma^-1) q +
+    (I + eta Delta^-1) e, m2 = Z q + e, n1 = Z^T q + e and n2 = -xi (Gamma^-1 e -
+    Z^T Delta^-1 q); at xi = 0 the second dual column vanishes identically and the
+    scheme degenerates to the classic fixed point on Z.
     """
-    q1e, q2, e1, e2 = rows
-    # factors as 2 x n rows: a k x n by n x n GEMM ran faster than n x n by n x k
-    m_t, n_t = state.ab
-    n = m_t.shape[1]
-    t_nq = ((q1e * n_t).reshape(6, n) @ kernel.T.T).reshape(3, 2, n)  # T (N_k o [Q1 e])
-    zq = (t_nq * m_t).sum(axis=1)  # rows (Z Q1)^T and (Z e)^T
-    tt_mq = ((q2 * m_t).reshape(4, n) @ kernel.T).reshape(2, 2, n)  # T^T (M_k o Q2)
-    ztq = (tt_mq * n_t).sum(axis=1)
-    z_rows = zq[2]
-    if min(m_t.min(), n_t.min()) < 0.0:  # Z may hold negative entries
-        z_rows = np.abs(si_solution(kernel, m_t, n_t)).sum(axis=1)
-    return SiState(state.ab, np.array([zq[:2] + e2, ztq + e1]), z_rows)
+    scale, e21 = rows
+    mn = state.ab.take(_PICK, axis=0)
+    # factors as 10 x n rows: a k x n by n x n GEMM ran faster than n x n by n x k
+    t_f = ((scale * mn[2:]).reshape(10, -1) @ kernel.T).reshape(5, 2, -1)
+    z_q = (t_f * mn[:5]).sum(axis=1)  # rows (Z Q1)^T, (Z^T Q2)^T and (Z e)^T
+    z_rows = np.abs(si_solution(kernel, *state.ab)).sum(axis=1) if state.ab.min() < 0.0 else z_q[4]
+    return SiState(state.ab, z_q[:4].reshape(e21.shape) + e21, z_rows)
 
 
 def si_shifted_solve(problem, shift, config=None):
     """Shifted low-rank iteration from M = N = 0 (closure of the region allowed)."""
     kernel = build_kernel(problem)
     rows, state = si_shift_init(problem, shift)
-    size = max(1, min(SWEEP_BLOCK, SHIFT_STACK // problem.n ** 2))
+    size = max(1, min(SWEEP_BLOCK, diagnostics.SHIFT_STACK // problem.n ** 2))
     return iterate(problem, state, partial(si_shift_step, kernel, rows),
                    partial(_block_metrics, diagnostics.factor_sweep_metrics), size,
                    lambda s: si_solution(kernel, *s.mn), config or SiConfig(), f"si-{shift.mode}")

@@ -322,8 +322,9 @@ def si_shift_per_sweep_reference(problem, shift, max_iter, tol):
     Q1 = [(I - eta G^-1) q, q], Q2 = [q, xi D^-1 q], E1 = [e, -xi G^-1 e] and
     E2 = [(I + eta D^-1) e, e], with G = Gamma, D = Delta.  M and N are kept as
     2 x n rows M^T, N^T.  Z Q1 and Z^T Q2 are sums over the factor columns k of
-    M_k o T (N_k o Q1) and N_k o T^T (M_k o Q2), taken as one (6, n) and one (4, n)
-    product with T, the shapes that set their rounding.  The update error is max
+    M_k o T (N_k o Q1) and N_k o T^T (M_k o Q2); the critical T is symmetric, so both,
+    with Z e, come from one (10, n) product with T whose rows are N_k o Q1, M_k o Q2
+    and N_k o e, the shape and order that set their rounding.  The update error is max
     over M, N of ||cur - prev|| / ||cur|| (n x 2 row sums); the residual is the row
     sums of |[M, -a] [N, b]^T| with a = m2, b = n1 of the next sweep, over twice the
     row sums of |Z|.  Returns (Z, err_history, res_history, stop_reason).
@@ -336,13 +337,17 @@ def si_shift_per_sweep_reference(problem, shift, max_iter, tol):
     e2 = np.column_stack([(1.0 + eta / delta) * e, e])
     n = problem.n
     t = 1.0 / (delta[:, None] + gamma[None, :])
-    q1e, q2t = np.vstack([q1.T, e])[:, None], q2.T[:, None]
 
     def sweep(m, nf):
-        zq = ((((q1e * nf).reshape(6, n) @ t.T).reshape(3, 2, n)) * m).sum(axis=1)
-        ztq = ((((q2t * m).reshape(4, n) @ t).reshape(2, 2, n)) * nf).sum(axis=1)
-        z_rows = zq[2] if min(m.min(), nf.min()) >= 0.0 else np.abs(t * (m.T @ nf)).sum(axis=1)
-        return zq[:2] + e2.T, ztq + e1.T, z_rows
+        left = np.vstack([q1[:, [0, 0, 1, 1]].T * np.vstack([nf, nf]),
+                          q2[:, [0, 0, 1, 1]].T * np.vstack([m, m]), e * nf])
+        p = left @ t
+        zq = (p[:4].reshape(2, 2, n) * m).sum(axis=1)
+        ztq = (p[4:8].reshape(2, 2, n) * nf).sum(axis=1)
+        z_rows = (p[8:] * m).sum(axis=0)
+        if min(m.min(), nf.min()) < 0.0:
+            z_rows = np.abs(t * (m.T @ nf)).sum(axis=1)
+        return zq + e2.T, ztq + e1.T, z_rows
 
     m = nf = np.zeros((2, n))
     m_next, n_next = e2.T, e1.T

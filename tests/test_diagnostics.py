@@ -19,7 +19,8 @@ from nare import (
     shifted_coefficients,
     solution_identities,
 )
-from nare.diagnostics import classic_sweep_metrics, factor_sweep_metrics, residual_matrix
+from nare.diagnostics import (SHIFT_STACK, classic_sweep_metrics, factor_sweep_metrics,
+                              residual_matrix)
 from oracles import shift_equivalence_gap_dense
 from nare.si import build_kernel, si_init, si_shift_init, si_shift_step, si_solution, si_step
 from nare.sda import SdaConfig, sda_solve
@@ -180,6 +181,24 @@ def test_factored_residual_of_zero_iterate_is_infinite():
     # the first classic sweep is finite on the O(n) path
     err, res = classic_sweep_metrics(np.array([zero, one, 2.0 * one]), one[:1])[0]
     assert err == 1.0 and res == (2.0 * 6.0 - 3.0) / 2.0  # rows a_i sum(b) - m_i sum(n)
+
+
+@pytest.mark.parametrize("n,chunks", [(512, 4), (300, 2)])
+def test_factor_sweep_metrics_chunks_round_as_one_product(n, chunks, rng):
+    # the residual's rows are summed SHIFT_STACK // n at a time (four even chunks at
+    # n = 512, 218 rows and an 82-row tail at n = 300); each entry is still a 3-term
+    # product and each row one sum, so the values are those of one product, bit for bit
+    assert -(-n // (SHIFT_STACK // n)) == chunks
+    sweeps = rng.uniform(0.0, 2.0, (3, 2, 2, n))
+    x_rows = rng.uniform(1.0, 2.0, (1, n))
+    left = np.concatenate([sweeps[1, 0], -sweeps[2, 0, -1:]]).T
+    right = np.concatenate([sweeps[1, 1], sweeps[2, 1, :1]])
+    row = np.abs(left[None] @ right[None]).sum(axis=2).max(axis=1)[0]
+    assert factor_sweep_metrics(sweeps, x_rows)[0][1] == row / (2.0 * x_rows.max())
+    sweeps[1, 0, 0, -1] = math.nan  # a NaN in the last chunk's rows
+    assert math.isnan(factor_sweep_metrics(sweeps, x_rows)[0][1])
+    sweeps[1] = 0.0  # zero factors
+    assert factor_sweep_metrics(sweeps, x_rows)[0][0] == math.inf
 
 
 @pytest.mark.parametrize("mode", ["single", "double"])

@@ -12,7 +12,7 @@ from nare import (InvalidParams, NotCriticalCase, TransportParams, build_problem
 from nare.cli import run_solver
 from nare.diagnostics import solution_identities, solution_report
 from nare.shift import ShiftSpec, default_shift, make_shift, shifted_coefficients
-from nare.si import SiConfig, build_kernel, si_init, si_step
+from nare.si import SiConfig, build_kernel, si_init, si_shifted_solve, si_step
 
 MIN_GAP = 1e-3
 SHIFTED = ("sda-single", "sda-double", "si-single", "si-double")
@@ -119,6 +119,7 @@ def test_every_critical_only_entry_point_is_refused(params):
         lambda: spectra.shifted_interlaced_spectrum(problem, spec),
         lambda: spectra.closed_loop_spectrum(problem),
         lambda: spectra.sda_rate_bound(problem, spec),
+        lambda: si_shifted_solve(problem, spec),
         lambda: solution_identities(problem, np.zeros((problem.n, problem.n))),
     ]
     for call in calls:

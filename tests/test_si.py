@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from nare import (
+    NotCriticalCase,
     TransportParams,
     auto_tol,
     build_kernel,
@@ -29,7 +30,7 @@ from nare import (
 from nare.cli import run_solver
 from nare.linalg import EPS
 from nare.sda import SdaConfig, sda_solve
-from nare.shift import make_shift, omega_lower_bound
+from nare.shift import ShiftSpec, make_shift, omega_lower_bound
 from nare.si import SiConfig
 
 
@@ -61,6 +62,20 @@ def test_kernel_entries_scalar_recomputation(prob2):
         for j in range(2):
             expected = 1.0 / (1.0 / prob2.omegas[i] + 1.0 / prob2.omegas[j])
             assert kernel.T[i, j] == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 32, 256, 512])
+def test_critical_kernel_is_bitwise_symmetric(n, prob1, prob2):
+    # the shifted sweep takes T (N o Q1) and T^T (M o Q2) from one product with T
+    problem = {1: prob1, 2: prob2}.get(n) or build_problem(quadrature_params(n))
+    t = build_kernel(problem).T
+    assert np.array_equal(t, t.T)
+
+
+def test_shifted_sweep_refuses_a_noncritical_problem(prob_noncrit32):
+    # off (0, 1) T is not symmetric, and a hand-built spec gets past make_shift's gate
+    with pytest.raises(NotCriticalCase, match="the shifted vector iteration"):
+        si_shifted_solve(prob_noncrit32, ShiftSpec(0.0, 0.0, "double"))
 
 
 def test_si_first_iterates(prob1):
