@@ -4,20 +4,22 @@ The minimal solution factors as X = T o (m n^T) with
 T_ij = 1/(delta_i + d_j), reducing the matrix equation to the coupled
 vector fixed point
 
-    m = m o (P n) + e,   n = n o (Q m) + e.
+    m = m o T (q o n) + e,   n = n o T^T (q o m) + e.
 
-The shifted variant iterates rank-two factors M = [m1, m2], N = [n1, n2] of
-Z = T o (M N^T) at (alpha, c) = (0, 1), where T = T^T, through one thin (10 x n) GEMM
-with T per sweep, O(n^2).  Both carry one ``SiState``: factor rows ([m; n], 2 x n,
-or [M^T; N^T], 2 x 2 x n), the next sweep's rows and X's row sums.  X is not formed in the loop (Z only for ||Z|| if a factor
-entry turns negative): X Gamma + Delta X = M N^T, and Xq + e, X^T q + e are rows
-a, b of the next sweep, so the residual is R = M N^T - a b^T, exact up to rounding.
-Sweeps run in blocks, each measured in one call on its (B + 2, 2, r, n) stack of
-rows: ``diagnostics.classic_sweep_metrics``, O(n) a sweep, for SWEEP_BLOCK classic
-sweeps; ``diagnostics.factor_sweep_metrics``, O(n^2) a sweep, for up to
-``diagnostics.SHIFT_STACK`` / n^2 shifted ones (one from n = 256, and above that
-its residual in row chunks).  Sweeps run past the stop are dropped.  X or Z is
-built at return, by ``si_solution``.
+A classic sweep reads the kernel once: one batched product of [q o n; n] and [q o m; m]
+with the stacked [T^T; T] gives both updates and T n.  The shifted variant iterates
+rank-two factors M = [m1, m2], N = [n1, n2] of Z = T o (M N^T) at (alpha, c) = (0, 1),
+where T = T^T, through one thin (10 x n) GEMM with T per sweep, O(n^2).  Both carry one
+``SiState``: factor rows ([m; n], 2 x n, or [M^T; N^T], 2 x 2 x n), the next sweep's
+rows and X's row sums.  X is not formed in the loop (Z only for ||Z|| if a factor entry
+turns negative): X Gamma + Delta X = M N^T, and Xq + e, X^T q + e are rows a, b of the
+next sweep, so the residual is R = M N^T - a b^T, exact up to rounding.  Sweeps run in
+blocks, each measured in one call on its (B + 2, 2, r, n) stack of rows:
+``diagnostics.classic_sweep_metrics``, O(n) a sweep, for SWEEP_BLOCK classic sweeps;
+``diagnostics.factor_sweep_metrics``, O(n^2) a sweep, for up to
+``diagnostics.SHIFT_STACK`` / n^2 shifted ones (one from n = 256, and above that its
+residual in row chunks).  Sweeps run past the stop are dropped.  X or Z is built at
+return, by ``si_solution``.
 """
 
 from dataclasses import dataclass
@@ -46,17 +48,15 @@ class SiConfig:
 
 @dataclass(frozen=True)
 class HadamardKernel:
-    """Entrywise-positive kernel matrices of the Hadamard form.
+    """The entrywise-positive kernel T_ij = 1/(delta_i + d_j), as TT = [T^T; T], and qe = [q; e].
 
-    T_ij = 1/(delta_i + d_j); P scales T's columns by q_j; Qm_ij = q_j T_ji.
-    PT = [P; T], so one GEMV gives both P b and T b.
+    ([q; e] * [b; a]) @ TT, one (2, 2, n) product, holds T (q o b), T b, T^T (q o a), T^T a.
     """
 
-    PT: np.ndarray
-    Qm: np.ndarray
+    TT: np.ndarray
+    qe: np.ndarray
 
-    P = property(lambda self: self.PT[:len(self.Qm)])
-    T = property(lambda self: self.PT[len(self.Qm):])
+    T = property(lambda self: self.TT[1])
 
 
 @dataclass
@@ -75,11 +75,11 @@ class SiState:
 
 
 def build_kernel(problem):
-    t = 1.0 / (problem.delta[:, None] + problem.gamma[None, :])
-    # keep all three row-major so the critical case's m/n symmetry is
-    # bitwise (a transposed layout changes the BLAS summation order)
-    qm = np.ascontiguousarray(t.T) * problem.q[None, :]
-    return HadamardKernel(PT=np.vstack([t * problem.q[None, :], t]), Qm=qm)
+    # T^T_ij = 1/(d_i + delta_j), the swapped sum, rounds as the transpose does: both
+    # halves come from one division, row-major, and at (0, 1) both are T bit for bit
+    dg = np.array([problem.gamma, problem.delta])
+    tt = 1.0 / (dg[:, :, None] + dg[::-1, None, :])
+    return HadamardKernel(tt, np.array([problem.q, problem.e]))
 
 
 def si_init(problem):
@@ -88,10 +88,10 @@ def si_init(problem):
 
 def si_step(kernel, state):
     """Make the next sweep's vectors current and run the sweep after them."""
-    p_b, t_b = (kernel.PT @ state.ab[1]).reshape(2, -1)
-    ab = state.ab * np.array([p_b, kernel.Qm @ state.ab[0]])
+    prod = (kernel.qe * state.ab[::-1, None]) @ kernel.TT
+    ab = state.ab * prod[:, 0]
     ab += 1.0
-    return SiState(state.ab, ab, state.ab[0] * t_b)
+    return SiState(state.ab, ab, state.ab[0] * prod[0, 1])
 
 
 def si_solution(kernel, m, n):

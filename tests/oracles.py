@@ -286,26 +286,28 @@ def si_shifted_reference(alpha, c, weights, omegas, eta, xi, max_iter=10 ** 6):
 
 
 def si_per_sweep_reference(problem, max_iter, tol):
-    """The classic vector iteration m = m o (P n) + e, n = n o (Q m) + e from zero,
-    each sweep measured on its own, under the "either" stop rule.
+    """The classic vector iteration m = m o T (q o n) + e, n = n o T^T (q o m) + e
+    from zero, each sweep measured on its own, under the "either" stop rule.
 
-    Every sweep is monotone, so the update error is max(cur - prev) / max(cur)
-    per vector and the residual R = m n^T - a b^T <= 0 has row sums
-    a_i sum(b) - m_i sum(n), scaled by twice max_i m_i (T n)_i.  Returns
-    (X, err_history, res_history, stop_reason).
+    Each sweep takes T (q o n), T n and T^T (q o m) from one batched (2, 2, n)
+    product with [T^T; T], the shape that sets their rounding.  Every sweep is
+    monotone, so the update error is max(cur - prev) / max(cur) per vector and
+    the residual R = m n^T - a b^T <= 0 has row sums a_i sum(b) - m_i sum(n),
+    scaled by twice max_i m_i (T n)_i.  Returns (X, err_history, res_history,
+    stop_reason).
     """
     t = 1.0 / (problem.delta[:, None] + problem.gamma[None, :])
-    p = t * problem.q[None, :]
-    qm = np.ascontiguousarray(t.T) * problem.q[None, :]
+    tt = np.array([t.T, t])
     mn, ab = np.zeros((2, problem.n)), np.ones((2, problem.n))
     errs, ress, reason = [], [], "max_iter"
     for _ in range(max_iter):
         cur = ab
-        ab = cur * np.array([p @ cur[1], qm @ cur[0]]) + 1.0
+        prod = np.array([[problem.q * cur[1], cur[1]], [problem.q * cur[0], cur[0]]]) @ tt
+        ab = cur * prod[:, 0] + 1.0
         assert mn.min() >= 0.0 and (cur - mn).min() >= 0.0 and (ab - cur).min() >= 0.0
         err = max(float((cur[i] - mn[i]).max()) / float(cur[i].max()) for i in (0, 1))
         rows = ab[0] * ab[1].sum() - cur[0] * cur[1].sum()
-        res = float(rows.max()) / (2.0 * float((cur[0] * (t @ cur[1])).max()))
+        res = float(rows.max()) / (2.0 * float((cur[0] * prod[0, 1]).max()))
         mn = cur
         errs.append(err)
         ress.append(res)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
@@ -31,29 +32,43 @@ from nare.cli import run_solver
 from nare.linalg import EPS
 from nare.sda import SdaConfig, sda_solve
 from nare.shift import ShiftSpec, make_shift, omega_lower_bound
-from nare.si import SiConfig
+from nare.si import SiConfig, SiState
 
 
 def test_kernel_scalar_case(prob1):
     kernel = build_kernel(prob1)
+    assert kernel.TT.shape == (2, 1, 1)
+    assert kernel.TT[0, 0, 0] == 0.25 and kernel.TT[1, 0, 0] == 0.25
     assert kernel.T[0, 0] == 0.25
-    assert kernel.P[0, 0] == 0.25
-    assert kernel.Qm[0, 0] == 0.25
+    assert np.array_equal(kernel.qe, [prob1.q, prob1.e])
 
 
-def test_kernel_column_scaling(prob32):
-    kernel = build_kernel(prob32)
-    ratio = kernel.P / kernel.T
-    assert np.max(np.abs(ratio - prob32.q[None, :])) < 1e-15
-    assert np.all(kernel.T > 0) and np.all(kernel.P > 0) and np.all(kernel.Qm > 0)
+def test_si_step_products_match_written_out(prob32, prob_noncrit32, rng):
+    # one batched product gives T (q o b), T b and T^T (q o a); off (0, 1) the
+    # two halves of [T^T; T] differ, so a swapped half would show there
+    for problem in (prob32, prob_noncrit32):
+        n, q = problem.n, problem.q
+        t = 1.0 / (problem.delta[:, None] + problem.gamma[None, :])
+        ab = rng.uniform(0.5, 2.0, (2, n))
+        kernel = build_kernel(problem)
+        assert np.all(kernel.TT > 0.0)
+        nxt = si_step(kernel, SiState(np.zeros((2, n)), ab, np.zeros(n)))
+        a, b = ab
+        p_b = np.array([math.fsum(t[i] * q * b) for i in range(n)])
+        t_b = np.array([math.fsum(t[i] * b) for i in range(n)])
+        q_a = np.array([math.fsum(t[:, i] * q * a) for i in range(n)])
+        assert np.array_equal(nxt.mn, ab)
+        for got, want in ((nxt.ab[0], a * p_b + 1.0), (nxt.ab[1], b * q_a + 1.0),
+                          (nxt.x_rows, a * t_b)):
+            assert np.all(np.abs(got - want) <= 4 * n * EPS * want)
 
 
-def test_kernel_transpose_relation(prob8):
-    kernel = build_kernel(prob8)
-    for i in range(prob8.n):
-        for j in range(prob8.n):
-            assert kernel.Qm[i, j] == pytest.approx(
-                prob8.q[j] * kernel.T[j, i], rel=1e-15)
+def test_kernel_transpose_relation():
+    # T^T comes from the swapped sum 1/(d_i + delta_j), which rounds as the transpose
+    for alpha, c in [(0.3, 0.9), (1e-4, 1.0 - 1e-4)]:
+        tt = build_kernel(build_problem(quadrature_params(8, alpha, c))).TT
+        assert np.array_equal(tt[0], tt[1].T)
+        assert not np.array_equal(tt[0], tt[1])
 
 
 def test_kernel_entries_scalar_recomputation(prob2):
@@ -68,8 +83,9 @@ def test_kernel_entries_scalar_recomputation(prob2):
 def test_critical_kernel_is_bitwise_symmetric(n, prob1, prob2):
     # the shifted sweep takes T (N o Q1) and T^T (M o Q2) from one product with T
     problem = {1: prob1, 2: prob2}.get(n) or build_problem(quadrature_params(n))
-    t = build_kernel(problem).T
-    assert np.array_equal(t, t.T)
+    kernel = build_kernel(problem)
+    assert np.array_equal(kernel.T, kernel.T.T)
+    assert np.array_equal(kernel.TT[0], kernel.TT[1])
 
 
 def test_shifted_sweep_refuses_a_noncritical_problem(prob_noncrit32):
@@ -167,10 +183,10 @@ def test_unknown_stop_rule_rejected_when_config_built(config):
 
 
 def test_si_critical_symmetry_and_bounds(prob8):
-    # in the critical case both kernel factors coincide, so m and n stay
+    # in the critical case both halves of [T^T; T] coincide, so m and n stay
     # bitwise equal; iterates sit between e and the limit vector
     kernel = build_kernel(prob8)
-    assert np.array_equal(kernel.P, kernel.Qm)
+    assert np.array_equal(kernel.TT[0], kernel.TT[1])
     spec = default_shift(prob8, "double")
     x_ref = sda_solve(prob8, shifted_coefficients(prob8, spec), SdaConfig(tol=1e-14)).x
     m_lim = x_ref @ prob8.q + 1.0

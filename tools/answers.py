@@ -6,8 +6,9 @@
 The grid: the six solvers at (alpha, c) = (0, 1), and ``sda`` and ``si`` also
 at (0.3, 0.9), for n in {1, 2, 4, 8, 32, 64, 128, 256} and ``max_iter`` in
 {None, 1, 17}, each through ``cli.run_solver``; ``si-single`` and ``si-double``
-also at n = 512, where a shifted sweep's residual is summed in row chunks
-(the benchmark's ``vector`` size); plus the criterion-2 scalar
+also at n = 512, where a shifted sweep's residual is summed in row chunks, and
+``si`` at the near-critical (1e-4, 1 - 1e-4), n = 256, a 1686-sweep run (the
+benchmark's ``vector`` jobs); plus the criterion-2 scalar
 cells (n = 1, omega1 in {0.5, 0.37}, the strict xfails among them).  For each
 run it records the SHA-256 of x, y and both histories, the stop reason, the
 iteration count, ``res_final`` and the gamma used.  For each n of the grid at
@@ -116,7 +117,8 @@ def spectra_record(prob):
 def answers():
     runs = {}
     grid = (((0.0, 1.0), SIZES, SOLVERS), ((0.3, 0.9), SIZES, ("sda", "si")),
-            ((0.0, 1.0), (512,), ("si-single", "si-double")))
+            ((0.0, 1.0), (512,), ("si-single", "si-double")),
+            ((1e-4, 1.0 - 1e-4), (256,), ("si",)))
     for (alpha, c), sizes, solvers in grid:
         for n in sizes:
             prob = grid_problem(n, alpha, c)
