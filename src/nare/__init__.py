@@ -53,7 +53,6 @@ from .si import (
     SiState,
     build_kernel,
     si_init,
-    si_shift_init,
     si_shift_step,
     si_shifted_solve,
     si_solve,

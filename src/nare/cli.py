@@ -243,14 +243,10 @@ def cmd_spectrum(args, out):
     else:
         report = spectra.interlaced_spectrum(problem)
         print("# eigenvalues of the critical block matrix", file=out)
-    poles = set(np.round(report.fixed_roots, 12))
-    for val in report.eigenvalues:
-        if val == 0.0 and report.includes_zero:
-            tag = "zero"
-        elif np.round(val, 12) in poles:
-            tag = "pole 1/omega"
-        else:
-            tag = "interior"
+    tagged = ([(v, "pole 1/omega") for v in report.fixed_roots]
+              + [(v, "interior") for v in report.free_roots]
+              + ([(0.0, "zero")] if report.includes_zero else []))
+    for val, tag in sorted(tagged, key=lambda t: t[0]):
         print(f"{_fmt(val)}  [{tag}]", file=out)
     if report.on_boundary:
         print("# shift on the region boundary", file=out)

@@ -23,7 +23,7 @@ class ShiftSpec:
 
     single mode: 0 < eta <= 1/omega1 and xi = 0.
     double mode: 0 < eta < 1/omega1 and (-1 + eta*omega1)/omega1 <= xi < 0.
-    ``shifted_coefficients`` checks this region.  ``si.si_shift_init``, the
+    ``shifted_coefficients`` checks this region.  ``si.build_kernel``, the
     spectra and ``sda_rate_bound`` check its closure, which adds eta = 0 and,
     in double mode, xi = 0 and eta = 1/omega1; single mode keeps xi = 0.
     """

@@ -28,7 +28,6 @@ from nare import (
     shifted_coefficients,
     shifted_interlaced_spectrum,
     si_init,
-    si_shift_init,
     si_shift_step,
     si_solution,
     si_step,
@@ -243,17 +242,18 @@ def test_criterion_7_rate_properties(prob32, ref32):
     assert order >= 1.7, order
 
     spec = default_shift(prob32, "double")
-    kernel = build_kernel(prob32)
-    rows, zstate = si_shift_init(prob32, spec)
+    zkernel = build_kernel(prob32, spec)
+    zstate = si_init(zkernel)
     errs_z = []
     for _ in range(60):
-        zstate = si_shift_step(kernel, rows, zstate)
-        z = si_solution(kernel, *zstate.mn)
+        zstate = si_shift_step(zkernel, zstate)
+        z = si_solution(zkernel, *zstate.mn)
         errs_z.append(inf_norm(z - ref32) / scale)
     late = [errs_z[i + 1] / errs_z[i] for i in range(30, 55)]
     assert all(0.0 < r < 0.95 for r in late), late
 
-    vstate = si_init(prob32)
+    kernel = build_kernel(prob32)
+    vstate = si_init(kernel)
     e_prev = e_curr = None
     for k in range(1, 1002):
         vstate = si_step(kernel, vstate)
@@ -271,20 +271,20 @@ def test_criterion_8_monotonicity_and_dominance(prob32, ref32):
     spec0 = make_shift(prob32, 0.0, 0.0, "double")
     spec1 = default_shift(prob32, "single")
     spec2 = default_shift(prob32, "double")
-    (r0, s0), (r1, s1), (r2, s2) = (si_shift_init(prob32, s) for s in (spec0, spec1, spec2))
-    kernel = build_kernel(prob32)
+    k0, k1, k2 = (build_kernel(prob32, s) for s in (spec0, spec1, spec2))
+    s0, s1, s2 = si_init(k0), si_init(k1), si_init(k2)
     xi = spec2.xi
     n2_cap = -xi / prob32.gamma
     m_lim = ref32 @ prob32.q + 1.0
     n_lim = ref32.T @ prob32.q + 1.0
     bound_slack = 1e-10
-    z2 = si_solution(kernel, *s2.mn)
+    z2 = si_solution(k2, *s2.mn)
     for k in range(1, 201):
         prev2 = z2
-        s0 = si_shift_step(kernel, r0, s0)
-        s1 = si_shift_step(kernel, r1, s1)
-        s2 = si_shift_step(kernel, r2, s2)
-        z0, z1, z2 = (si_solution(kernel, *s.mn) for s in (s0, s1, s2))
+        s0 = si_shift_step(k0, s0)
+        s1 = si_shift_step(k1, s1)
+        s2 = si_shift_step(k2, s2)
+        z0, z1, z2 = (si_solution(k2, *s.mn) for s in (s0, s1, s2))
         slack = 1e-13 * max(1.0, inf_norm(z2))
         assert np.min(z1 - z0) >= -slack, f"dominance (eta,0) at k={k}"
         assert np.min(z2 - z1) >= -slack, f"dominance (eta,xi) at k={k}"

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from nare import build_problem, quadrature_params, shift, si
+from nare import TransportParams, build_problem, quadrature_params, shift, si, spectra
 from nare.cli import CSV_HEADER, main, run_solver
 from nare.sda import SdaConfig
 from nare.si import SiConfig
@@ -75,12 +75,12 @@ def test_run_solver_checks_the_shift_region_once(monkeypatch):
         return check(*args, **kwargs)
 
     monkeypatch.setattr(shift, "validate_shift", counted)
-    monkeypatch.setattr(si, "validate_shift", counted)  # si_shift_init's lookup
+    monkeypatch.setattr(si, "validate_shift", counted)  # build_kernel's lookup
     problem = build_problem(quadrature_params(8))
     for solver in ("sda-single", "sda-double", "si-single", "si-double"):
         calls.clear()
         assert run_solver(problem, solver)[0].converged
-        # by shifted_coefficients (doubling) or si_shift_init (vector), not by make_shift
+        # by shifted_coefficients (doubling) or build_kernel (vector), not by make_shift
         assert len(calls) == 1, solver
 
 
@@ -222,6 +222,24 @@ def test_spectrum_unshifted(capsys):
     assert sum("zero" in line for line in values) == 1
     assert sum("pole" in line for line in values) == 8
     assert sum("interior" in line for line in values) == 7
+
+
+def test_spectrum_tags_an_eigenvalue_near_a_pole_as_interior(tmp_path, capsys):
+    # the nodes 0.5 and 0.4999999999999 put an interior eigenvalue within 5e-13 of
+    # the pole 1/0.5 = 2; the tags come from the report's parts, not from rounding
+    path = tmp_path / "close.txt"
+    path.write_text("0.5 0.8\n1e-13 0.5\n0.4999999999999 0.3\n")
+    code, out, _ = run_cli(capsys, "spectrum", "--nodes", str(path))
+    assert code == 0
+    problem = build_problem(TransportParams(0.0, 1.0, np.array([0.5, 1e-13, 0.4999999999999]),
+                                            np.array([0.8, 0.5, 0.3])))
+    report = spectra.interlaced_spectrum(problem)
+    tags = dict(line.split("  ") for line in out.splitlines() if not line.startswith("#"))
+    assert len(tags) == 6 and tags["0"] == "[zero]"
+    assert sorted(k for k, v in tags.items() if v == "[pole 1/omega]") == \
+        sorted(f"{v:.17g}" for v in report.fixed_roots)
+    near = [v for v in report.free_roots if abs(v - 2.0) < 1e-12]
+    assert len(near) == 1 and tags[f"{near[0]:.17g}"] == "[interior]"
 
 
 def test_spectrum_shifted_auto(capsys):

@@ -22,7 +22,7 @@ from nare import (
 from nare.diagnostics import (SHIFT_STACK, classic_sweep_metrics, factor_sweep_metrics,
                               residual_matrix)
 from oracles import shift_equivalence_gap_dense
-from nare.si import build_kernel, si_init, si_shift_init, si_shift_step, si_solution, si_step
+from nare.si import build_kernel, si_init, si_shift_step, si_solution, si_step
 from nare.sda import SdaConfig, sda_solve
 
 
@@ -87,7 +87,7 @@ def test_factor_sweep_metrics_on_classic_sweeps(alpha, c):
     # by step and on the one block stack that both metrics take
     problem = build_problem(quadrature_params(16, alpha, c))
     kernel = build_kernel(problem)
-    state = si_init(problem)
+    state = si_init(kernel)
     states = [state]
     for _ in range(60):
         nxt = si_step(kernel, state)
@@ -118,7 +118,7 @@ def test_classic_sweep_metrics_batch_with_falling_and_nan_steps():
     # step must be exactly what a batch of one gives
     problem = build_problem(quadrature_params(8, 0.3, 0.9))
     kernel = build_kernel(problem)
-    state = si_init(problem)
+    state = si_init(kernel)
     rows, x_rows = [state.mn, state.ab], []
     for _ in range(8):
         state = si_step(kernel, state)
@@ -205,11 +205,10 @@ def test_factor_sweep_metrics_chunks_round_as_one_product(n, chunks, rng):
 def test_factor_sweep_metrics_block_equals_steps_alone(mode, prob8):
     # a block of 16 shifted sweeps measured at once gives each step bit for bit
     # what it gives alone, and the update error is relative_update_error's
-    kernel = build_kernel(prob8)
-    rows, state = si_shift_init(prob8, default_shift(prob8, mode))
-    states = [state]
+    kernel = build_kernel(prob8, default_shift(prob8, mode))
+    states = [si_init(kernel)]
     for _ in range(16):
-        states.append(si_shift_step(kernel, rows, states[-1]))
+        states.append(si_shift_step(kernel, states[-1]))
     sweeps = np.array([s.mn for s in states] + [states[-1].ab])
     x_rows = np.array([s.x_rows for s in states[1:]])
     block = factor_sweep_metrics(sweeps, x_rows)

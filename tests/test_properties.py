@@ -71,7 +71,8 @@ def test_off_critical_solvers_agree_and_iterate_monotonically(params):
     assert inf_norm(sda.x - si.x) <= 1e-10 * inf_norm(sda.x)
     assert np.all(sda.x >= 0.0) and np.all(si.x >= 0.0)
     # the classic iterates rise entry by entry from m = n = e after the first sweep
-    kernel, state = build_kernel(problem), si_init(problem)
+    kernel = build_kernel(problem)
+    state = si_init(kernel)
     for sweep in range(min(si.iterations, 200)):
         nxt = si_step(kernel, state)
         assert np.all(nxt.mn >= state.mn) and np.all(nxt.mn >= 1.0), sweep

@@ -21,7 +21,6 @@ from nare import (
     relative_residual,
     shifted_coefficients,
     si_init,
-    si_shift_init,
     si_shift_step,
     si_shifted_solve,
     si_solution,
@@ -37,16 +36,18 @@ from nare.si import SiConfig, SiState
 
 def test_kernel_scalar_case(prob1):
     kernel = build_kernel(prob1)
-    assert kernel.TT.shape == (2, 1, 1)
-    assert kernel.TT[0, 0, 0] == 0.25 and kernel.TT[1, 0, 0] == 0.25
+    assert kernel.TT.shape == (1, 1, 1)  # gamma = delta: one half, T = T^T
+    assert kernel.TT[0, 0, 0] == 0.25 and np.array_equal(kernel.T, kernel.T.T)
     assert kernel.T[0, 0] == 0.25
-    assert np.array_equal(kernel.qe, [prob1.q, prob1.e])
+    assert np.array_equal(kernel.scale, [prob1.q, prob1.e])
+    assert np.array_equal(kernel.e21, [prob1.e, prob1.e])
 
 
 def test_si_step_products_match_written_out(prob32, prob_noncrit32, rng):
-    # one batched product gives T (q o b), T b and T^T (q o a); off (0, 1) the
-    # two halves of [T^T; T] differ, so a swapped half would show there
-    for problem in (prob32, prob_noncrit32):
+    # one batched product gives T (q o b), T b and T^T (q o a); off alpha = 0 the
+    # two halves of [T^T; T] differ, so a swapped half would show there; at
+    # (0, 0.9) the one half T = T^T serves off the critical point
+    for problem in (prob32, prob_noncrit32, build_problem(quadrature_params(32, 0.0, 0.9))):
         n, q = problem.n, problem.q
         t = 1.0 / (problem.delta[:, None] + problem.gamma[None, :])
         ab = rng.uniform(0.5, 2.0, (2, n))
@@ -85,7 +86,7 @@ def test_critical_kernel_is_bitwise_symmetric(n, prob1, prob2):
     problem = {1: prob1, 2: prob2}.get(n) or build_problem(quadrature_params(n))
     kernel = build_kernel(problem)
     assert np.array_equal(kernel.T, kernel.T.T)
-    assert np.array_equal(kernel.TT[0], kernel.TT[1])
+    assert kernel.TT.shape[0] == 1  # gamma = delta: the one half is T = T^T
 
 
 def test_shifted_sweep_refuses_a_noncritical_problem(prob_noncrit32):
@@ -96,7 +97,7 @@ def test_shifted_sweep_refuses_a_noncritical_problem(prob_noncrit32):
 
 def test_si_first_iterates(prob1):
     kernel = build_kernel(prob1)
-    state = si_init(prob1)
+    state = si_init(kernel)
     state = si_step(kernel, state)
     assert state.m[0] == 1.0 and state.n[0] == 1.0
     state = si_step(kernel, state)
@@ -164,9 +165,9 @@ def test_si_shift_block_size_rule(n, max_iter, monkeypatch):
 
     calls = [0]
 
-    def counted(kernel, rows, state, _step=nare.si.si_shift_step):
+    def counted(kernel, state, _step=nare.si.si_shift_step):
         calls[0] += 1
-        return _step(kernel, rows, state)
+        return _step(kernel, state)
 
     monkeypatch.setattr(nare.si, "si_shift_step", counted)
     sol, _, _ = run_solver(build_problem(quadrature_params(n)), "si-double", max_iter=max_iter)
@@ -183,19 +184,22 @@ def test_unknown_stop_rule_rejected_when_config_built(config):
 
 
 def test_si_critical_symmetry_and_bounds(prob8):
-    # in the critical case both halves of [T^T; T] coincide, so m and n stay
-    # bitwise equal; iterates sit between e and the limit vector
-    kernel = build_kernel(prob8)
-    assert np.array_equal(kernel.TT[0], kernel.TT[1])
-    spec = default_shift(prob8, "double")
-    x_ref = sda_solve(prob8, shifted_coefficients(prob8, spec), SdaConfig(tol=1e-14)).x
-    m_lim = x_ref @ prob8.q + 1.0
-    state = si_init(prob8)
-    for _ in range(200):
-        state = si_step(kernel, state)
-        assert np.array_equal(state.m, state.n)
-        assert np.all(state.m >= 1.0)
-        assert np.all(state.m <= m_lim * (1 + 1e-12))
+    # at alpha = 0 the kernel is the one half T = T^T, so m and n stay bitwise
+    # equal; iterates sit between e and the limit vector.  (0, 0.9) is off the
+    # critical point, where the unshifted doubling gives the limit
+    off = build_problem(quadrature_params(8, 0.0, 0.9))
+    shifted = shifted_coefficients(prob8, default_shift(prob8, "double"))
+    for problem, quad in ((prob8, shifted), (off, off.quad)):
+        kernel = build_kernel(problem)
+        assert kernel.TT.shape[0] == 1 and np.array_equal(kernel.T, kernel.T.T)
+        x_ref = sda_solve(problem, quad, SdaConfig(tol=1e-14)).x
+        m_lim = x_ref @ problem.q + 1.0
+        state = si_init(kernel)
+        for _ in range(200):
+            state = si_step(kernel, state)
+            assert np.array_equal(state.m, state.n)
+            assert np.all(state.m >= 1.0)
+            assert np.all(state.m <= m_lim * (1 + 1e-12))
 
 
 def test_si_critical_hits_iteration_cap(prob32):
@@ -227,20 +231,19 @@ def test_si_shifted_double_count(prob32):
 
 def test_si_single_second_dual_column_vanishes(prob8):
     spec = default_shift(prob8, "single")
-    kernel = build_kernel(prob8)
-    rows, state = si_shift_init(prob8, spec)
+    kernel = build_kernel(prob8, spec)
+    state = si_init(kernel)
     for _ in range(10):
-        state = si_shift_step(kernel, rows, state)
+        state = si_shift_step(kernel, state)
         assert np.all(state.n[1] == 0.0)
 
 
 def test_zero_shift_matches_classic_iteration(prob8):
     spec = make_shift(prob8, 0.0, 0.0, "double")
-    kernel = build_kernel(prob8)
-    rows, z_state = si_shift_init(prob8, spec)
-    v_state = si_init(prob8)
+    kernel, z_kernel = build_kernel(prob8), build_kernel(prob8, spec)
+    z_state, v_state = si_init(z_kernel), si_init(kernel)
     for _ in range(25):
-        z_state = si_shift_step(kernel, rows, z_state)
+        z_state = si_shift_step(z_kernel, z_state)
         v_state = si_step(kernel, v_state)
         x_classic = si_solution(kernel, v_state.m, v_state.n)
         z = si_solution(kernel, z_state.m, z_state.n)
@@ -251,13 +254,13 @@ def test_shift_dominance_small(prob8):
     spec0 = make_shift(prob8, 0.0, 0.0, "double")
     spec1 = default_shift(prob8, "single")
     spec2 = default_shift(prob8, "double")
-    kernel = build_kernel(prob8)
-    (r0, s0), (r1, s1), (r2, s2) = (si_shift_init(prob8, s) for s in (spec0, spec1, spec2))
+    k0, k1, k2 = (build_kernel(prob8, s) for s in (spec0, spec1, spec2))
+    s0, s1, s2 = si_init(k0), si_init(k1), si_init(k2)
     for _ in range(40):
-        s0 = si_shift_step(kernel, r0, s0)
-        s1 = si_shift_step(kernel, r1, s1)
-        s2 = si_shift_step(kernel, r2, s2)
-        z0, z1, z2 = (si_solution(kernel, *s.mn) for s in (s0, s1, s2))
+        s0 = si_shift_step(k0, s0)
+        s1 = si_shift_step(k1, s1)
+        s2 = si_shift_step(k2, s2)
+        z0, z1, z2 = (si_solution(k0, *s.mn) for s in (s0, s1, s2))
         slack = 1e-13 * max(1.0, inf_norm(z2))
         assert np.min(z1 - z0) >= -slack
         assert np.min(z2 - z1) >= -slack
@@ -269,15 +272,14 @@ def test_monotone_increase_random_admissible_shifts(prob8, rng):
     from nare.shift import omega_lower_bound
 
     om1 = float(prob8.omegas[0])
-    kernel = build_kernel(prob8)
     for _ in range(4):
         eta = rng.uniform(0.0, 1.0) / om1
         xi = rng.uniform(omega_lower_bound(eta, om1), 0.0)
-        spec = make_shift(prob8, eta, xi, "double")
-        rows, state = si_shift_init(prob8, spec)
+        kernel = build_kernel(prob8, make_shift(prob8, eta, xi, "double"))
+        state = si_init(kernel)
         prev = si_solution(kernel, *state.mn)
         for _ in range(30):
-            state = si_shift_step(kernel, rows, state)
+            state = si_shift_step(kernel, state)
             z = si_solution(kernel, *state.mn)
             assert np.min(z - prev) > 0.0
             prev = z
@@ -286,11 +288,11 @@ def test_monotone_increase_random_admissible_shifts(prob8, rng):
 def test_monotone_increase_and_upper_bound(prob8):
     spec = default_shift(prob8, "double")
     ref = sda_solve(prob8, shifted_coefficients(prob8, spec), SdaConfig(tol=1e-14))
-    kernel = build_kernel(prob8)
-    rows, state = si_shift_init(prob8, spec)
+    kernel = build_kernel(prob8, spec)
+    state = si_init(kernel)
     prev = si_solution(kernel, *state.mn)
     for _ in range(60):
-        state = si_shift_step(kernel, rows, state)
+        state = si_shift_step(kernel, state)
         z = si_solution(kernel, *state.mn)
         gap = inf_norm(z - ref.x)
         if gap <= 10 * 64 * 2.0 ** -52:
@@ -304,10 +306,10 @@ def test_component_limits(prob32):
     # 300 sweeps puts the iterate at its floating-point floor (the limit
     # cycles in the last bit, so exact stationarity never happens)
     spec = default_shift(prob32, "double")
-    kernel = build_kernel(prob32)
-    rows, state = si_shift_init(prob32, spec)
+    kernel = build_kernel(prob32, spec)
+    state = si_init(kernel)
     for _ in range(300):
-        state = si_shift_step(kernel, rows, state)
+        state = si_shift_step(kernel, state)
     x = si_solution(kernel, *state.mn)
     m1, m2 = state.m
     n1, n2 = state.n
@@ -388,15 +390,15 @@ def vector_runs(draw):
 @given(vector_runs())
 def test_factored_residual_matches_dense_residual(run):
     problem, spec = run
-    kernel = build_kernel(problem)
+    kernel = build_kernel(problem, spec)
     config = SiConfig(tol=1e-300, max_iter=40)
     if spec is None:
         sol = si_solve(problem, config)
-        state, step = si_init(problem), partial(si_step, kernel)
+        step = partial(si_step, kernel)
     else:
         sol = si_shifted_solve(problem, spec, config)
-        rows, state = si_shift_init(problem, spec)
-        step = partial(si_shift_step, kernel, rows)
+        step = partial(si_shift_step, kernel)
+    state = si_init(kernel)
     # both metrics round at the scale of Gamma and Delta, 1/(c (1 -+ alpha))
     tol = 4 * problem.n * EPS / (problem.params.c * (1.0 - problem.params.alpha))
     for res in sol.res_history:
@@ -407,11 +409,10 @@ def test_factored_residual_matches_dense_residual(run):
 def test_shift_step_row_sums_of_z_with_negative_factor_entries(prob8, rng):
     # a negative factor entry can make Z negative somewhere; the row sums that
     # scale the residual must then be those of |Z|
-    kernel = build_kernel(prob8)
-    rows, state = si_shift_init(prob8, default_shift(prob8, "double"))
+    kernel = build_kernel(prob8, default_shift(prob8, "double"))
     m_fac, n_fac = rng.uniform(0.5, 2.0, (2, prob8.n, 2))
     n_fac[:, 1] *= -4.0
-    state = si_shift_step(kernel, rows, replace(state, ab=np.array([m_fac.T, n_fac.T])))
+    state = si_shift_step(kernel, replace(si_init(kernel), ab=np.array([m_fac.T, n_fac.T])))
     z = si_solution(kernel, m_fac.T, n_fac.T)
     assert np.min(z) < 0.0
     assert state.x_rows == pytest.approx(np.abs(z).sum(axis=1), rel=1e-14)
