@@ -33,7 +33,7 @@ from .shift import omega_lower_bound, validate_shift
 POLE_GUARD = 1e-14
 BRACKET_WIDTH_FACTOR = 1e-12
 MAX_ROUNDS = 200
-ROW_BLOCK = 1 << 13
+ROW_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -63,23 +63,25 @@ class SpectrumReport:
 
 def _rational_sums(problem, *nums, poles=None):
     """Return ``sums``: lams -> array (2, len(nums), len(lams)) of s(num) =
-    sum_i num_i/(p_i - lam) and s'(num), over the poles p_i = 1/om_i or ``poles``.
+    sum_i num_i r_i and s'(num) = sum_i num_i r_i^2, r_i = 1/(p_i - lam), over
+    the poles p_i = 1/om_i or ``poles``.
 
-    Each point is one row of the n-wide denominators, summed along the row,
-    so a point rounds the same in a batch as in a call of its own.  The
-    points go ``ROW_BLOCK // n`` at a time, so the temporaries stay in cache.
+    Each point is one row of r, one division per pole, contracted with the
+    numerators by einsum before and after squaring.  Not by BLAS (no
+    ``optimize``): a gemv rounds unlike the same row of a gemm, while einsum
+    sums each row in one order, so a point rounds the same in a batch as
+    alone.  The points go ``ROW_BLOCK // n`` at a time, so r stays in cache.
     """
     poles = 1.0 / problem.omegas if poles is None else poles
-    nums = np.array(nums)[:, None, :]
+    nums = np.array(nums)
     rows = max(1, ROW_BLOCK // poles.size)
 
     def sums(lams):
         out = np.empty((2, len(nums), lams.size))
         for i in range(0, lams.size, rows):
-            den = poles - lams[i:i + rows, None]
-            t = nums / den
-            out[0, :, i:i + rows] = np.sum(t, axis=2)
-            out[1, :, i:i + rows] = np.einsum("krn,rn->kr", t, 1.0 / den)
+            r = 1.0 / (poles - lams[i:i + rows, None])
+            out[0, :, i:i + rows] = np.einsum("rn,kn->kr", r, nums)
+            out[1, :, i:i + rows] = np.einsum("rn,kn->kr", r * r, nums)
         return out
 
     return sums
@@ -194,9 +196,8 @@ def shifted_interlaced_spectrum(problem, shift):
     the admissible region.
     """
     require_critical(problem, "the secular machinery")
-    om1 = float(problem.omegas[0])
-    validate_shift(shift.eta, shift.xi, shift.mode, om1, relaxed=True)
-    eta, xi = shift.eta, shift.xi
+    om1, eta, xi = float(problem.omegas[0]), shift.eta, shift.xi
+    validate_shift(eta, xi, shift.mode, om1, relaxed=True)
     if eta * xi == 0.0:
         return interlaced_spectrum(problem)
     on_boundary = abs(xi - omega_lower_bound(eta, om1)) <= 1e-12 * abs(xi)
@@ -274,10 +275,9 @@ def closed_loop_spectrum(problem):
 
 def cayley(z, gamma):
     """Cayley transform (z - gamma)/(z + gamma), elementwise; maps (0, inf) into (-1, 1)."""
-    z = np.asarray(z, dtype=np.float64)
-    gamma = float(gamma)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    z, gamma = np.asarray(z, dtype=np.float64), float(gamma)
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if np.any(np.abs(z + gamma) < POLE_GUARD):
         raise PoleHit(f"Cayley transform pole at z = -gamma = {-gamma}")
     return (z - gamma) / (z + gamma)

@@ -88,13 +88,29 @@ def test_secular_sums_scalar_case(prob1):
 
 
 def test_batched_sums_round_like_single_calls(rng):
+    # bit for bit against one-point calls, over three row blocks, for the poles
+    # 1/om and for mu = lam^2 over 1/om^2; against the written-out sums to
+    # 3 n eps sum|terms|: r_i = 1/(p_i - lam) rounds twice, its product with
+    # num_i once, and each sum n - 1 times
     problem = build_problem(quadrature_params(64))
-    om, c = problem.omegas, problem.weights
-    poles = 1.0 / om
-    lams = rng.uniform(0.0, poles.max(), 200)
-    (s1, g2, g3), _ = _rational_sums(problem, c, c * om, c / om)(lams)
-    for i, lam in enumerate(lams):
-        assert secular_sums(problem, lam) == (float(lam * s1[i]), float(g2[i]), float(g3[i]))
+    om, c, n = problem.omegas, problem.weights, problem.n
+    eps = np.finfo(float).eps
+    for nums, poles in (([c, c * om, c / om], None), ([c / om ** 2], 1.0 / om ** 2)):
+        sums = _rational_sums(problem, *nums, poles=poles)
+        nums, poles = np.array(nums), 1.0 / om if poles is None else poles
+        lams = rng.uniform(0.0, poles.max(), 2 * (spectra.ROW_BLOCK // n) + 37)
+        batched = sums(lams)
+        for i in range(lams.size):
+            assert sums(lams[i:i + 1])[:, :, 0].tobytes() == batched[:, :, i].tobytes()
+        terms = nums[:, None, :] / (poles - lams[:, None])
+        dterms = terms / (poles - lams[:, None])
+        assert np.all(np.abs(batched[1] - np.sum(dterms, axis=2))
+                      <= 3 * n * eps * np.sum(np.abs(dterms), axis=2))
+        written = np.sum(terms, axis=2)
+        if len(nums) == 3:  # the oracle's (g1, g2, g3), with g1 = lam s(c)
+            written = np.array([secular_sums(problem, lam) for lam in lams]).T
+            written[0] /= lams
+        assert np.all(np.abs(batched[0] - written) <= 3 * n * eps * np.sum(np.abs(terms), axis=2))
 
 
 def test_secular_sums_identities(prob32, rng):
@@ -199,11 +215,10 @@ def test_roots_are_relatively_accurate(n, prob2):
     problem = prob2 if n == 2 else build_problem(quadrature_params(n))
     om1 = float(problem.omegas[0])
     spec = make_shift(problem, 0.3 / om1, -0.2 / om1, "double")
-    ref = oracles.secular_roots_mp(problem, shift=spec if n <= 8 else None)
+    ref = oracles.secular_roots_mp(problem, shift=spec)
     mine = {"interlaced": interlaced_spectrum(problem).free_roots,
-            "closed_loop": closed_loop_spectrum(problem)[1:]}
-    if n <= 8:
-        mine["shifted"] = shifted_interlaced_spectrum(problem, spec).free_roots
+            "closed_loop": closed_loop_spectrum(problem)[1:],
+            "shifted": shifted_interlaced_spectrum(problem, spec).free_roots}
     for kind, roots in mine.items():
         assert np.all(np.abs(roots - ref[kind]) <= 1e-14 * np.abs(ref[kind])), kind
 
@@ -343,6 +358,12 @@ def test_cayley_contracts_positive_axis(rng):
         z = rng.uniform(1e-8, 1e6)
         gamma = rng.uniform(1e-6, 1e4)
         assert abs(cayley(z, gamma)) < 1.0
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan"), float("inf")])
+def test_cayley_refuses_a_gamma_outside_zero_to_inf(gamma):
+    with pytest.raises(ValueError, match="positive and finite"):
+        cayley(np.array([0.5, 2.0]), gamma)
 
 
 def test_cayley_pole():

@@ -7,7 +7,9 @@ The grid: the six solvers at (alpha, c) = (0, 1), and ``sda`` and ``si`` also
 at (0.3, 0.9), for n in {1, 2, 4, 8, 32, 64, 128, 256} and ``max_iter`` in
 {None, 1, 17}, each through ``cli.run_solver``; ``si-single`` and ``si-double``
 also at n = 512, where a shifted sweep's residual is summed in row chunks, and
-``si`` at the near-critical (1e-4, 1 - 1e-4), n = 256, a 1686-sweep run (the
+``si`` there with ``max_iter`` in {1, 17} only (the critical classic sweep on a
+one-half kernel; uncapped it runs to its 10000-sweep cap), and ``si`` at the
+near-critical (1e-4, 1 - 1e-4), n = 256, a 1686-sweep run (the
 benchmark's ``vector`` jobs); plus the criterion-2 scalar
 cells (n = 1, omega1 in {0.5, 0.37}, the strict xfails among them).  For each
 run it records the SHA-256 of x, y and both histories, the stop reason, the
@@ -116,14 +118,15 @@ def spectra_record(prob):
 
 def answers():
     runs = {}
-    grid = (((0.0, 1.0), SIZES, SOLVERS), ((0.3, 0.9), SIZES, ("sda", "si")),
-            ((0.0, 1.0), (512,), ("si-single", "si-double")),
-            ((1e-4, 1.0 - 1e-4), (256,), ("si",)))
-    for (alpha, c), sizes, solvers in grid:
+    grid = (((0.0, 1.0), SIZES, SOLVERS, CAPS), ((0.3, 0.9), SIZES, ("sda", "si"), CAPS),
+            ((0.0, 1.0), (512,), ("si-single", "si-double"), CAPS),
+            ((0.0, 1.0), (512,), ("si",), (1, 17)),
+            ((1e-4, 1.0 - 1e-4), (256,), ("si",), CAPS))
+    for (alpha, c), sizes, solvers, caps in grid:
         for n in sizes:
             prob = grid_problem(n, alpha, c)
             for solver in solvers:
-                for cap in CAPS:
+                for cap in caps:
                     sol, _, gamma = run_solver(prob, solver, max_iter=cap)
                     runs[f"{solver} n={n} ({alpha}, {c}) max_iter={cap}"] = record(sol, gamma)
     for key, sol in scalar_runs():
