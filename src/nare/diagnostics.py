@@ -9,10 +9,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import InsufficientHistory, SingularMatrix
-from .linalg import EPS, inf_norm, lu_inverse
+from .linalg import inf_norm, lu_inverse, smw_factors
 from .problem import require_critical
 
 Z_PATTERN_TOL = 1e-14
@@ -249,13 +248,8 @@ class SolutionReport:
 def _certify_low_rank(dg, u, v):
     """``certify_m_matrix`` of diag(dg) - U V^T, dg > 0, U and V N x r, in O(N^2 r).
 
-    By Sherman-Morrison-Woodbury the inverse is diag(dg)^-1 + (dg^-1 U) S^-1 (V^T dg^-1),
-    S = I - V^T dg^-1 U.  S is singular when an LU pivot falls below
-    N eps ||I + |V|^T dg^-1 |U| ||, the size of the sums that formed it, as
-    ``lu_factor`` scales its gate by ||A||; ||S|| is no scale, as S cancels to
-    about N eps at the critical point.
+    The inverse is diag(dg)^-1 + (dg^-1 U) S^-1 (V^T dg^-1), gated on S by ``smw_factors``.
     """
-    n, eye = len(dg), np.eye(u.shape[1])
     p = u @ v.T
     diag = dg - p.diagonal()
     np.fill_diagonal(p, 0.0)  # minus the off-diagonal part
@@ -264,12 +258,12 @@ def _certify_low_rank(dg, u, v):
     if worst > Z_PATTERN_TOL * np.abs(diag).max() and worst > Z_PATTERN_TOL * (
             np.abs(p).sum(axis=1) + np.abs(diag)).max():
         return MMatrixCertificate(status="z_matrix_violation", worst_offdiag=worst)
-    ud = u / dg[:, None]
-    lu, piv, _ = lapack.dgetrf(eye - v.T @ ud)
-    if np.abs(lu.diagonal()).min() < n * EPS * inf_norm(eye + np.abs(v).T @ np.abs(ud)):
+    try:
+        ud, s_inv = smw_factors(dg, u, v)
+    except SingularMatrix:
         return MMatrixCertificate(status="singular_or_not", worst_offdiag=worst)
-    inv = ud @ lapack.dgetrs(lu, piv, v.T / dg)[0]
-    inv.flat[::n + 1] += 1.0 / dg
+    inv = ud @ (s_inv @ (v.T / dg))
+    inv.flat[::len(dg) + 1] += 1.0 / dg
     return _sign_certificate(worst, inv)
 
 

@@ -1,4 +1,4 @@
-"""Dense linear-algebra kernel: checked LU factors, solves, inverses, infinity norms.
+"""Dense linear-algebra kernel: checked LU factors, solves, inverses, norms, SMW factors.
 
 All matrices are numpy float64 arrays in row-major (C) order.
 """
@@ -53,3 +53,22 @@ def lu_inverse(a):
     """A^-1 by LAPACK getri on the checked factors of ``lu_factor``."""
     lwork = int(lapack.dgetri_lwork(len(a))[0])
     return lapack.dgetri(*lu_factor(a), lwork=lwork, overwrite_lu=True)[0]
+
+
+def smw_factors(dg, u, v):
+    """``(dg^-1 U, S^-1)`` of diag(dg) - U V^T, U and V N x r: by Sherman-Morrison-Woodbury
+    its inverse is diag(dg)^-1 + (dg^-1 U) S^-1 (V^T dg^-1), S = I - V^T dg^-1 U, r x r.
+
+    Raises SingularMatrix on a zero entry of dg, before any division, and when an LU pivot of S
+    falls below N eps (1 + max row sum of |V|^T |dg^-1 U|) = N eps ||I + |V|^T |dg^-1 U| ||: the
+    size of the sums that formed S, since S itself cancels to about N eps at the critical point.
+    """
+    if not dg.all():
+        raise SingularMatrix("zero diagonal entry")
+    ud = u / dg[:, None]
+    lu, piv, _ = lapack.dgetrf(np.eye(u.shape[1]) - v.T @ ud)
+    pivot = min(map(abs, lu.diagonal().tolist()))
+    threshold = len(dg) * EPS * (1.0 + max((np.abs(v).T @ np.abs(ud)).sum(axis=1).tolist()))
+    if pivot < threshold:
+        raise SingularMatrix(f"pivot {pivot:.3e} below threshold {threshold:.3e}")
+    return ud, lapack.dgetri(lu, piv)[0]

@@ -1,14 +1,16 @@
 """Structure-preserving doubling algorithm.
 
-Initialization (scalar gamma >= max diagonal of A and D) takes two inverses:
+Initialization (scalar gamma >= max diagonal of A and D) is O(n^2) on the factors:
+with d = Gamma + gamma and w = Delta + gamma, ``smw_factors`` inverts D_g = D + gamma I
+= diag(d) - Q1 E1^T and W_g = A + gamma I - B D_g^-1 C = diag(w) - (E2 S1^-1) Q2^T by
+their 2 x 2 capacitances S1 = I - E1^T U1, U1 = Q1/d, and S2 = I - Q2^T U2, U2 = E2 S1^-1/w.
+With L_G = U1 S1^-1 S2^-1, L_H = U2 S2^-1 and V_g = D_g - C (A + gamma I)^-1 B,
 
-    D_g = D + gamma I                W_g = A + gamma I - B D_g^-1 C
-    G0 = 2 gamma D_g^-1 C W_g^-1     H0 = 2 gamma W_g^-1 B D_g^-1
-    F0 = I - 2 gamma W_g^-1          E0 = I - 2 gamma D_g^-1 - G0 B D_g^-1
+    G0 = 2 gamma D_g^-1 C W_g^-1 = L_G (2 gamma Q2/w)^T    F0 = I - 2 gamma W_g^-1
+    H0 = 2 gamma W_g^-1 B D_g^-1 = L_H (2 gamma E1/d)^T    E0 = I - 2 gamma V_g^-1
 
-E0 is I - 2 gamma V_g^-1 for V_g = D_g - C (A + gamma I)^-1 B, by the
-block-inverse identity V_g^-1 = D_g^-1 + D_g^-1 C W_g^-1 B D_g^-1.  The
-doubling step, with K = (I - G H)^-1 and (I - H G)^-1 = I + H K G,
+and F0 + L_H (2 gamma Q2/w)^T, E0 + L_G (2 gamma E1/d)^T are diagonal.  The doubling
+step, with K = (I - G H)^-1 and (I - H G)^-1 = I + H K G,
 
     E <- E K E                       G <- G + E K (G F)
     F <- F F + (F H) K (G F)         H <- H + (F H) K E
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import diagnostics
 from .errors import Breakdown, SingularMatrix
-from .linalg import lu_inverse
+from .linalg import lu_inverse, smw_factors
 from .solution import check_config, iterate
 
 
@@ -61,8 +63,8 @@ class SdaState:
 
 def resolve_gamma(quad, config):
     # diag(A) = Delta - rowsum(E2 o Q2) and diag(D) = Gamma - rowsum(Q1 o E1), O(n)
-    bound = max(float(np.max(quad.delta - (quad.e2 * quad.q2).sum(axis=1))),
-                float(np.max(quad.gamma - (quad.q1 * quad.e1).sum(axis=1))))
+    bound = max(float((quad.delta - (quad.e2 * quad.q2).sum(axis=1)).max()),
+                float((quad.gamma - (quad.q1 * quad.e1).sum(axis=1)).max()))
     if config.gamma is None:
         return bound
     gamma = float(config.gamma)
@@ -76,21 +78,21 @@ def resolve_gamma(quad, config):
 
 
 def sda_init(quad, config=None):
-    """Initial doubling state for a coefficient quadruple.
+    """Initial doubling state for a coefficient quadruple, in O(n^2) on its factors.
 
-    Raises SingularMatrix if any of the inner systems is degenerate,
-    which signals an invalid quadruple or gamma.
+    Raises SingularMatrix if D_g or W_g is degenerate: an invalid quadruple or gamma.
     """
     gamma = resolve_gamma(quad, config or SdaConfig())
-    eye, b = np.eye(quad.n), quad.B  # each access builds the array
-    dg_inv = lu_inverse(quad.D + gamma * eye)
-    dg_inv_c = dg_inv @ quad.C
-    w_inv = lu_inverse(quad.A + gamma * eye - b @ dg_inv_c)
-    b_dg_inv = b @ dg_inv
-    g0 = 2.0 * gamma * dg_inv_c @ w_inv
-    e0 = eye - 2.0 * gamma * dg_inv - g0 @ b_dg_inv
-    return SdaState(E=e0, F=eye - 2.0 * gamma * w_inv, G=g0,
-                    H=2.0 * gamma * w_inv @ b_dg_inv)
+    n, (d, w) = quad.n, (dw := np.concatenate([quad.gamma, quad.delta]).reshape(2, -1) + gamma)
+    u1, s1 = smw_factors(d, quad.q1, quad.e1)
+    u2, s2 = smw_factors(w, quad.e2 @ s1, quad.q2)
+    lg, lh, r = u1 @ (s1 @ s2), u2 @ s2, 2.0 * gamma / dw
+    # [H0; E0] = [L_H; -L_G] (r E1)^T and [G0; F0] = [L_G; -L_H] (r Q2)^T, in one allocation
+    right = (np.concatenate([quad.e1, quad.q2]).reshape(2, n, 2) * r[:, :, None]).transpose(0, 2, 1)
+    out = np.matmul(np.concatenate([lh, -lg, lg, -lh]).reshape(2, 2 * n, 2), right).reshape(4, n, n)
+    out.reshape(4, n * n)[1::2, ::n + 1] += 1.0 - r  # the diagonals of E0 and F0
+    h0, e0, g0, f0 = out
+    return SdaState(E=e0, F=f0, G=g0, H=h0)
 
 
 def sda_step(state):

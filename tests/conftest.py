@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from nare import TransportParams, build_problem, quadrature_params
+from nare import TransportParams, build_problem, quadrature_params, sda
 
 
 def critical_problem(n):
@@ -50,3 +51,18 @@ def prob_noncrit32():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def nan_from_step(monkeypatch):
+    """``nan_from_step(k)`` patches the doubling step so that the state it returns at
+    step k or later is all NaN: a run that blows up at a known step, whatever its rounding."""
+    def patch(k):
+        step = sda.sda_step
+
+        def blown(state):
+            nxt = step(state)
+            return nxt if nxt.k < k else dataclasses.replace(
+                nxt, **{f: np.full_like(getattr(nxt, f), np.nan) for f in "EFGH"})
+        monkeypatch.setattr(sda, "sda_step", blown)
+    return patch

@@ -84,7 +84,10 @@ def test_run_solver_checks_the_shift_region_once(monkeypatch):
         assert len(calls) == 1, solver
 
 
-def test_solve_below_attainable_tolerance_is_not_converged(capsys):
+def test_solve_below_attainable_tolerance_is_not_converged(capsys, nan_from_step):
+    # below its attainable floor critical doubling may blow up; a step patched to
+    # turn NaN makes that happen at a known step, whatever the rounding
+    nan_from_step(5)
     code, out, _ = run_cli(capsys, "solve", "--n", "8", "--tol", "1e-300",
                            "--format", "json")
     assert code == 2

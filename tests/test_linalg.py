@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from nare import SingularMatrix, inf_norm, lu_solve
-from nare.linalg import EPS, lu_factor, lu_inverse
+from nare.linalg import EPS, lu_factor, lu_inverse, smw_factors
 from nare.sda import resolve_gamma
 from nare.sda import SdaConfig
 
@@ -63,7 +63,8 @@ def test_inf_norm_homogeneous(rng):
 def test_inner_matrices_inverse_roundtrip(n):
     # the W_gamma / V_gamma systems of the doubling initialization stay
     # well conditioned enough for a 1e-10 inverse roundtrip, and V_gamma^-1
-    # is D_g^-1 + D_g^-1 C W_g^-1 B D_g^-1, the identity sda_init relies on
+    # is D_g^-1 + D_g^-1 C W_g^-1 B D_g^-1, the block-inverse identity by which
+    # sda_init's E0 = I - 2 gamma V_g^-1 shares its rank-two factor with G0
     from nare import build_problem, default_shift, quadrature_params, shifted_coefficients
 
     problem = build_problem(quadrature_params(n))
@@ -98,6 +99,31 @@ def test_exactly_singular_raises_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(SingularMatrix, match="pivot"):
             lu_factor(np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def test_smw_factors_give_the_inverse(rng):
+    n, r = 30, 2
+    dg = rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    u, v = 0.1 * rng.standard_normal((n, r)), 0.1 * rng.standard_normal((n, r))
+    ud, s_inv = smw_factors(dg, u, v)
+    inv = np.diag(1.0 / dg) + ud @ s_inv @ (v.T / dg)
+    assert inf_norm(inv @ (np.diag(dg) - u @ v.T) - np.eye(n)) <= 1e-13
+
+
+def test_smw_factors_zero_diagonal_raises_before_dividing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularMatrix, match="zero diagonal"):
+            smw_factors(np.array([1.0, 0.0]), np.ones((2, 1)), np.ones((2, 1)))
+
+
+def test_smw_factors_pivot_gate():
+    # diag(1, 1) - 0.5 (1 + 2 eps) ones: S = -2 eps, below the gate 2 eps (1 + 1 + 2 eps)
+    u = np.full((2, 1), 0.5 * (1.0 + 2.0 * EPS))
+    with pytest.raises(SingularMatrix, match="pivot .* below threshold"):
+        smw_factors(np.ones(2), u, np.ones((2, 1)))
+    ud, s_inv = smw_factors(np.ones(2), np.full((2, 1), 0.25), np.ones((2, 1)))
+    assert s_inv[0, 0] == 2.0 and np.array_equal(ud, np.full((2, 1), 0.25))
 
 
 def test_lu_factor_bitwise_equals_scipy(rng):

@@ -45,7 +45,28 @@ def factor_quadruple(gamma, delta):
 
 def test_init_degenerate_raises():
     quad = factor_quadruple(-1.0, 1.0)  # D + gamma I = 0 at the bound gamma = 1
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(SingularMatrix, match="zero diagonal"):
+        sda_init(quad, SdaConfig(gamma=1.0))
+
+
+def test_init_singular_shifted_d_raises_through_pivot_gate():
+    # d = Gamma + gamma = 2 > 0, but D + gamma I = diag(2, 2) - Q1 E1^T = [[1, -1], [-1, 1]]
+    rank_one = np.array([[1.0, 0.0], [1.0, 0.0]])
+    zero = np.zeros((2, 2))
+    quad = CoefficientQuadruple(np.ones(2), np.ones(2), rank_one, zero, rank_one, zero)
+    assert np.linalg.det(quad.D + np.eye(2)) == 0.0
+    with pytest.raises(SingularMatrix, match="pivot .* below threshold"):
+        sda_init(quad, SdaConfig(gamma=1.0))
+
+
+def test_init_singular_schur_complement_raises_through_pivot_gate():
+    # D + gamma I = 2 I is regular; W_gamma = A + gamma I = [[1, -1], [-1, 1]] is not
+    rank_one = np.array([[1.0, 0.0], [1.0, 0.0]])
+    zero = np.zeros((2, 2))
+    quad = CoefficientQuadruple(np.ones(2), np.ones(2), zero, rank_one, zero, rank_one)
+    w_gamma = quad.A + np.eye(2) - quad.B @ np.linalg.solve(quad.D + np.eye(2), quad.C)
+    assert np.linalg.det(w_gamma) == 0.0
+    with pytest.raises(SingularMatrix, match="pivot .* below threshold"):
         sda_init(quad, SdaConfig(gamma=1.0))
 
 
@@ -97,10 +118,22 @@ def quad32(request, prob32):
     return shifted_coefficients(prob32, default_shift(prob32, request.param))
 
 
-def test_init_matches_textbook_formulas(quad32):
-    # the two-inverse init against the five-solve transcription
-    state = sda_init(quad32)
-    ref = sda_init_reference(quad32, resolve_gamma(quad32, SdaConfig()))
+START_CASES = {  # case: (problem fixture or size n, shift mode)
+    "original": ("prob32", None), "single": ("prob32", "single"), "double": ("prob32", "double"),
+    "n1": ("prob1", None), "n256-original": (256, None), "n256-double": (256, "double"),
+    "alpha-c-half": ("prob_noncrit32", None)}
+
+
+@pytest.mark.parametrize("case", START_CASES)
+def test_init_matches_textbook_formulas(case, request):
+    # the factored O(n^2) start against the five-solve transcription
+    source, mode = START_CASES[case]
+    problem = build_problem(quadrature_params(source)) if isinstance(source, int) \
+        else request.getfixturevalue(source)
+    quad = problem.quad if mode is None else shifted_coefficients(
+        problem, default_shift(problem, mode))
+    state = sda_init(quad)
+    ref = sda_init_reference(quad, resolve_gamma(quad, SdaConfig()))
     for got, want in zip((state.E, state.F, state.G, state.H), ref):
         assert _rel_gap(got, want) <= 1e-13
 
@@ -257,13 +290,16 @@ def test_unshifted_dual_left_identity(prob32):
 
 
 @pytest.mark.parametrize("rule", ["either", "error"])
-def test_blown_up_run_returns_last_finite_iterate(rule):
-    # below the attainable floor the critical-case doubling iterates turn
-    # NaN; the run must end on the iterate before that, not converge on it
+def test_blown_up_run_returns_last_finite_iterate(rule, nan_from_step):
+    # a step that turns NaN, as critical-case doubling can below its attainable
+    # floor, ends the run on the iterate before it, not converged on it
     problem = build_problem(quadrature_params(8))
+    before = sda_solve(problem, problem.quad, SdaConfig(tol=1e-300, max_iter=4))
+    nan_from_step(5)
     sol = sda_solve(problem, problem.quad, SdaConfig(tol=1e-300, stop_rule=rule))
     assert sol.stop_reason == "nonfinite"
     assert not sol.converged
+    assert sol.iterations == 4 and np.array_equal(sol.x, before.x)
     assert np.all(np.isfinite(sol.x)) and np.all(np.isfinite(sol.y))
     assert sol.res_final == relative_residual(problem, sol.x)
 
