@@ -19,62 +19,42 @@ def omega_lower_bound(eta, omega1):
 
 @dataclass(frozen=True)
 class ShiftSpec:
-    """Shift parameters; the code that uses a shift checks its region.
-
-    single mode: 0 < eta <= 1/omega1 and xi = 0.
-    double mode: 0 < eta < 1/omega1 and (-1 + eta*omega1)/omega1 <= xi < 0.
-    ``shifted_coefficients`` checks this region.  ``si.build_kernel``, the
-    spectra and ``sda_rate_bound`` check its closure, which adds eta = 0 and,
-    in double mode, xi = 0 and eta = 1/omega1; single mode keeps xi = 0.
-    """
+    """Shift parameters, unchecked; ``validate_shift`` is the one check of them."""
 
     eta: float
     xi: float
     mode: str
 
 
-def validate_shift(eta, xi, mode, omega1, relaxed=False):
-    """Check (eta, xi) against the admissible region, naming any violation.
+def validate_shift(problem, shift):
+    """The one shift check: the critical case, a known mode and the closed region.
 
-    With ``relaxed`` set, the closure of the mode's region is accepted,
-    including (0, 0); this is the admissibility used by the low-rank
-    fixed-point iteration.
+    The region is 0 <= eta <= 1/omega1 and (-1 + eta*omega1)/omega1 <= xi <= 0,
+    with xi = 0 in single mode; it includes (0, 0), the classic iteration.
+    ``shifted_coefficients`` adds the doubling's eta > 0 and, double, xi < 0.
     """
-    if not 0.0 < omega1 < 1.0:
-        raise ValueError(f"omega1 must lie in (0, 1), got {omega1}")
+    require_critical(problem, "a shift")
+    eta, xi, mode = shift.eta, shift.xi, shift.mode
     if mode not in ("single", "double"):
         raise ValueError(f"unknown shift mode {mode!r}")
-    top = 1.0 / omega1
-    lo = omega_lower_bound(eta, omega1)
     if mode == "single" and xi != 0.0:
         raise ShiftOutOfRegion(f"single shift needs xi = 0; xi = {xi}")
-    if relaxed:
-        if not 0.0 <= eta <= top:
-            raise ShiftOutOfRegion(f"relaxed region needs 0 <= eta <= 1/omega1; eta = {eta}")
-        if not lo <= xi <= 0.0:
-            raise ShiftOutOfRegion(
-                f"relaxed region needs (-1 + eta*omega1)/omega1 <= xi <= 0; "
-                f"xi = {xi}, lower bound {lo}"
-            )
-        return
-    if mode == "single":
-        if not 0.0 < eta <= top:
-            raise ShiftOutOfRegion(f"single shift needs 0 < eta <= 1/omega1; eta = {eta}")
-    else:
-        if not 0.0 < eta < top:
-            raise ShiftOutOfRegion(f"double shift needs 0 < eta < 1/omega1; eta = {eta}")
-        if not lo <= xi < 0.0:
-            raise ShiftOutOfRegion(
-                f"double shift needs (-1 + eta*omega1)/omega1 <= xi < 0; "
-                f"xi = {xi}, lower bound {lo}"
-            )
+    om1 = float(problem.omegas[0])
+    if not 0.0 <= eta <= 1.0 / om1:
+        raise ShiftOutOfRegion(f"relaxed region needs 0 <= eta <= 1/omega1; eta = {eta}")
+    lo = omega_lower_bound(eta, om1)
+    if not lo <= xi <= 0.0:
+        raise ShiftOutOfRegion(
+            f"relaxed region needs (-1 + eta*omega1)/omega1 <= xi <= 0; "
+            f"xi = {xi}, lower bound {lo}"
+        )
 
 
 def make_shift(problem, eta, xi, mode):
     """An unchecked ShiftSpec for ``problem`` (critical case only).
 
     ``eta`` or ``xi`` None takes its ``default_shift`` value.  The code that
-    uses the shift checks the region it needs (see ``ShiftSpec``).
+    uses the shift checks it (see ``validate_shift``).
     """
     require_critical(problem, "a shift")
     om1 = float(problem.omegas[0])
@@ -95,14 +75,21 @@ def default_shift(problem, mode):
 def shifted_coefficients(problem, shift, check=True):
     """Coefficient quadruple of the shifted equation.
 
-    The ``problem.low_rank_form`` at (eta, xi), after the region check.  Dbar, Cbar, Bbar, Abar
+    The ``problem.low_rank_form`` at (eta, xi), after ``validate_shift`` and
+    the openness the doubling needs.  Dbar, Cbar, Bbar, Abar
     equal D + eta v1 r1^T + xi s1 u1^T, C - eta v1 r2^T - xi s1 u2^T,
     B + eta v2 r1^T + xi s2 u1^T and A - eta v2 r2^T - xi s2 u2^T; single
-    mode is the xi = 0 specialization.  ``check=False`` skips region
-    validation so that out-of-region quadruples can be probed (the block
-    matrix then need not be a Z-matrix).
+    mode is the xi = 0 specialization.  ``check=False`` skips both checks so
+    that out-of-region quadruples can be probed (the block matrix then need
+    not be a Z-matrix).
     """
     if check:
-        validate_shift(shift.eta, shift.xi, shift.mode, float(problem.omegas[0]))
+        validate_shift(problem, shift)
+        # in the closed region xi < 0 implies eta < 1/omega1, but for the rounding of the
+        # lower bound at eta = 1/omega1, which can leave it an ulp below 0
+        top = 1.0 / float(problem.omegas[0])
+        if not (shift.eta > 0.0 and (shift.mode == "single" or shift.xi < 0.0 and shift.eta < top)):
+            raise ShiftOutOfRegion(f"the doubling needs eta > 0 and, for a double shift, xi < 0 "
+                                   f"and eta < 1/omega1; eta = {shift.eta}, xi = {shift.xi}")
     tag = "single-shift" if shift.mode == "single" else "double-shift"
     return low_rank_form(problem, shift.eta, shift.xi, tag)

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics
-from .problem import low_rank_form, require_critical
+from .problem import low_rank_form
 from .shift import validate_shift
 from .solution import check_config, iterate
 
@@ -79,11 +79,10 @@ class SiState:
 
 
 def build_kernel(problem, shift=None):
-    """The constants of a classic solve or, given a shift, of a shifted one; a shift needs
-    the critical case, whose T = T^T its sweep relies on, and the closure of its region."""
+    """The constants of a classic solve or, given a shift, of a shifted one; ``validate_shift``
+    checks the shift, and its critical-case gate gives the T = T^T that the sweep relies on."""
     if shift is not None:
-        require_critical(problem, "the shifted vector iteration")
-        validate_shift(shift.eta, shift.xi, shift.mode, float(problem.omegas[0]), relaxed=True)
+        validate_shift(problem, shift)
     # T^T_ij = 1/(d_i + delta_j), the swapped sum, rounds as the transpose does: both
     # halves come from one division, row-major, and one is kept if gamma = delta
     dg = np.array([problem.gamma, problem.delta])

@@ -181,7 +181,7 @@ def interlaced_spectrum(problem):
 
 
 def shifted_interlaced_spectrum(problem, shift):
-    """Eigenvalues of the shifted block matrix, for a shift in the closure of its region.
+    """Eigenvalues of the shifted block matrix, for a shift that passes ``validate_shift``.
 
     With eta*xi = 0 (a single shift, or eta = 0) the characteristic
     polynomial is g1's, and this is ``interlaced_spectrum``.  Otherwise it
@@ -193,11 +193,11 @@ def shifted_interlaced_spectrum(problem, shift):
     only source of brackets: all intervals are solved together, one root on
     each side of it, with g3 = sum(c) + lam s(c).  A vanishing probe value
     marks a coalesced double root, which occurs exactly on the boundary of
-    the admissible region.
+    the admissible region.  Domain: ``BracketFailure`` is raised where a gap
+    root sits closer to a pole than the bracket width (weights over many decades).
     """
-    require_critical(problem, "the secular machinery")
+    validate_shift(problem, shift)
     om1, eta, xi = float(problem.omegas[0]), shift.eta, shift.xi
-    validate_shift(eta, xi, shift.mode, om1, relaxed=True)
     if eta * xi == 0.0:
         return interlaced_spectrum(problem)
     on_boundary = abs(xi - omega_lower_bound(eta, om1)) <= 1e-12 * abs(xi)
@@ -295,7 +295,7 @@ def sda_rate_bound(problem, shift=None, gamma=None):
     lams = closed_loop_spectrum(problem)[1:]  # the critical-case gate
     eta, xi = (shift.eta, shift.xi) if shift is not None else (0.0, 0.0)
     if shift is not None:
-        validate_shift(eta, xi, shift.mode, float(problem.omegas[0]), relaxed=True)
+        validate_shift(problem, shift)
     # sda_solve's gamma rule, on the quadruple that the shifted run iterates
     gamma = resolve_gamma(low_rank_form(problem, eta, xi), SdaConfig(gamma=gamma))
     # a single shift's xi = 0 gives |cayley(-0.0)| = 1, as an unshifted zero does

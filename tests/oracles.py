@@ -89,21 +89,6 @@ def det_sign_bisect(mat_fn, a, b, iters=120, width=None):
     return 0.5 * (a + b), (a, b)
 
 
-def scan_roots_by_det(mat, lo, hi, samples=10000):
-    """Brute-force: sign-scan det(M - lam I) on (lo, hi), bisect each change."""
-    n = mat.shape[0]
-    eye = np.eye(n)
-    pts = np.linspace(lo, hi, samples)
-    signs = np.array([det_sign(mat - lam * eye) for lam in pts])
-    roots = []
-    for i in range(samples - 1):
-        if signs[i] != 0 and signs[i + 1] != 0 and signs[i] != signs[i + 1]:
-            root, _ = det_sign_bisect(lambda lam: mat - lam * eye,
-                                      pts[i], pts[i + 1])
-            roots.append(root)
-    return np.array(roots)
-
-
 def transport_arrays(alpha, c, weights, omegas):
     """Vectors (q, delta, d) straight from the defining formulas."""
     q = weights / (2.0 * omegas)

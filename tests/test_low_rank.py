@@ -116,7 +116,7 @@ def test_report_certificates_match_dense_at_region_edges(n):
     unshifted = solution_report(problem, solved).m_matrix_certificates
     assert unshifted == dense_statuses(problem.quad, x)
     assert unshifted["closed_loop"] == "singular_or_not"
-    # a relaxed eta = 0 vector solve
+    # an eta = 0 vector solve, in the closed region the doubling refuses
     sol, spec, _ = run_solver(problem, "si-double", eta=0.0)
     quad = shifted_coefficients(problem, spec, check=False)
     report = solution_report(problem, sol, quad)

@@ -121,6 +121,7 @@ def test_every_critical_only_entry_point_is_refused(params):
         lambda: spectra.closed_loop_spectrum(problem),
         lambda: spectra.sda_rate_bound(problem, spec),
         lambda: si_shifted_solve(problem, spec),
+        lambda: shifted_coefficients(problem, spec),
         lambda: solution_identities(problem, np.zeros((problem.n, problem.n))),
     ]
     for call in calls:

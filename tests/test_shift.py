@@ -6,9 +6,11 @@ from nare import (
     NotCriticalCase,
     ShiftOutOfRegion,
     assemble_blocks,
+    build_problem,
     certify_m_matrix,
     default_shift,
     inf_norm,
+    quadrature_params,
     shifted_coefficients,
     validate_shift,
 )
@@ -22,37 +24,95 @@ def block_of(quad):
 
 def test_validate_boundaries(prob32):
     om1 = float(prob32.omegas[0])
-    validate_shift(1 / (2 * om1), -1 / (2 * om1), "double", om1)
-    validate_shift(1 / om1, 0.0, "single", om1)
+    validate_shift(prob32, ShiftSpec(1 / (2 * om1), -1 / (2 * om1), "double"))
+    validate_shift(prob32, ShiftSpec(1 / om1, 0.0, "single"))
     with pytest.raises(ShiftOutOfRegion):
-        validate_shift(1 / om1, -0.1, "double", om1)
+        validate_shift(prob32, ShiftSpec(1 / om1, -0.1, "double"))
     with pytest.raises(ShiftOutOfRegion):
-        validate_shift(0.5 / om1, -2.0 / om1, "double", om1)
+        validate_shift(prob32, ShiftSpec(0.5 / om1, -2.0 / om1, "double"))
     with pytest.raises(ShiftOutOfRegion):
-        validate_shift(-0.1, 0.0, "single", om1)
+        validate_shift(prob32, ShiftSpec(-0.1, 0.0, "single"))
+    # xi = 0 is in the closed double region; the doubling needs xi < 0
     with pytest.raises(ShiftOutOfRegion):
-        validate_shift(0.3, 0.0, "double", om1)
+        shifted_coefficients(prob32, ShiftSpec(0.3, 0.0, "double"))
 
 
 def test_validate_relaxed_closure(prob32):
     om1 = float(prob32.omegas[0])
-    validate_shift(0.0, 0.0, "double", om1, relaxed=True)
-    validate_shift(1 / om1, 0.0, "double", om1, relaxed=True)
-    validate_shift(0.5 / om1, omega_lower_bound(0.5 / om1, om1), "double", om1,
-                   relaxed=True)
+    validate_shift(prob32, ShiftSpec(0.0, 0.0, "double"))
+    validate_shift(prob32, ShiftSpec(1 / om1, 0.0, "double"))
+    validate_shift(prob32, ShiftSpec(0.5 / om1, omega_lower_bound(0.5 / om1, om1), "double"))
     with pytest.raises(ShiftOutOfRegion):
-        validate_shift(1.0001 / om1, 0.0, "double", om1, relaxed=True)
+        validate_shift(prob32, ShiftSpec(1.0001 / om1, 0.0, "double"))
 
 
 def test_validate_relaxed_single_keeps_xi_zero(prob32):
-    # the relaxed single region is 0 <= eta <= 1/omega1 with xi = 0
+    # the closed single region is 0 <= eta <= 1/omega1 with xi = 0
     om1 = float(prob32.omegas[0])
-    validate_shift(0.0, 0.0, "single", om1, relaxed=True)
-    validate_shift(1 / om1, 0.0, "single", om1, relaxed=True)
+    validate_shift(prob32, ShiftSpec(0.0, 0.0, "single"))
+    validate_shift(prob32, ShiftSpec(1 / om1, 0.0, "single"))
     with pytest.raises(ShiftOutOfRegion, match="xi = 0"):
-        validate_shift(0.5 / om1, -0.3, "single", om1, relaxed=True)
+        validate_shift(prob32, ShiftSpec(0.5 / om1, -0.3, "single"))
     with pytest.raises(ShiftOutOfRegion):
-        validate_shift(1.0001 / om1, 0.0, "single", om1, relaxed=True)
+        validate_shift(prob32, ShiftSpec(1.0001 / om1, 0.0, "single"))
+
+
+def test_validate_shift_refuses_an_unknown_mode(prob8):
+    with pytest.raises(ValueError, match="unknown shift mode 'triple'"):
+        validate_shift(prob8, ShiftSpec(0.5, -0.5, "triple"))
+
+
+def region(eta, xi, mode, om1, closed):
+    """The admissible region written out: its closure, or the open region of the doubling."""
+    top, lo = 1.0 / om1, omega_lower_bound(eta, om1)
+    if closed:
+        return 0.0 <= eta <= top and lo <= xi <= 0.0 and (mode == "double" or xi == 0.0)
+    if mode == "single":
+        return 0.0 < eta <= top and xi == 0.0
+    return 0.0 < eta < top and lo <= xi < 0.0
+
+
+def edge_points(om1):
+    """(eta, xi) at and an ulp beside every edge of the region, and at signed zeros,
+    NaN and infinities."""
+    top, tiny, inf, nan = 1.0 / om1, 5e-324, np.inf, np.nan
+    etas = [0.0, -0.0, tiny, -tiny, 0.5 / om1, top, np.nextafter(top, 0.0),
+            np.nextafter(top, inf), 2.0 * top, nan, inf, -inf]
+    for eta in etas:
+        lo = omega_lower_bound(eta, om1)
+        for xi in (0.0, -0.0, -tiny, tiny, -0.3, lo, np.nextafter(lo, -inf),
+                   np.nextafter(lo, inf), nan, inf, -inf):
+            yield eta, xi
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_edge_points_get_the_written_out_decisions(n):
+    # at n = 16 and 32 (1/omega1)*omega1 rounds below 1, so the rounded lower bound at
+    # eta = 1/omega1 is an ulp below 0: the doubling still refuses that edge
+    problem = build_problem(quadrature_params(n))
+    om1 = float(problem.omegas[0])
+    for mode in ("single", "double"):
+        for eta, xi in edge_points(om1):
+            spec = ShiftSpec(eta, xi, mode)
+            for check, closed in ((validate_shift, True), (shifted_coefficients, False)):
+                try:
+                    check(problem, spec)
+                    accepted = True
+                except ShiftOutOfRegion:
+                    accepted = False
+                assert accepted == region(eta, xi, mode, om1, closed), (check, spec)
+
+
+def test_vector_users_accept_the_closure_the_doubling_refuses(prob8):
+    from nare.si import SiConfig, si_shifted_solve
+    from nare.spectra import sda_rate_bound
+
+    om1 = float(prob8.omegas[0])
+    for spec in (ShiftSpec(0.0, -0.5 / om1, "double"), ShiftSpec(0.5 / om1, 0.0, "double")):
+        assert si_shifted_solve(prob8, spec, SiConfig(max_iter=3)).iterations == 3
+        assert 0.0 < sda_rate_bound(prob8, spec) <= 1.0
+        with pytest.raises(ShiftOutOfRegion, match="the doubling needs eta > 0"):
+            shifted_coefficients(prob8, spec)
 
 
 def test_default_shift_n1(prob1):
@@ -185,7 +245,7 @@ def test_admissible_region_implies_product_bound(prob32, rng):
     for _ in range(200):
         eta = rng.uniform(1e-6, 1.0 - 1e-6) / om1
         xi = rng.uniform(omega_lower_bound(eta, om1), -1e-9)
-        validate_shift(eta, xi, "double", om1)
+        shifted_coefficients(prob32, ShiftSpec(eta, xi, "double"))
         assert eta * xi >= cap - 1e-15
 
 

@@ -91,7 +91,7 @@ def test_critical_kernel_is_bitwise_symmetric(n, prob1, prob2):
 
 def test_shifted_sweep_refuses_a_noncritical_problem(prob_noncrit32):
     # off (0, 1) T is not symmetric, and a hand-built spec gets past make_shift's gate
-    with pytest.raises(NotCriticalCase, match="the shifted vector iteration"):
+    with pytest.raises(NotCriticalCase, match="a shift requires the critical case"):
         si_shifted_solve(prob_noncrit32, ShiftSpec(0.0, 0.0, "double"))
 
 
