@@ -72,6 +72,17 @@ def test_kernel_transpose_relation():
         assert not np.array_equal(tt[0], tt[1])
 
 
+@pytest.mark.parametrize("alpha, c", [(0.0, 1.0), (1e-4, 1.0 - 1e-4), (0.3, 0.9)])
+def test_kernel_starts_on_a_cache_line(alpha, c):
+    # the sweep's thin product ran twice as long against a T off a 64-byte line
+    problem = build_problem(quadrature_params(256, alpha, c))
+    dg = np.array([problem.gamma, problem.delta])
+    for _ in range(4):  # fresh allocations land at different offsets
+        tt = build_kernel(problem).TT
+        assert tt.ctypes.data % 64 == 0 and tt.flags.c_contiguous
+        assert np.array_equal(tt[0], 1.0 / (dg[0][:, None] + dg[1][None, :]))
+
+
 def test_kernel_entries_scalar_recomputation(prob2):
     kernel = build_kernel(prob2)
     for i in range(2):
