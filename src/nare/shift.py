@@ -41,11 +41,11 @@ def validate_shift(problem, shift):
         raise ShiftOutOfRegion(f"single shift needs xi = 0; xi = {xi}")
     om1 = float(problem.omegas[0])
     if not 0.0 <= eta <= 1.0 / om1:
-        raise ShiftOutOfRegion(f"relaxed region needs 0 <= eta <= 1/omega1; eta = {eta}")
+        raise ShiftOutOfRegion(f"shift region needs 0 <= eta <= 1/omega1; eta = {eta}")
     lo = omega_lower_bound(eta, om1)
     if not lo <= xi <= 0.0:
         raise ShiftOutOfRegion(
-            f"relaxed region needs (-1 + eta*omega1)/omega1 <= xi <= 0; "
+            f"shift region needs (-1 + eta*omega1)/omega1 <= xi <= 0; "
             f"xi = {xi}, lower bound {lo}"
         )
 

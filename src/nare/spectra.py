@@ -87,6 +87,7 @@ def _rational_sums(problem, *nums, poles=None):
     return sums
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _secular_roots(fn, lo, hi, sign_lo, poles, width):
     """Find the root in every bracket [lo_k, hi_k] at once, by safeguarded Newton.
 
@@ -116,8 +117,7 @@ def _secular_roots(fn, lo, hi, sign_lo, poles, width):
         side = np.sign(f) * s_lo  # 1 left of the root, -1 right of it
         np.copyto(lo_k, x_k, where=side >= 0)
         np.copyto(hi_k, x_k, where=side <= 0)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = f / (df + f * (m_a / (x_k - a) - m_b / (b - x_k)))
+        step = f / (df + f * (m_a / (x_k - a) - m_b / (b - x_k)))
         small, xn = np.abs(step) < 0.25 * width, x_k - step
         ok = (small & (lo0 < xn) & (xn < hi0)
               | (lo_k < xn) & (xn < hi_k) & (np.abs(step) <= 0.5 * move2))
@@ -126,11 +126,11 @@ def _secular_roots(fn, lo, hi, sign_lo, poles, width):
         cand, shut, h = small | (hi_k - lo_k <= width), np.zeros(ks.size, dtype=bool), 0.45 * width
         c = np.flatnonzero(cand & (lo0 < x_k - h) & (x_k + h < hi0))
         if c.size:
-            cc, pts = np.tile(c, 2), np.concatenate([x_k[c] - h, x_k[c] + h])
-            side = np.sign(fn(pts, ks[cc])[0]) * s_lo[cc]
-            np.maximum.at(lo_k, cc[side >= 0], pts[side >= 0])
-            np.minimum.at(hi_k, cc[side <= 0], pts[side <= 0])
-            shut[c] = (side[:c.size] == 1) & (side[c.size:] == -1)
+            pts = x_k[c] + np.array([[-h], [h]])  # the two closing points, a row each
+            side = np.sign(fn(pts.ravel(), ks[np.concatenate([c, c])])[0]).reshape(2, -1) * s_lo[c]
+            lo_k[c] = np.maximum(lo_k[c], np.where(side >= 0, pts, -np.inf).max(axis=0))
+            hi_k[c] = np.minimum(hi_k[c], np.where(side <= 0, pts, np.inf).min(axis=0))
+            shut[c] = (side[0] == 1) & (side[1] == -1)
             lo_k[shut], hi_k[shut] = x_k[shut] - h, x_k[shut] + h
         done = shut | (hi_k - lo_k <= width)
         x_k[cand & ~done] = 0.5 * (lo_k + hi_k)[cand & ~done]
@@ -142,10 +142,10 @@ def _secular_roots(fn, lo, hi, sign_lo, poles, width):
     return np.clip(out[2], out[0], out[1]), out[0], out[1]
 
 
-def _gap_roots(poles, fn, sign_lo, m_lo=1.0):
-    """``_secular_roots`` over the gaps of the sorted ``poles``, left ones of order ``m_lo``."""
-    return _secular_roots(fn, poles[:-1], poles[1:], sign_lo, (poles[:-1], m_lo, poles[1:], 1.0),
-                          BRACKET_WIDTH_FACTOR * poles[-1])
+def _gap_roots(poles, fn, sign_lo, m_lo=1.0, gaps=slice(None)):
+    """``_secular_roots`` over the ``gaps`` of the sorted ``poles``, left ones of order ``m_lo``."""
+    lo, hi = poles[:-1][gaps], poles[1:][gaps]
+    return _secular_roots(fn, lo, hi, sign_lo, (lo, m_lo, hi, 1), BRACKET_WIDTH_FACTOR * poles[-1])
 
 
 def interlaced_spectrum(problem):
@@ -264,13 +264,17 @@ def closed_loop_spectrum(problem):
     1 - sum c_j / (1 - om_j^2 lam^2), one per pole gap, where it falls
     from +inf just right of one pole to -inf just left of the next.
     """
+    return np.concatenate([[0.0], np.sqrt(_closed_loop_mus(problem))])
+
+
+def _closed_loop_mus(problem, gaps=slice(None)):
+    """The closed-loop roots mu = lam^2 in the pole ``gaps`` (default all), in order."""
     require_critical(problem, "the secular machinery")
     om, c = problem.omegas, problem.weights
     # in mu = lam^2 the sum is s(c/om^2) over the poles 1/om^2; find s - 1 = 0 in mu
     sums = _rational_sums(problem, c / om ** 2, poles=1.0 / om ** 2)
-    mus, _, _ = _gap_roots(np.sort(1.0 / om ** 2),
-                           lambda mus, ks: sums(mus)[:, 0] - [[1.0], [0.0]], -1.0)
-    return np.concatenate([[0.0], np.sqrt(mus)])
+    return _gap_roots(np.sort(1.0 / om ** 2), lambda mus, ks: sums(mus)[:, 0] - [[1.0], [0.0]],
+                      -1.0, gaps=gaps)[0]
 
 
 def cayley(z, gamma):
@@ -286,13 +290,14 @@ def cayley(z, gamma):
 def sda_rate_bound(problem, shift=None, gamma=None):
     """Doubling convergence-rate bound rho(C(D-CX)) * rho(C(A-BY)).
 
-    The spectra come from the located eigenvalues: the closed-loop
-    spectrum {0, lam_2..lam_n} with 0 replaced by eta (and, on the dual
-    side, by -xi) when the corresponding shift is active; the shift must lie
-    in the closure of its region.  Equals 1.0 exactly for the unshifted
-    critical case.
+    The spectra are the closed-loop spectrum {0, lam_2..lam_n} with 0
+    replaced by eta (and, on the dual side, by -xi) when the corresponding
+    shift is active; the shift must lie in the closure of its region.
+    |C(z)| = |z - gamma|/(z + gamma) falls on [0, gamma] and rises after it,
+    so only lam_2 and lam_n are located.  Equals 1.0 exactly for the
+    unshifted critical case.
     """
-    lams = closed_loop_spectrum(problem)[1:]  # the critical-case gate
+    lams = np.sqrt(_closed_loop_mus(problem, gaps=[0, -1][:problem.n - 1]))  # the critical gate
     eta, xi = (shift.eta, shift.xi) if shift is not None else (0.0, 0.0)
     if shift is not None:
         validate_shift(problem, shift)

@@ -268,7 +268,7 @@ def test_spectrum_single_shift_checks_the_closure(capsys):
     # --xi 0 prints the unshifted spectrum, but only for a shift in the region's closure
     code, out, err = run_cli(capsys, "spectrum", "--n", "8", "--eta", "-1", "--xi", "0")
     assert code == 1 and out == ""
-    assert err == "error: relaxed region needs 0 <= eta <= 1/omega1; eta = -1.0\n"
+    assert err == "error: shift region needs 0 <= eta <= 1/omega1; eta = -1.0\n"
 
 
 def test_subnormal_c_is_invalid_input(capsys):

@@ -378,20 +378,43 @@ def test_cayley_on_an_array_rounds_like_scalar_calls(rng):
     for gamma in (0.7, 3.0, 250.0):
         batched = cayley(z, gamma)
         assert batched.tobytes() == np.array([cayley(float(v), gamma) for v in z]).tobytes()
+        # the rate bound's premise: over z > 0 the largest |cayley| sits at an end
+        pos = z[2:]
+        ends = max(abs(float(cayley(pos.min(), gamma))), abs(float(cayley(pos.max(), gamma))))
+        assert np.abs(cayley(pos, gamma)).max() == ends
 
 
-@pytest.mark.parametrize("n", [1, 8, 64])
+@pytest.mark.parametrize("n", [1, 2, 8, 64, 512])
 def test_rate_bound_equals_the_max_of_scalar_cayley_calls(n):
-    problem = (build_problem(TransportParams(0.0, 1.0, np.array([1.0]), np.array([0.5])))
-               if n == 1 else build_problem(quadrature_params(n)))
+    weights, omegas = ([1.0], [0.5]) if n == 1 else ([0.5, 0.5], [0.8, 0.4])
+    problem = (build_problem(TransportParams(0.0, 1.0, np.array(weights), np.array(omegas)))
+               if n <= 2 else build_problem(quadrature_params(n)))
     lams = closed_loop_spectrum(problem)[1:]
-    for spec in (None, default_shift(problem, "single"), default_shift(problem, "double")):
+    om1 = float(problem.omegas[0])
+    for spec in (None, default_shift(problem, "single"), default_shift(problem, "double"),
+                 make_shift(problem, 0.3 / om1, -0.2 / om1, "double")):
         eta, xi = (spec.eta, spec.xi) if spec else (0.0, 0.0)
         quad = shifted_coefficients(problem, spec) if spec else problem.quad
         gamma = resolve_gamma(quad, SdaConfig())
         rho1 = max(abs(float(cayley(z, gamma))) for z in np.concatenate([[eta], lams]))
         rho2 = max(abs(float(cayley(z, gamma))) for z in np.concatenate([[-xi], lams]))
         assert sda_rate_bound(problem, spec) == rho1 * rho2
+
+
+def test_rate_bound_locates_only_the_two_extreme_roots(monkeypatch):
+    problem = build_problem(quadrature_params(64))
+    brackets = []
+    finder = spectra._secular_roots
+
+    def recording(fn, lo, *rest):
+        brackets.append(len(lo))
+        return finder(fn, lo, *rest)
+
+    monkeypatch.setattr(spectra, "_secular_roots", recording)
+    for spec in (None, default_shift(problem, "single"), default_shift(problem, "double")):
+        brackets.clear()
+        sda_rate_bound(problem, spec)
+        assert brackets and max(brackets) <= 2
 
 
 def test_rate_bounds(prob32):
