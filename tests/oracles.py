@@ -151,14 +151,15 @@ def shifted_secular(problem, shift, lam):
     return float(g1 + shift.eta * shift.xi * np.sum(c * om / den) * np.sum(c / om / den))
 
 
-def secular_roots_mp(problem, dps=40, shift=None):
+def secular_roots_mp(problem, dps=40, shift=None, gaps=None):
     """Roots of the secular functions of ``problem``'s float64 data, by mpmath
     bisection at ``dps`` digits, as floats.
 
     The omegas, weights and shift are taken as the exact binary values they
     hold.  Returns a dict: "interlaced", the root of sum_i c_i/(1/om_i - lam)
     in each gap between consecutive poles 1/om_i; "closed_loop", the root of
-    1 - sum_i c_i/(1 - om_i^2 lam^2) in each gap; with a double ``shift``,
+    1 - sum_i c_i/(1 - om_i^2 lam^2) in each gap; both over the ``gaps`` only
+    (indices from the smallest pole; default all); with a double ``shift``,
     "shifted", the two roots of g1 + eta xi g2 g3 in each interval (0 or a
     pole, next pole), one on each side of the probe: 1/(2 om_1) in the first,
     else the point of the gap before where g3 = 4 om_1^2/(om_{k-1} om_k).
@@ -180,11 +181,12 @@ def secular_roots_mp(problem, dps=40, shift=None):
                 lo, hi = (mid, hi) if mpmath.sign(f(mid)) == sign_lo else (lo, mid)
             return (lo + hi) / 2
 
-        gaps = list(zip(poles, poles[1:]))
+        pairs = list(zip(poles, poles[1:]))
+        chosen = pairs if gaps is None else [pairs[k] for k in gaps]
         out = {
-            "interlaced": [bisect(lambda lam: s(c, lam), a, b, -1) for a, b in gaps],
+            "interlaced": [bisect(lambda lam: s(c, lam), a, b, -1) for a, b in chosen],
             "closed_loop": [bisect(lambda lam: 1 - mpmath.fsum(
-                ci / (1 - w * w * lam * lam) for ci, w in zip(c, om)), a, b, 1) for a, b in gaps],
+                ci / (1 - w * w * lam * lam) for ci, w in zip(c, om)), a, b, 1) for a, b in chosen],
         }
         if shift is not None:
             eta, xi = mpmath.mpf(float(shift.eta)), mpmath.mpf(float(shift.xi))
@@ -195,7 +197,7 @@ def secular_roots_mp(problem, dps=40, shift=None):
 
             probes = [1 / (2 * om[0])] + [
                 bisect(lambda lam: s(c_by_om, lam) - 4 * om[0] ** 2 / (om[k] * om[k + 1]),
-                       a, b, -1) for k, (a, b) in enumerate(gaps)]
+                       a, b, -1) for k, (a, b) in enumerate(pairs)]
             out["shifted"] = []
             for lo, probe, hi in zip([mpmath.mpf(0)] + poles, probes, poles):
                 assert gbar(probe) > 0
