@@ -1,24 +1,23 @@
 """Secular-equation machinery: eigenvalue location by safeguarded Newton, Cayley rates.
 
-The shifted block matrix factors as
+Every pole-gap root here is a root of one diagonal-plus-rank-one secular
+equation (Golub, SIAM Review 15, 1973), s(num) = sum_i num_i/(p_i - x) = level
+on sorted poles p_i.  The shifted block matrix factors as
 
     det(Mbar - lam I) = -prod_i(1/om_i - lam)^2 * (g1 + eta*xi*g2*g3)(lam)
 
-with g1 = lam s(c), g2 = s(c om), g3 = s(c/om) for the rational sums
-s(num) = sum_i num_i/(1/om_i - lam).  A shift with eta*xi = 0, the single
-shift among them, leaves the factor of the critical block matrix,
-
-    det(M - lam I) = -prod_i(1/om_i - lam)^2 * g1(lam),
-
-so the eigenvalues of M are 0 (g1 carries the factor lam), the n poles
-1/om_i (the squared prefactor cancels each simple pole of g1) and one root
-of g1 per pole gap.  The rational sums stay finite at any n, so the roots
-are found on the sums and their derivatives, all brackets at once, and the
-product prefactor, which overflows doubles near the spectrum edges, is
-never formed.  (Deriving the determinant of the diagonal-plus-rank-2 form
-gives g1, not lam*g1, in the first term; the n=1 case with the boundary
-shift confirms it: the shifted matrix has the double eigenvalue
-1/(2*om_1), which is a root of g1 + eta*xi*g2*g3 only.)
+with g1 = lam s(c), g2 = s(c om), g3 = s(c/om) on the poles 1/om_i.  A shift
+with eta*xi = 0, the single shift among them, leaves det(M - lam I) =
+-prod_i(1/om_i - lam)^2 * g1(lam), so the eigenvalues of M are 0, the n poles
+1/om_i (the squared prefactor cancels each simple pole of g1) and the root of
+s(c) = 0 in each pole gap.  The closed-loop roots solve s(c) = 0 on the poles
+1/om_i^2 in mu = lam^2, and the shifted spectrum's probes solve s(c/om) = level.
+The sums stay finite at any n, so the roots are found on the sums and their
+derivatives, all brackets at once; the product prefactor, which overflows
+doubles near the spectrum edges, is never formed.  (The determinant of the
+diagonal-plus-rank-2 form has g1, not lam*g1, in its first term: with n = 1 and
+the boundary shift the shifted matrix has the double eigenvalue 1/(2*om_1), a
+root of g1 + eta*xi*g2*g3 only.)
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ ROW_BLOCK = 1 << 15
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Located eigenvalues with their secular residuals.
+    """Located eigenvalues.
 
     ``fixed_roots`` holds the poles 1/om_i when they are eigenvalues
     (unshifted critical case only); ``free_roots`` the located ones.
@@ -45,7 +44,6 @@ class SpectrumReport:
 
     fixed_roots: np.ndarray
     free_roots: np.ndarray
-    residuals: np.ndarray
     includes_zero: bool
     on_boundary: bool = False
     coalesced: tuple = field(default=())
@@ -58,10 +56,10 @@ class SpectrumReport:
         return np.sort(np.concatenate(parts))
 
 
-def _rational_sums(problem, *nums, poles=None):
+def _rational_sums(poles, *nums):
     """Return ``sums``: (origins, taus) -> array (2, len(nums), len(taus)) of
     s(num) = sum_i num_i r_i and s'(num) = sum_i num_i r_i^2 at lam = origin + tau,
-    r_i = 1/((p_i - origin) - tau), over the poles p_i = 1/om_i or ``poles``.
+    r_i = 1/((p_i - origin) - tau), over the ``poles`` p_i.
 
     With a pole p_j as origin, r_j = -1/tau to the last bit however near lam sits
     to p_j; at origin 0, r_i = 1/(p_i - lam).  Each point is one row of r, one
@@ -70,7 +68,6 @@ def _rational_sums(problem, *nums, poles=None):
     a gemm, while einsum sums each row in one order, so a point rounds the same in
     a batch as alone.  The points go ``ROW_BLOCK // n`` at a time, so r stays in cache.
     """
-    poles = 1.0 / problem.omegas if poles is None else poles
     nums = np.array(nums)
     rows = max(1, ROW_BLOCK // poles.size)
 
@@ -105,8 +102,11 @@ def _secular_roots(fn, lo, hi, sign_lo, poles):
     midpoint.  A bracket stops at a step below 2 eps |tau|, at a step below
     1e-8 |tau| that is not below half the last move (the function's rounding),
     or at adjacent ends.  Only points strictly inside the starting brackets are
-    evaluated, so their ends may be poles, and the roots are returned strictly
-    inside them: one within half an ulp of a pole would round onto it.
+    evaluated, so their ends may be poles, and a root is returned strictly inside
+    its bracket, as one within half an ulp of a pole would round onto it; but a
+    bracket with no float inside returns its left end.  ``interlaced_spectrum``'s
+    escape check and ``shifted_interlaced_spectrum``'s interlacing-pattern check
+    refuse such a root.
     ``BracketFailure`` names a bracket still open after ``MAX_ROUNDS``.
     """
     lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
@@ -144,36 +144,34 @@ def _secular_roots(fn, lo, hi, sign_lo, poles):
     return np.clip(roots, np.nextafter(lo, hi), np.nextafter(hi, lo))
 
 
-def _gap_roots(poles, fn, sign_lo, m_lo=1.0, gaps=slice(None)):
-    """``_secular_roots`` over the ``gaps`` of the sorted ``poles``, left ones of order ``m_lo``."""
+def _gap_roots(problem, num, poles, level=0.0, m_lo=1.0, gaps=slice(None)):
+    """The root of s(num) = ``level`` (a scalar, or one value per gap) in each of the
+    ``gaps`` of the sorted ``poles``, in order, the left poles divided out at order ``m_lo``.
+
+    s falls from +inf just right of each pole to -inf just left of the next.
+    """
+    require_critical(problem, "the secular machinery")
+    sums = _rational_sums(poles, num)
+    poles = np.sort(poles)
     lo, hi = poles[:-1][gaps], poles[1:][gaps]
-    return _secular_roots(fn, lo, hi, sign_lo, (lo, m_lo, hi, 1))
+    level = np.broadcast_to(level, poles[:-1].shape)[gaps] * np.array([[1.0], [0.0]])
+    return _secular_roots(lambda origins, taus, ks: sums(origins, taus)[:, 0] - level[:, ks],
+                          lo, hi, -1.0, (lo, m_lo, hi, 1))
 
 
 def interlaced_spectrum(problem):
     """Eigenvalues of the critical block matrix M.
 
-    Returns 0, the n poles 1/om_i, and one located root of g1 strictly
-    inside each pole gap, with the strict interlacing verified.  g1 falls
-    to -inf just right of each pole and rises to +inf just left of the
-    next, which fixes the starting signs; every gap lies at lam > 0, so
-    s(c) = g1/lam, which is solved for, has g1's sign.  The residual of a
-    root is |sum_j t_j| / max_j |t_j| with t_j = c_j/(1/om_j - lam): the
-    level of cancellation left in g1/lam.
+    Returns 0, the n poles 1/om_i, and the root of g1 = lam s(c) strictly
+    inside each pole gap, located as s(c) = 0 on the poles 1/om_i (every gap
+    lies at lam > 0).  ``BracketFailure`` is raised where a root is not
+    strictly inside its gap.
     """
-    require_critical(problem, "the secular machinery")
-    sums = _rational_sums(problem, problem.weights)
+    roots = _gap_roots(problem, problem.weights, 1.0 / problem.omegas)
     poles = np.sort(1.0 / problem.omegas)
-    roots = _gap_roots(poles, lambda origins, taus, ks: sums(origins, taus)[:, 0], -1.0)
     if not bool(np.all((roots > poles[:-1]) & (roots < poles[1:]))):
         raise BracketFailure("interior root escaped its pole gap")
-    terms = problem.weights / (1.0 / problem.omegas - roots[:, None])
-    residuals = np.abs(roots * np.sum(terms, axis=1)) / (roots * np.max(np.abs(terms), axis=1))
-    report = SpectrumReport(fixed_roots=poles.copy(), free_roots=roots, residuals=residuals,
-                            includes_zero=True)
-    if np.any(np.diff(report.eigenvalues) <= 0):
-        raise BracketFailure("interlacing order violated")
-    return report
+    return SpectrumReport(fixed_roots=poles, free_roots=roots, includes_zero=True)
 
 
 def shifted_interlaced_spectrum(problem, shift):
@@ -202,7 +200,7 @@ def shifted_interlaced_spectrum(problem, shift):
         return interlaced_spectrum(problem)
     on_boundary = abs(xi - omega_lower_bound(eta, om1)) <= 1e-12 * abs(xi)
     om, c = problem.omegas, problem.weights
-    sums = _rational_sums(problem, c, c * om)
+    sums = _rational_sums(1.0 / om, c, c * om)
     w = float(np.sum(c))
 
     def gbar(origins, taus, ks=None):
@@ -211,12 +209,9 @@ def shifted_interlaced_spectrum(problem, shift):
         g3, dg3 = w + lams * s, s + lams * ds
         return lams * s + eta * xi * g2 * g3, s + lams * ds + eta * xi * (dg2 * g3 + g2 * dg3)
 
-    level_sums = _rational_sums(problem, c / om)
-    target = 4.0 * om1 ** 2 / (om[:-1] * om[1:])
-    # g3 - target sits near -target away from the right pole: divide out that pole only
+    # g3 - level sits near -level away from the right pole: divide out that pole only
+    level = _gap_roots(problem, c / om, 1.0 / om, 4.0 * om1 ** 2 / (om[:-1] * om[1:]), m_lo=0.0)
     poles = np.sort(1.0 / om)
-    level = _gap_roots(poles, lambda origins, taus, ks: level_sums(origins, taus)[:, 0]
-                       - target[ks] * [[1.0], [0.0]], -1.0, m_lo=0.0)
     lo_end = np.concatenate([[0.0], poles[:-1]])
     probe = np.concatenate([[1.0 / (2.0 * om1)], level])
     gp = gbar(0.0, probe)[0]
@@ -244,8 +239,7 @@ def shifted_interlaced_spectrum(problem, shift):
         k = bad[0]
         raise BracketFailure(f"interval {k}: pair ({a[k]}, {b[k]}) violates "
                              f"the interlacing pattern")
-    return SpectrumReport(fixed_roots=np.array([]), free_roots=free,
-                          residuals=np.abs(gbar(0.0, free)[0]), includes_zero=False,
+    return SpectrumReport(fixed_roots=np.array([]), free_roots=free, includes_zero=False,
                           on_boundary=on_boundary,
                           coalesced=tuple(int(k) for k in np.flatnonzero(coalesced)))
 
@@ -253,23 +247,15 @@ def shifted_interlaced_spectrum(problem, shift):
 def closed_loop_spectrum(problem):
     """Eigenvalues {0, lam_2, ..., lam_n} of D - C X at the minimal solution.
 
-    These are the nonnegative eigenvalues of the signed block matrix H,
-    located as roots of the even secular function
-    1 - sum c_j / (1 - om_j^2 lam^2), one per pole gap, where it falls
-    from +inf just right of one pole to -inf just left of the next.
+    These are the nonnegative eigenvalues of the signed block matrix H, the
+    roots of the even secular function 1 - sum c_j/(1 - om_j^2 lam^2).  With
+    sum c = 1 it equals -mu s(c) on the poles 1/om_j^2, mu = lam^2, so lam_k
+    is the square root of the root of s(c) = 0 in the k-th gap.  This solves
+    the problem with its weights normalized to sum exactly to one, for which
+    the reported 0 is an exact root.
     """
-    return np.concatenate([[0.0], np.sqrt(_closed_loop_mus(problem))])
-
-
-def _closed_loop_mus(problem, gaps=slice(None)):
-    """The closed-loop roots mu = lam^2 in the pole ``gaps`` (default all), in order."""
-    require_critical(problem, "the secular machinery")
-    om, c = problem.omegas, problem.weights
-    # in mu = lam^2 the sum is s(c/om^2) over the poles 1/om^2; find s - 1 = 0 in mu
-    sums = _rational_sums(problem, c / om ** 2, poles=1.0 / om ** 2)
-    return _gap_roots(np.sort(1.0 / om ** 2),
-                      lambda origins, taus, ks: sums(origins, taus)[:, 0] - [[1.0], [0.0]],
-                      -1.0, gaps=gaps)
+    mus = _gap_roots(problem, problem.weights, 1.0 / problem.omegas ** 2)
+    return np.concatenate([[0.0], np.sqrt(mus)])
 
 
 def cayley(z, gamma):
@@ -292,7 +278,8 @@ def sda_rate_bound(problem, shift=None, gamma=None):
     so only lam_2 and lam_n are located.  Equals 1.0 exactly for the
     unshifted critical case.
     """
-    lams = np.sqrt(_closed_loop_mus(problem, gaps=[0, -1][:problem.n - 1]))  # the critical gate
+    lams = np.sqrt(_gap_roots(problem, problem.weights, 1.0 / problem.omegas ** 2,
+                              gaps=[0, -1][:problem.n - 1]))  # the critical gate
     eta, xi = (shift.eta, shift.xi) if shift is not None else (0.0, 0.0)
     if shift is not None:
         validate_shift(problem, shift)
