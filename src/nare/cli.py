@@ -183,7 +183,7 @@ def run_environment():
 
 
 def table51_rows(sizes, si_cap=None):
-    """Run the full solver grid; yields (n, solver, sol, spec, gamma, wall_ms).
+    """Run the full solver grid; returns a list of (n, solver, sol, spec, gamma, wall_ms).
 
     ``si_cap`` None keeps ``SiConfig``'s cap.  A numerical failure in one cell
     (breakdown, bracket loss) is recorded as ``sol = None`` so the rest of the

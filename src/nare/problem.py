@@ -78,7 +78,8 @@ class CoefficientQuadruple:
     """The coefficient quadruple of a Riccati instance: the diagonals Gamma, Delta and
     the n x 2 factors Q1, Q2, E1, E2 of D = Gamma - Q1 E1^T, C = Q1 Q2^T, B = E2 E1^T
     and A = Delta - E2 Q2^T, whose dense forms are built on each access, not stored.
-    ``tag`` records how it was generated (original, single-shift, double-shift).
+    ``tag`` records how it was generated (original, single-shift, double-shift);
+    ``symmetric`` marks A = D^T with B, C symmetric, where the doubling keeps F = E^T.
     """
 
     gamma: np.ndarray
@@ -88,6 +89,7 @@ class CoefficientQuadruple:
     e1: np.ndarray
     e2: np.ndarray
     tag: str = "original"
+    symmetric: bool = False
 
     @property
     def n(self):
@@ -195,7 +197,8 @@ def low_rank_form(problem, eta=0.0, xi=0.0, tag="original"):
     E1 = [e, -xi G^-1 e]            E2 = [(I + eta D^-1) e, e]
 
     with G = Gamma, D = Delta.  At (0, 0) the second columns of Q2 and E1 are
-    zeros, so the dense A-D round as rank-one outer products.
+    zeros, so the dense A-D round as rank-one outer products.  With Gamma = Delta
+    (alpha = 0) and eta = -xi, A = D^T and B, C are symmetric: ``symmetric`` is set.
     """
     q, e, gamma, delta = problem.q, problem.e, problem.gamma, problem.delta
     return CoefficientQuadruple(
@@ -204,7 +207,7 @@ def low_rank_form(problem, eta=0.0, xi=0.0, tag="original"):
         q2=np.column_stack([q, xi * q / delta]),
         e1=np.column_stack([e, -xi * e / gamma]),
         e2=np.column_stack([(1.0 + eta / delta) * e, e]),
-        tag=tag,
+        tag=tag, symmetric=eta == -xi and np.array_equal(gamma, delta),
     )
 
 

@@ -16,8 +16,11 @@ step, with K = (I - G H)^-1 and (I - H G)^-1 = I + H K G,
     F <- F F + (F H) K (G F)         H <- H + (F H) K E
 
 is [E; F H] K [E, G F] plus F F and G H: one LU, one inverse and ten n^3
-GEMM-equivalents.  It drives H to the minimal nonnegative solution of the
-Riccati equation and G to the minimal nonnegative solution of its dual.
+GEMM-equivalents.  On a symmetric quadruple (alpha = 0, unshifted or eta = -xi, as
+the default double shift) every F is E^T, taken as a view and not computed: eight
+products a step.  G and H are then symmetric only to rounding; that is not forced.
+It drives H to the minimal nonnegative solution of the Riccati equation and G to
+the minimal nonnegative solution of its dual.
 The quadruple iterated may be a shifted one; ``sda_solve`` measures each
 residual against the original equation of the problem it is given.
 """
@@ -52,13 +55,14 @@ class SdaConfig:
 
 @dataclass
 class SdaState:
-    """Doubling iterates E, F, G, H at step k."""
+    """Doubling iterates E, F, G, H at step k; ``symmetric`` keeps F = E^T."""
 
     E: np.ndarray
     F: np.ndarray
     G: np.ndarray
     H: np.ndarray
     k: int = 0
+    symmetric: bool = False
 
 
 def resolve_gamma(quad, config):
@@ -89,15 +93,17 @@ def sda_init(quad, config=None):
     lg, lh, r = u1 @ (s1 @ s2), u2 @ s2, 2.0 * gamma / dw
     # [H0; E0] = [L_H; -L_G] (r E1)^T and [G0; F0] = [L_G; -L_H] (r Q2)^T, in one allocation
     right = (np.concatenate([quad.e1, quad.q2]).reshape(2, n, 2) * r[:, :, None]).transpose(0, 2, 1)
-    out = np.matmul(np.concatenate([lh, -lg, lg, -lh]).reshape(2, 2 * n, 2), right).reshape(4, n, n)
-    out.reshape(4, n * n)[1::2, ::n + 1] += 1.0 - r  # the diagonals of E0 and F0
-    h0, e0, g0, f0 = out
-    return SdaState(E=e0, F=f0, G=g0, H=h0)
+    m = 4 - quad.symmetric  # a symmetric F0 is E0^T, not built
+    left = np.concatenate([lh, -lg, lg, -lh][:m]).reshape(m, n, 2)
+    out = np.matmul(left, right[[0, 0, 1, 1][:m]])
+    out.reshape(m, n * n)[1::2, ::n + 1] += (1.0 - r)[:m // 2]  # the diagonals of E0 and F0
+    h0, e0, g0, f0 = *out[:3], out[1].T if quad.symmetric else out[3]
+    return SdaState(E=e0, F=f0, G=g0, H=h0, symmetric=quad.symmetric)
 
 
 def sda_step(state):
     """One doubling step; raises Breakdown when I - GH degenerates."""
-    e, f, g, h = state.E, state.F, state.G, state.H
+    e, f, g, h, sym = state.E, state.F, state.G, state.H, state.symmetric
     n = h.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -106,8 +112,9 @@ def sda_step(state):
             raise Breakdown(state.k,
                             f"I - GH singular at step {state.k}: {exc}") from exc
         ek, fhk = (np.vstack([e, f @ h]) @ k).reshape(2, n, n)  # two views, no copy
-        gf = g @ f
-        return SdaState(ek @ e, f @ f + fhk @ gf, g + ek @ gf, h + fhk @ e, state.k + 1)
+        gf, e1 = g @ f, ek @ e
+        return SdaState(e1, e1.T if sym else f @ f + fhk @ gf, g + ek @ gf, h + fhk @ e,
+                        state.k + 1, sym)
 
 
 def sda_solve(problem, quad, config=None):

@@ -7,6 +7,7 @@ from nare import (
     build_problem,
     default_shift,
     inf_norm,
+    make_shift,
     quadrature_params,
     relative_residual,
     shifted_coefficients,
@@ -111,10 +112,13 @@ def _rel_gap(x, ref):
     return inf_norm(x - ref) / inf_norm(ref)
 
 
-@pytest.fixture(scope="module", params=["original", "single", "double"])
-def quad32(request, prob32):
+@pytest.fixture(scope="module", params=["original", "single", "double", "alpha-c-half"])
+def quad32(request, prob32, prob_noncrit32):
+    # original and double take the symmetric step (F = E^T), single and alpha-c-half the general
     if request.param == "original":
         return prob32.quad
+    if request.param == "alpha-c-half":
+        return prob_noncrit32.quad
     return shifted_coefficients(prob32, default_shift(prob32, request.param))
 
 
@@ -147,6 +151,40 @@ def test_step_matches_textbook_formulas(quad32):
         for got, want in zip((nxt.E, nxt.F, nxt.G, nxt.H), ref):
             assert _rel_gap(got, want) <= 1e-13
         state = nxt
+
+
+FLAG_CASES = {  # case: ((alpha, c), (eta, xi) in units of 1/omega1 or a default mode)
+    "critical": ((0.0, 1.0), None), "c-0.9": ((0.0, 0.9), None), "double": ((0.0, 1.0), "double"),
+    "eta-minus-xi": ((0.0, 1.0), (0.3, -0.3)), "single": ((0.0, 1.0), "single"),
+    "interior": ((0.0, 1.0), (0.3, -0.2)), "alpha-c-half": ((0.5, 0.5), None),
+    "near-critical": ((1e-4, 1.0 - 1e-4), None)}
+
+
+@pytest.mark.parametrize("case", FLAG_CASES)
+def test_symmetric_flag_and_transposed_f(case):
+    # the flag is set exactly where alpha = 0 and eta = -xi; there F is E^T at every step
+    (alpha, c), shift = FLAG_CASES[case]
+    problem = build_problem(quadrature_params(32, alpha, c))
+    om1 = float(problem.omegas[0])
+    quad = problem.quad if shift is None else shifted_coefficients(
+        problem, default_shift(problem, shift) if isinstance(shift, str)
+        else make_shift(problem, shift[0] / om1, shift[1] / om1, "double"))
+    symmetric = case in ("critical", "c-0.9", "double", "eta-minus-xi")
+    assert quad.symmetric is symmetric
+    state = sda_init(quad)
+    assert state.symmetric is symmetric
+    steps = sda_solve(problem, quad).iterations
+    for _ in range(steps):
+        if symmetric:
+            assert np.array_equal(state.F, state.E.T)
+        state = sda_step(state)
+    assert state.symmetric is symmetric
+
+
+def test_hand_built_quadruple_takes_the_general_step():
+    quad = factor_quadruple(2.0, 2.0)
+    assert not quad.symmetric
+    assert not sda_init(quad).symmetric
 
 
 def test_monotone_nonnegative_iterates(prob32):

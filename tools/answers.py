@@ -3,8 +3,9 @@
     python tools/answers.py --write ANSWERS_baseline.json
     python tools/answers.py --check ANSWERS_baseline.json
 
-The grid: the six solvers at (alpha, c) = (0, 1), and ``sda`` and ``si`` also
-at (0.3, 0.9), for n in {1, 2, 4, 8, 32, 64, 128, 256} and ``max_iter`` in
+The grid: the six solvers at (alpha, c) = (0, 1), ``sda`` and ``si`` also
+at (0.3, 0.9), and ``sda`` at (0, 0.9), off the critical point on the symmetric
+doubling step, for n in {1, 2, 4, 8, 32, 64, 128, 256} and ``max_iter`` in
 {None, 1, 17}, each through ``cli.run_solver``; ``si-single`` and ``si-double``
 also at n = 512, where a shifted sweep's residual is summed in row chunks, and
 ``si`` there with ``max_iter`` in {1, 17} only (the critical classic sweep on a
@@ -119,6 +120,7 @@ def spectra_record(prob):
 def answers():
     runs = {}
     grid = (((0.0, 1.0), SIZES, SOLVERS, CAPS), ((0.3, 0.9), SIZES, ("sda", "si"), CAPS),
+            ((0.0, 0.9), SIZES, ("sda",), CAPS),
             ((0.0, 1.0), (512,), ("si-single", "si-double"), CAPS),
             ((0.0, 1.0), (512,), ("si",), (1, 17)),
             ((1e-4, 1.0 - 1e-4), (256,), ("si",), CAPS))
