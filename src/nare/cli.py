@@ -11,6 +11,7 @@ import os
 import platform
 import sys
 import time
+import warnings
 
 import numpy as np
 import scipy
@@ -44,33 +45,17 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def load_node_file(path):
-    """Read 'weight node' pairs, one per line; '#' starts a comment."""
-    weights, nodes = [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'weight node', got {raw!r}")
-            weights.append(float(parts[0]))
-            nodes.append(float(parts[1]))
-    weights = np.array(weights)
-    nodes = np.array(nodes)
-    order = np.argsort(-nodes)
-    return weights[order], nodes[order]
-
-
 def build_from_args(args):
-    alpha = float(args.alpha)
-    c = float(args.c)
     if args.nodes:
-        weights, nodes = load_node_file(args.nodes)
-        params = TransportParams(alpha=alpha, c=c, weights=weights, omegas=nodes)
+        with warnings.catch_warnings():  # a file with no pairs is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            pairs = np.loadtxt(args.nodes, ndmin=2)
+        if pairs.shape[1] != 2:
+            raise ValueError(f"{args.nodes}: expected 'weight node' pairs, one per line")
+        weights, nodes = pairs[np.argsort(-pairs[:, 1])].T.copy()  # descending nodes
+        params = TransportParams(args.alpha, args.c, weights, nodes)
     elif args.n is not None:
-        params = quadrature_params(int(args.n), alpha, c)
+        params = quadrature_params(args.n, args.alpha, args.c)
     else:
         raise ValueError("provide --n or --nodes")
     return build_problem(params)
@@ -133,16 +118,17 @@ def cmd_solve(args, out):
         tol=args.tol, max_iter=args.max_iter)
     fields = _fields(problem.n, args.solver, sol, spec, gamma_used,
                      (time.perf_counter() - t0) * 1e3)
-    shifted_quad = None
-    if spec is not None:  # its region was checked by the run
-        shifted_quad = shift.shifted_coefficients(problem, spec, check=False)
-    t0 = time.perf_counter()
-    report = diagnostics.solution_report(problem, sol, shifted_quad)
-    report_ms = (time.perf_counter() - t0) * 1e3
+    code = EXIT_OK if sol.converged else EXIT_MAX_ITER
     if args.format == "csv":
         print(CSV_HEADER, file=out)
         print(_csv_row(fields), file=out)
-    elif args.format == "json":
+        return code
+    # the run checked the shift's region
+    shifted_quad = shift.shifted_coefficients(problem, spec, check=False) if spec else None
+    t0 = time.perf_counter()
+    report = diagnostics.solution_report(problem, sol, shifted_quad)
+    report_ms = (time.perf_counter() - t0) * 1e3
+    if args.format == "json":
         payload = {**fields, "stop_reason": sol.stop_reason, "res_normalized": report.res,
                    "identity_gaps": report.identity_gaps,
                    "m_matrix_certificates": report.m_matrix_certificates,
@@ -167,7 +153,7 @@ def cmd_solve(args, out):
         if not (report.rate_estimate != report.rate_estimate):  # not NaN
             print(f"rate, order : {report.rate_estimate:.3f}, "
                   f"{report.order_estimate:.2f}", file=out)
-    return EXIT_OK if sol.converged else EXIT_MAX_ITER
+    return code
 
 
 def run_environment():
@@ -261,9 +247,9 @@ def make_parser():
 
     def add_problem_flags(p):
         p.add_argument("--n", type=int, help="composite quadrature size (multiple of 4)")
-        p.add_argument("--alpha", default="0", help="alpha in [0, 1)")
-        p.add_argument("--c", default="1", help="c in (0, 1]")
-        p.add_argument("--nodes", help="node file: 'weight node' per line")
+        p.add_argument("--alpha", type=float, default=0.0, help="alpha in [0, 1)")
+        p.add_argument("--c", type=float, default=1.0, help="c in (0, 1]")
+        p.add_argument("--nodes", help="node file: 'weight node' per line, any order")
 
     solve = sub.add_parser("solve", help="run one solver")
     add_problem_flags(solve)

@@ -140,6 +140,8 @@ def test_criterion_3_solution_equivalence(n):
         max_iter=10 ** 6)
     gap = inf_norm(sol.x - z_ref)
     assert gap <= 1e-8 * inf_norm(z_ref), f"n={n}: gap {gap:.2e}"
+    # the printed error, held well below the paper's bound
+    assert gap <= 1e-13 * inf_norm(z_ref), f"n={n}: relative gap {gap / inf_norm(z_ref):.2e}"
     print(f"ACCEPTANCE 3 PASS: n={n} doubling vs long vector-iteration oracle "
           f"gap {gap / inf_norm(z_ref):.1e} (oracle stationary after {sweeps} sweeps)")
 

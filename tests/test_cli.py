@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from nare import TransportParams, build_problem, quadrature_params, shift, si, spectra
+from nare import (TransportParams, build_problem, diagnostics, quadrature_params, shift,
+                  si, spectra)
 from nare.cli import CSV_HEADER, main, run_solver
 from nare.sda import SdaConfig
 from nare.si import SiConfig
@@ -178,13 +179,14 @@ def test_single_shift_rejects_nonzero_xi(capsys, solver):
     assert err == "error: single shift needs xi = 0; xi = -0.3\n"
 
 
-def test_node_file_roundtrip(tmp_path, capsys):
+@pytest.mark.parametrize("order", [1, -1], ids=["descending", "ascending"])
+def test_node_file_roundtrip(tmp_path, capsys, order):
     from nare import gauss_legendre_composite
 
     weights, nodes = gauss_legendre_composite(8)
     path = tmp_path / "nodes.txt"
     lines = ["# weight node pairs"]
-    lines += [f"{w:.17g} {x:.17g}" for w, x in zip(weights, nodes)]
+    lines += [f"{w:.17g} {x:.17g}" for w, x in zip(weights[::order], nodes[::order])]
     path.write_text("\n".join(lines) + "\n")
     code, out, _ = run_cli(capsys, "solve", "--nodes", str(path),
                            "--solver", "sda-double", "--format", "csv")
@@ -194,11 +196,39 @@ def test_node_file_roundtrip(tmp_path, capsys):
     assert strip_wall(out) == strip_wall(out2)
 
 
-def test_node_file_malformed(tmp_path, capsys):
+@pytest.mark.parametrize("text", ["0.5\n", "# no pairs\n", "0.5 0.3 0.2\n", "0.5 half\n"],
+                         ids=["one-column", "comment-only", "three-column", "non-numeric"])
+def test_node_file_malformed(tmp_path, capsys, text):
+    # one error line: no traceback and no warning from the reader
     path = tmp_path / "bad.txt"
-    path.write_text("0.5\n")
-    code, _, err = run_cli(capsys, "solve", "--nodes", str(path), "--solver", "sda")
-    assert code == 1
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "solve", "--nodes", str(path), "--solver", "sda")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+@pytest.mark.parametrize("solver", ["sda-double", "si-double"])
+def test_only_table_and_json_build_a_report(monkeypatch, capsys, solver, fmt):
+    # the CSV row carries no report field, so a CSV solve builds neither the
+    # report nor the unchecked shifted quadruple it reads
+    calls = {"report": 0, "unchecked": 0}
+    solution_report, shifted_coefficients = (diagnostics.solution_report,
+                                             shift.shifted_coefficients)
+
+    def counted_report(*args, **kwargs):
+        calls["report"] += 1
+        return solution_report(*args, **kwargs)
+
+    def counted_coefficients(*args, check=True):
+        calls["unchecked"] += not check
+        return shifted_coefficients(*args, check=check)
+
+    monkeypatch.setattr(diagnostics, "solution_report", counted_report)
+    monkeypatch.setattr(shift, "shifted_coefficients", counted_coefficients)
+    code, _, _ = run_cli(capsys, "solve", "--n", "8", "--solver", solver, "--format", fmt)
+    built = 0 if fmt == "csv" else 1
+    assert code == 0 and calls == {"report": built, "unchecked": built}
 
 
 def test_csv_determinism(capsys):

@@ -23,7 +23,9 @@ rate bounds.
 ``--check`` prints every record that differs.  It exits 1 only when an
 iteration count or a stop reason differs, or a record is missing: hashes and
 residuals depend on the BLAS build.  BLAS threads default to one, as in the
-committed record; the environment can override them.
+committed record; the environment can override them.  The record's ``env`` is
+``cli.run_environment()``: the Python, numpy and scipy versions, the BLAS that
+made the hashes and the thread variables.
 """
 
 import argparse
@@ -57,7 +59,7 @@ from nare import (  # noqa: E402
     si_shifted_solve,
     si_solve,
 )
-from nare.cli import SOLVERS, run_solver  # noqa: E402
+from nare.cli import SOLVERS, run_environment, run_solver  # noqa: E402
 
 SIZES = (1, 2, 4, 8, 32, 64, 128, 256)
 CAPS = (None, 1, 17)
@@ -138,12 +140,6 @@ def answers():
     return runs
 
 
-def environment():
-    return {"numpy": np.__version__,
-            **{var: os.environ.get(var) for var in
-               ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
-
-
 def check(path):
     """Print each differing record; return 1 if a count, a stop reason or a record differs."""
     want = json.loads(Path(path).read_text())["runs"]
@@ -173,7 +169,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.check:
         return check(args.check)
-    payload = {"env": environment(), "runs": answers()}
+    payload = {"env": run_environment(), "runs": answers()}
     Path(args.write).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"{len(payload['runs'])} records written to {args.write}")
     return 0
