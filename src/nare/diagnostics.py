@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientHistory, SingularMatrix
-from .linalg import inf_norm, lu_inverse, smw_factors
+from .linalg import inf_norm, inf_norms, lu_inverse, smw_factors
 from .problem import require_critical
 
 Z_PATTERN_TOL = 1e-14
@@ -52,8 +52,8 @@ def normalized_residual(problem, x):
     return num / den
 
 
-def relative_residual(problem, x):
-    """Residual scaled by twice the iterate norm: ||R(X)|| / (2 ||X||).
+def relative_residual(problem, x, x_norm=None):
+    """Residual scaled by twice the iterate norm, ``x_norm`` if given: ||R(X)|| / (2 ||X||).
 
     This is the stopping metric; the vector solvers, which never form X in
     their loop, take it from ``factor_sweep_metrics`` (from
@@ -63,25 +63,29 @@ def relative_residual(problem, x):
     under which the benchmark iteration counts reproduce.
     """
     x = np.asarray(x, dtype=np.float64)
-    nx = inf_norm(x)
+    nx = inf_norm(x) if x_norm is None else x_norm
     if nx == 0.0:
         return math.inf
     r = residual_matrix(problem, x)
     return float(np.abs(r, out=r).sum(axis=1).max()) / (2.0 * nx)
 
 
-def relative_update_error(pairs):
-    """max over (prev, curr) pairs of ||curr - prev|| / ||curr||.
-
-    A zero-norm current iterate reports +inf and a NaN in either iterate
-    reports NaN: neither must ever be read as convergence.
+def relative_update_error(pairs, norms=None):
+    """max over (prev, curr) pairs of ||curr - prev|| / ||curr||; a pair of (k, n, n)
+    stacks counts as its k pairs of matrices, taken in one set of calls, and ``norms``, if
+    given, are the ||curr|| in order.  A zero-norm current iterate reports +inf and a NaN
+    in either iterate reports NaN: neither must ever be read as convergence.
     """
-    worst = 0.0
+    nums, dens = [], []
     for prev, curr in pairs:
-        den = inf_norm(curr)
+        curr = np.asarray(curr, dtype=np.float64)
+        nums += inf_norms(curr - prev, overwrite=True)
+        dens += inf_norms(curr) if norms is None else []
+    worst = 0.0
+    for num, den in zip(nums, dens if norms is None else norms):
         if den == 0.0:
             return math.inf
-        ratio = inf_norm(np.asarray(curr) - np.asarray(prev)) / den
+        ratio = num / den
         if math.isnan(ratio):  # max() would drop it
             return math.nan
         worst = max(worst, ratio)
@@ -128,8 +132,6 @@ def classic_sweep_metrics(sweeps, x_rows):
     alone.  A step that falls or holds a NaN goes to ``factor_sweep_metrics`` (r = 1).
     """
     rise = sweeps[1:] - sweeps[:-1]  # cur - prev, then ab - cur, of each step
-    low_rise = rise.min(axis=(1, 2))
-    low = np.minimum(sweeps[:-2].min(axis=(1, 2)), np.minimum(low_rise[:-1], low_rise[1:]))
     peak = sweeps[1:-1].max(axis=2)  # max(m), max(n): the norms of monotone iterates
     sums = sweeps.sum(axis=2)
     rows = sweeps[2:, 0] * sums[2:, 1:] - sweeps[1:-1, 0] * sums[1:-1, 1:]
@@ -139,8 +141,11 @@ def classic_sweep_metrics(sweeps, x_rows):
                        (rise[:-1].max(axis=2) / peak).max(axis=1))
         res = np.where(nx == 0.0, math.inf, rows.max(axis=1) / (2.0 * nx))
     metrics = list(zip(err.tolist(), res.tolist()))
-    for k in np.flatnonzero(~(low >= 0.0)):
-        metrics[k] = factor_sweep_metrics(sweeps[k:k + 3, :, None], x_rows[k:k + 1])[0]
+    if not rise.min() >= 0.0 <= sweeps[0].min():  # some step falls or holds a NaN: which?
+        low_rise = rise.min(axis=(1, 2))
+        low = np.minimum(sweeps[:-2].min(axis=(1, 2)), np.minimum(low_rise[:-1], low_rise[1:]))
+        for k in np.flatnonzero(~(low >= 0.0)):
+            metrics[k] = factor_sweep_metrics(sweeps[k:k + 3, :, None], x_rows[k:k + 1])[0]
     return metrics
 
 

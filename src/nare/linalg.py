@@ -14,12 +14,15 @@ EPS = 2.0 ** -52
 
 def inf_norm(a):
     """Infinity norm: max absolute row sum for matrices, max |entry| for vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.size == 0:
-        return 0.0
-    if a.ndim <= 1:
-        return float(np.abs(a).max())
-    return float(np.abs(a).sum(axis=1).max())
+    a = np.abs(np.asarray(a, dtype=np.float64))
+    return float((a.sum(axis=1) if a.ndim > 1 else a).max()) if a.size else 0.0
+
+
+def inf_norms(a, overwrite=False):
+    """``inf_norm`` of a vector, a matrix or each matrix of a stack (k, n, n) in one set of
+    calls, as a list; ``overwrite`` takes |a| in place."""
+    a = np.abs(a, out=a if overwrite else None)
+    return (a.sum(axis=-1) if a.ndim > 1 else a).max(axis=-1).reshape(-1).tolist()
 
 
 def lu_factor(a):
@@ -38,7 +41,7 @@ def lu_factor(a):
         raise SingularMatrix("zero matrix")
     # scipy.linalg.lu_factor's getrf without its wrapper; info > 0 (a zero pivot) fails below
     lu, piv, _ = lapack.dgetrf(a)
-    pivot = np.abs(np.diag(lu)).min()
+    pivot = np.abs(lu.diagonal()).min()
     if pivot < threshold:
         raise SingularMatrix(f"pivot {pivot:.3e} below threshold {threshold:.3e}")
     return lu, piv

@@ -201,14 +201,11 @@ def low_rank_form(problem, eta=0.0, xi=0.0, tag="original"):
     (alpha = 0) and eta = -xi, A = D^T and B, C are symmetric: ``symmetric`` is set.
     """
     q, e, gamma, delta = problem.q, problem.e, problem.gamma, problem.delta
-    return CoefficientQuadruple(
-        gamma, delta,
-        q1=np.column_stack([(1.0 - eta / gamma) * q, q]),
-        q2=np.column_stack([q, xi * q / delta]),
-        e1=np.column_stack([e, -xi * e / gamma]),
-        e2=np.column_stack([(1.0 + eta / delta) * e, e]),
-        tag=tag, symmetric=eta == -xi and np.array_equal(gamma, delta),
-    )
+    factors = np.empty((4, len(q), 2))  # Q1, Q2, E1, E2, each a C-contiguous n x 2
+    factors[:, :, 0] = (1.0 - eta / gamma) * q, q, e, (1.0 + eta / delta) * e
+    factors[:, :, 1] = q, xi * q / delta, -xi * e / gamma, e
+    return CoefficientQuadruple(gamma, delta, *factors, tag=tag,
+                                symmetric=eta == -xi and np.array_equal(gamma, delta))
 
 
 def block_matrix(quad):

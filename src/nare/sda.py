@@ -33,7 +33,7 @@ import numpy as np
 
 from . import diagnostics
 from .errors import Breakdown, SingularMatrix
-from .linalg import lu_inverse, smw_factors
+from .linalg import inf_norms, lu_inverse, smw_factors
 from .solution import check_config, iterate
 
 
@@ -53,16 +53,17 @@ class SdaConfig:
     __post_init__ = check_config
 
 
-@dataclass
+@dataclass(slots=True)
 class SdaState:
-    """Doubling iterates E, F, G, H at step k; ``symmetric`` keeps F = E^T."""
+    """Doubling iterates E, F and the stack GH = [G; H] at step k; ``symmetric`` keeps F = E^T."""
 
     E: np.ndarray
     F: np.ndarray
-    G: np.ndarray
-    H: np.ndarray
+    GH: np.ndarray
     k: int = 0
     symmetric: bool = False
+
+    G, H = property(lambda self: self.GH[0]), property(lambda self: self.GH[1])
 
 
 def resolve_gamma(quad, config):
@@ -91,30 +92,40 @@ def sda_init(quad, config=None):
     u1, s1 = smw_factors(d, quad.q1, quad.e1)
     u2, s2 = smw_factors(w, quad.e2 @ s1, quad.q2)
     lg, lh, r = u1 @ (s1 @ s2), u2 @ s2, 2.0 * gamma / dw
-    # [H0; E0] = [L_H; -L_G] (r E1)^T and [G0; F0] = [L_G; -L_H] (r Q2)^T, in one allocation
+    # [G0; H0; E0; F0] = [L_G; L_H; -L_G; -L_H] [(r Q2)^T; (r E1)^T; (r E1)^T; (r Q2)^T]
     right = (np.concatenate([quad.e1, quad.q2]).reshape(2, n, 2) * r[:, :, None]).transpose(0, 2, 1)
     m = 4 - quad.symmetric  # a symmetric F0 is E0^T, not built
-    left = np.concatenate([lh, -lg, lg, -lh][:m]).reshape(m, n, 2)
-    out = np.matmul(left, right[[0, 0, 1, 1][:m]])
-    out.reshape(m, n * n)[1::2, ::n + 1] += (1.0 - r)[:m // 2]  # the diagonals of E0 and F0
-    h0, e0, g0, f0 = *out[:3], out[1].T if quad.symmetric else out[3]
-    return SdaState(E=e0, F=f0, G=g0, H=h0, symmetric=quad.symmetric)
+    left = np.concatenate([lg, lh, -lg, -lh][:m]).reshape(m, n, 2)
+    out = np.matmul(left, right[[1, 0, 0, 1][:m]])
+    out.reshape(m, n * n)[2:, ::n + 1] += (1.0 - r)[:m - 2]  # the diagonals of E0 and F0
+    return SdaState(out[2], out[2].T if quad.symmetric else out[3], out[:2], 0, quad.symmetric)
 
 
 def sda_step(state):
-    """One doubling step; raises Breakdown when I - GH degenerates."""
-    e, f, g, h, sym = state.E, state.F, state.G, state.H, state.symmetric
+    """One doubling step, in place where it can be; raises Breakdown when I - GH degenerates."""
+    e, f, (g, h), sym = state.E, state.F, state.GH, state.symmetric
     n = h.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
+        k = g @ h
+        np.subtract(0.0, k, out=k).ravel()[::n + 1] += 1.0  # I - GH, rounded as np.eye(n) - GH
         try:
-            k = lu_inverse(np.eye(n) - g @ h)
+            k = lu_inverse(k)
         except SingularMatrix as exc:
-            raise Breakdown(state.k,
-                            f"I - GH singular at step {state.k}: {exc}") from exc
-        ek, fhk = (np.vstack([e, f @ h]) @ k).reshape(2, n, n)  # two views, no copy
-        gf, e1 = g @ f, ek @ e
-        return SdaState(e1, e1.T if sym else f @ f + fhk @ gf, g + ek @ gf, h + fhk @ e,
-                        state.k + 1, sym)
+            raise Breakdown(state.k, f"I - GH singular at step {state.k}: {exc}") from exc
+        ek = np.empty((2 * n, n))  # [E; F H], then [E K; F H K]
+        ek[:n] = e
+        np.matmul(f, h, out=ek[n:])
+        ek = (ek @ k).reshape(2, n, n)
+        del k
+        gf, gh = g @ f, np.empty((2, n, n))
+        np.matmul(ek[0], gf, out=gh[0])
+        gh[0] += g
+        np.matmul(ek[1], e, out=gh[1])
+        gh[1] += h
+        f = None if sym else f @ f + ek[1] @ gf
+        del gf
+        e = ek[0] @ e
+        return SdaState(e, e.T if sym else f, gh, state.k + 1, sym)
 
 
 def sda_solve(problem, quad, config=None):
@@ -135,5 +146,6 @@ def sda_solve(problem, quad, config=None):
 def _doubling_metrics(problem, states):
     """The update error and the residual of one doubling step, states (before, after)."""
     prev, cur = states
-    return [(diagnostics.relative_update_error(((prev.G, cur.G), (prev.H, cur.H))),
-             diagnostics.relative_residual(problem, cur.H))]
+    norms = inf_norms(cur.GH)  # ||G||, ||H||: one set of calls on the stack, for both metrics
+    return [(diagnostics.relative_update_error(((prev.GH, cur.GH),), norms),
+             diagnostics.relative_residual(problem, cur.H, norms[1]))]

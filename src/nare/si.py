@@ -14,7 +14,7 @@ product, a shifted one in one thin (12 x n) GEMM with T, O(n^2).  Both carry one
 rows and X's row sums.  X is not formed in the loop (Z only for ||Z|| if a factor entry
 turns negative): X Gamma + Delta X = M N^T, and Xq + e, X^T q + e are rows a, b of the
 next sweep, so the residual is R = M N^T - a b^T, exact up to rounding.  Sweeps run in
-blocks, each measured in one call on its (B + 2, 2, r, n) stack of rows:
+blocks, written in place into and measured in one call on a (B + 2, 2, r, n) row stack:
 ``diagnostics.classic_sweep_metrics``, O(n) a sweep, for SWEEP_BLOCK classic sweeps;
 ``diagnostics.factor_sweep_metrics``, O(n^2) a sweep, for up to
 ``diagnostics.SHIFT_STACK`` / n^2 shifted ones (one from n = 256, and above that its
@@ -23,7 +23,6 @@ return, by ``si_solution``.
 """
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -63,7 +62,7 @@ class HadamardKernel:
     T = property(lambda self: self.TT[-1])
 
 
-@dataclass
+@dataclass(slots=True)
 class SiState:
     """Factor rows [m; n] of X = T o (m^T n), the next sweep's rows [a; b] and X's row sums;
     classic sweeps hold 2 x n rows, shifted ones 2 x 2 x n rows [M^T; N^T]."""
@@ -102,13 +101,14 @@ def si_init(kernel):
     return SiState(np.zeros_like(kernel.e21), kernel.e21, np.zeros(kernel.e21.shape[-1]))
 
 
-def si_step(kernel, state):
-    """Make the next sweep's vectors current and run the sweep after them."""
+def si_step(kernel, state, out=(None, None)):
+    """Make the next sweep's vectors current and run the sweep after them; ``out``, when
+    given, holds the arrays that take the next sweep's rows and X's row sums."""
     # one half (T,) broadcasts over both 2-row products, which round as against [T^T; T]
     prod = (kernel.scale * state.ab[::-1, None]) @ kernel.TT
-    ab = state.ab * prod[:, 0]
+    ab = np.multiply(state.ab, prod[:, 0], out[0])
     ab += kernel.e21
-    return SiState(state.ab, ab, state.ab[0] * prod[0, 1])
+    return SiState(state.ab, ab, np.multiply(state.ab[0], prod[0, 1], out[1]))
 
 
 def si_solution(kernel, m, n):
@@ -117,10 +117,21 @@ def si_solution(kernel, m, n):
     return kernel.T * (m.reshape(-1, k).T @ n.reshape(-1, k))
 
 
-def _block_metrics(metric, states):
-    """``metric`` of a block on its (B + 2, 2, r, n) stack of rows and X's row sums."""
-    return metric(np.array([s.mn for s in states] + [states[-1].ab]),
-                  np.array([s.x_rows for s in states[1:]]))
+def _blocks(step, kernel, metric, size):
+    """``iterate``'s (step, metric, size) for ``step(kernel, state, out)``: step k of a block
+    writes its rows and X's row sums, its ``out``, into row k + 2 of a (size + 2, 2, r, n) stack
+    and row k of a (size, n) one, which ``metric`` reads as they stand; a block takes new stacks,
+    so none is reused."""
+    stacks, slots = [], []
+
+    def block_step(state):
+        if not slots:
+            stacks[:] = np.empty((size + 2, *state.ab.shape)), np.empty((size, len(state.x_rows)))
+            stacks[0][:2] = state.mn, state.ab
+            slots[:] = zip(stacks[0][:1:-1], stacks[1][::-1])
+        return step(kernel, state, slots.pop())
+
+    return block_step, lambda states: metric(*stacks), size
 
 
 def si_solve(problem, config=None):
@@ -130,12 +141,12 @@ def si_solve(problem, config=None):
     which case the iteration is expected to hit max_iter.
     """
     kernel = build_kernel(problem)
-    return iterate(problem, si_init(kernel), partial(si_step, kernel),
-                   partial(_block_metrics, diagnostics.classic_sweep_metrics), SWEEP_BLOCK,
-                   lambda s: si_solution(kernel, *s.mn), config or SiConfig(), "si")
+    blocks = _blocks(si_step, kernel, diagnostics.classic_sweep_metrics, SWEEP_BLOCK)
+    return iterate(problem, si_init(kernel), *blocks, lambda s: si_solution(kernel, *s.mn),
+                   config or SiConfig(), "si")
 
 
-def si_shift_step(kernel, state):
+def si_shift_step(kernel, state, out=(None, None)):
     """Make the next sweep's factor rows current and run the shifted sweep after them:
 
         M_next = Z Q1 + E2,   N_next = Z^T Q2 + E1,   Z = T o (M N^T)
@@ -145,22 +156,24 @@ def si_shift_step(kernel, state):
     T = T^T, from one thin GEMM, with e beside Q1 for the row sums Z e.  Column by column,
     m1 = Z (I - eta Gamma^-1) q + (I + eta Delta^-1) e, m2 = Z q + e, n1 = Z^T q + e and
     n2 = -xi (Gamma^-1 e - Z^T Delta^-1 q); at xi = 0 the second dual column vanishes
-    identically and the scheme degenerates to the classic fixed point on Z.
+    identically and the scheme degenerates to the classic fixed point on Z (``out``: si_step's).
     """
     # [Q1^T; e] o N, [Q2^T; e] o M as 12 x n rows: k x n by n x n ran faster than n x n by n x k
     t_f = kernel.scale * state.ab[::-1]
     t_f = (t_f.reshape(12, -1) @ kernel.T).reshape(t_f.shape)
     t_f *= state.ab
-    z_q = t_f[:, :, 0] + t_f[:, :, 1]  # row j: (Z Q1)^T_j, (Z^T Q2)^T_j; row 2: Z e, Z^T e
-    z_rows = (np.abs(si_solution(kernel, *state.ab)).sum(axis=1) if state.ab.min() < 0.0
-              else z_q[2, 0])
-    return SiState(state.ab, z_q[:2].swapaxes(0, 1) + kernel.e21, z_rows)
+    # the sum over k of t_f[j, :, k] is (Z Q1)^T_j, (Z^T Q2)^T_j for j < 2 and Z e, Z^T e for j = 2
+    ab = np.add(*t_f[:2].transpose(2, 1, 0, 3), out=out[0])
+    ab += kernel.e21
+    z_rows = (np.abs(si_solution(kernel, *state.ab)).sum(axis=1, out=out[1])
+              if state.ab.min() < 0.0 else np.add(t_f[2, 0, 0], t_f[2, 0, 1], out=out[1]))
+    return SiState(state.ab, ab, z_rows)
 
 
 def si_shifted_solve(problem, shift, config=None):
     """Shifted low-rank iteration from M = N = 0 (closure of the region allowed)."""
     kernel = build_kernel(problem, shift)
     size = max(1, min(SWEEP_BLOCK, diagnostics.SHIFT_STACK // problem.n ** 2))
-    return iterate(problem, si_init(kernel), partial(si_shift_step, kernel),
-                   partial(_block_metrics, diagnostics.factor_sweep_metrics), size,
-                   lambda s: si_solution(kernel, *s.mn), config or SiConfig(), f"si-{shift.mode}")
+    blocks = _blocks(si_shift_step, kernel, diagnostics.factor_sweep_metrics, size)
+    return iterate(problem, si_init(kernel), *blocks, lambda s: si_solution(kernel, *s.mn),
+                   config or SiConfig(), f"si-{shift.mode}")

@@ -63,6 +63,6 @@ def nan_from_step(monkeypatch):
         def blown(state):
             nxt = step(state)
             return nxt if nxt.k < k else dataclasses.replace(
-                nxt, **{f: np.full_like(getattr(nxt, f), np.nan) for f in "EFGH"})
+                nxt, **{f: np.full_like(getattr(nxt, f), np.nan) for f in ("E", "F", "GH")})
         monkeypatch.setattr(sda, "sda_step", blown)
     return patch

@@ -138,6 +138,15 @@ def test_classic_sweep_metrics_batch_with_falling_and_nan_steps():
             assert math.isnan(got[1]) == (k in (6, 7))
         else:
             assert got == classic_sweep_metrics(sweeps[k:k + 3], x_rows[k:k + 1])[0]
+    # rows that rise everywhere from a negative entry before the block: only step 0
+    # reads that entry, so it alone comes from the exact path
+    low = np.array(rows)
+    low[:, 0, 2] -= 1.0
+    assert low[0].min() < 0.0 <= min(low[1:].min(), np.diff(low, axis=0).min())
+    metrics = classic_sweep_metrics(low, x_rows)
+    assert metrics[0] == one_step_metrics(*low[:3], x_rows[0])
+    assert metrics[1:] == [classic_sweep_metrics(low[k:k + 3], x_rows[k:k + 1])[0]
+                           for k in range(1, 8)]
 
 
 def test_factored_residual_exact_path_for_non_monotone_factors(prob8, rng):

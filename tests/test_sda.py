@@ -4,12 +4,14 @@ import pytest
 from nare import (
     Breakdown,
     SingularMatrix,
+    TransportParams,
     build_problem,
     default_shift,
     inf_norm,
     make_shift,
     quadrature_params,
     relative_residual,
+    relative_update_error,
     shifted_coefficients,
 )
 from nare.problem import CoefficientQuadruple
@@ -82,7 +84,7 @@ def test_step_zero_coupling():
     e = np.array([[0.5, 0.1], [0.0, 0.25]])
     f = np.array([[0.3, 0.0], [0.2, 0.4]])
     zero = np.zeros((2, 2))
-    state = SdaState(E=e, F=f, G=zero.copy(), H=zero.copy())
+    state = SdaState(E=e, F=f, GH=np.zeros((2, 2, 2)))
     nxt = sda_step(state)
     assert np.allclose(nxt.E, e @ e, atol=1e-15)
     assert np.allclose(nxt.F, f @ f, atol=1e-15)
@@ -92,7 +94,7 @@ def test_step_zero_coupling():
 
 def test_step_breakdown():
     eye = np.eye(2)
-    state = SdaState(E=eye, F=eye, G=eye.copy(), H=eye.copy())
+    state = SdaState(E=eye, F=eye, GH=np.array([eye, eye]))
     with pytest.raises(Breakdown):
         sda_step(state)
 
@@ -101,7 +103,7 @@ def test_step_breakdown_through_pivot_gate():
     # I - GH = diag(0, 0.75) is singular but not zero: the pivot gate trips
     eye = np.eye(2)
     g = np.diag([1.0, 0.5])
-    state = SdaState(E=eye, F=eye, G=g, H=g.copy(), k=3)
+    state = SdaState(E=eye, F=eye, GH=np.array([g, g]), k=3)
     with pytest.raises(Breakdown, match="I - GH singular at step 3: pivot") as info:
         sda_step(state)
     assert info.value.iteration == 3
@@ -179,6 +181,38 @@ def test_symmetric_flag_and_transposed_f(case):
             assert np.array_equal(state.F, state.E.T)
         state = sda_step(state)
     assert state.symmetric is symmetric
+
+
+FUSED_CASES = {  # case: ((alpha, c), shift mode)
+    "unshifted": ((0.0, 1.0), None), "single": ((0.0, 1.0), "single"),
+    "double": ((0.0, 1.0), "double"), "alpha-c-half": ((0.5, 0.5), None),
+    "c-0.9": ((0.0, 0.9), None)}
+
+
+@pytest.mark.parametrize("n", [1, 8, 64])
+@pytest.mark.parametrize("case", FUSED_CASES)
+def test_step_metrics_match_the_unfused_calls(case, n):
+    # the run takes ||G|| and ||H|| once, on the [G; H] stack, for both stopping
+    # metrics; each (err, res) must be the separate calls' bit for bit
+    (alpha, c), mode = FUSED_CASES[case]
+    problem = build_problem(TransportParams(alpha, c, np.array([1.0]), np.array([0.5]))
+                            if n == 1 else quadrature_params(n, alpha, c))
+    quad = problem.quad if mode is None else shifted_coefficients(
+        problem, default_shift(problem, mode))
+    sol = sda_solve(problem, quad)
+    state, errs, ress = sda_init(quad), [], []
+    for _ in range(sol.iterations):
+        nxt = sda_step(state)
+        for s in (state, nxt):
+            assert s.GH.shape == (2, n, n)
+            assert np.shares_memory(s.G, s.GH) and np.shares_memory(s.H, s.GH)
+            assert np.array_equal(s.G, s.GH[0]) and np.array_equal(s.H, s.GH[1])
+        errs.append(relative_update_error(((state.G, nxt.G), (state.H, nxt.H))))
+        ress.append(relative_residual(problem, nxt.H))
+        state = nxt
+    assert sol.iterations >= 1
+    assert sol.err_history == errs and sol.res_history == ress
+    assert np.array_equal(sol.x, state.H) and np.array_equal(sol.y, state.G)
 
 
 def test_hand_built_quadruple_takes_the_general_step():

@@ -149,6 +149,65 @@ def test_si_blocks_match_per_sweep_loop(n, alpha, c, max_iter):
     assert sol.stop_reason == reason
 
 
+def _classic_one_sweep_at_a_time(problem, max_iter, tol):
+    """``si_solve`` written out with one ``si_step`` call and one ``classic_sweep_metrics``
+    call per sweep, on fresh arrays, under the "either" stop rule."""
+    from nare import diagnostics, si
+
+    kernel = build_kernel(problem)
+    state, errs, ress, reason = si_init(kernel), [], [], "max_iter"
+    for _ in range(max_iter):
+        nxt = si.si_step(kernel, state)
+        [(err, res)] = diagnostics.classic_sweep_metrics(
+            np.array([state.mn, nxt.mn, nxt.ab]), nxt.x_rows[None])
+        if not math.isfinite(res):
+            reason = "nonfinite"
+            break
+        state = nxt
+        errs.append(err)
+        ress.append(res)
+        if err < tol or res < tol:
+            reason = "converged"
+            break
+    return si_solution(kernel, *state.mn), errs, ress, reason
+
+
+@pytest.mark.parametrize("blown", [None, 17])
+@pytest.mark.parametrize("max_iter", [1, 17, 33, None])
+@pytest.mark.parametrize("alpha, c", [(0.0, 1.0), (0.3, 0.9)])
+@pytest.mark.parametrize("n", [1, 8])
+def test_si_in_place_blocks_match_one_sweep_at_a_time(n, alpha, c, max_iter, blown, monkeypatch):
+    # each block of sweeps is written in place into one row stack and measured there;
+    # the Solution must be that of stepping and measuring one sweep at a time, bit for
+    # bit: at a cap inside a block (1, 17, 33), at a stop inside one, and when the first
+    # sweep of a block (sweep 17) turns NaN
+    import nare.si
+
+    if blown:
+        calls = [0]
+
+        def nan_at_sweep(kernel, state, out=(None, None), _step=nare.si.si_step):
+            nxt = _step(kernel, state, out)
+            calls[0] += 1
+            if calls[0] >= blown:
+                nxt.ab[...] = np.nan  # in place: in a block, the row stack's row
+            return nxt
+        monkeypatch.setattr(nare.si, "si_step", nan_at_sweep)
+    problem = small_problem(n, alpha, c)
+    config = SiConfig() if max_iter is None else SiConfig(max_iter=max_iter)
+    sol = si_solve(problem, config)
+    if blown:
+        calls[0] = 0
+    x, errs, ress, reason = _classic_one_sweep_at_a_time(problem, config.max_iter, auto_tol(n))
+    assert np.array_equal(sol.x, x)
+    assert sol.err_history == errs and sol.res_history == ress
+    assert sol.stop_reason == reason
+    if blown and config.max_iter > 16:
+        assert (reason, sol.iterations) == ("nonfinite", 16)
+    elif max_iter is None and (alpha, c) != (0.0, 1.0):
+        assert reason == "converged" and sol.iterations % 16  # a stop inside a block
+
+
 @pytest.mark.parametrize("max_iter", [1, 15, 16, 17, 33, None])
 @pytest.mark.parametrize("mode", ["single", "double"])
 @pytest.mark.parametrize("n", [1, 2, 4, 16, 128])
@@ -176,9 +235,9 @@ def test_si_shift_block_size_rule(n, max_iter, monkeypatch):
 
     calls = [0]
 
-    def counted(kernel, state, _step=nare.si.si_shift_step):
+    def counted(kernel, state, out, _step=nare.si.si_shift_step):
         calls[0] += 1
-        return _step(kernel, state)
+        return _step(kernel, state, out)
 
     monkeypatch.setattr(nare.si, "si_shift_step", counted)
     sol, _, _ = run_solver(build_problem(quadrature_params(n)), "si-double", max_iter=max_iter)

@@ -20,7 +20,8 @@ closed-loop spectra, of the double-shifted spectrum at the default shift and
 at (eta, xi) = (0.3, -0.2)/omega1, and of the unshifted, single and double
 rate bounds.
 
-``--check`` prints every record that differs.  It exits 1 only when an
+``--check`` prints every record that differs, and a summary line with the number of
+records whose hashes or ``res_final`` differ.  It exits 1 only when an
 iteration count or a stop reason differs, or a record is missing: hashes and
 residuals depend on the BLAS build.  BLAS threads default to one, as in the
 committed record; the environment can override them.  The record's ``env`` is
@@ -144,7 +145,7 @@ def check(path):
     """Print each differing record; return 1 if a count, a stop reason or a record differs."""
     want = json.loads(Path(path).read_text())["runs"]
     got = answers()
-    failed = False
+    failed, moved = False, 0
     for key in sorted(want.keys() | got.keys()):
         if key not in want or key not in got:
             print(f"{key}: only in {'the record' if key in want else 'this run'}")
@@ -156,8 +157,10 @@ def check(path):
                                          f"{name} {want[key][name]!r} -> {got[key].get(name)!r}"
                                          for name in diff))
             failed |= any(name in GATED for name in diff)
+            moved += any(name in HASHED or name == "res_final" for name in diff)
     print(f"{len(got)} records checked against {path}: "
-          + ("counts or stop reasons differ" if failed else "counts and stop reasons agree"))
+          + ("counts or stop reasons differ" if failed else "counts and stop reasons agree")
+          + f", {moved} differ in hashes or res_final")
     return int(failed)
 
 
