@@ -59,17 +59,16 @@ class TransportParams:
             raise InvalidParams("weights and omegas must be aligned 1-D numpy arrays")
         if self.n == 0:
             raise InvalidParams("at least one direction is required")
-        if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.omegas))):
+        w, om = self.weights, self.omegas
+        if not (np.isfinite(w).all() and np.isfinite(om).all()):
             raise InvalidParams("weights and omegas must be finite")
-        if np.any(self.weights <= 0):
+        if not (w > 0).all():
             raise InvalidParams("all weights must be positive")
-        if abs(float(np.sum(self.weights)) - 1.0) > WEIGHT_SUM_TOL:
-            raise InvalidParams(
-                f"weights sum to {np.sum(self.weights)!r}, expected 1"
-            )
-        if np.any(self.omegas <= 0) or np.any(self.omegas >= 1):
+        if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
+            raise InvalidParams(f"weights sum to {w.sum()!r}, expected 1")
+        if not ((om > 0).all() and (om < 1).all()):
             raise InvalidParams("omegas must lie strictly inside (0, 1)")
-        if np.any(np.diff(self.omegas) >= 0):
+        if not (om[1:] < om[:-1]).all():
             raise InvalidParams("omegas must be strictly descending")
 
 
@@ -185,7 +184,7 @@ def build_problem(params):
     with np.errstate(over="ignore", divide="ignore"):  # a subnormal c overflows them
         delta = 1.0 / (params.c * om * (1.0 + params.alpha))
         gamma = 1.0 / (params.c * om * (1.0 - params.alpha))
-    if not (np.all(np.isfinite(delta)) and np.all(np.isfinite(gamma))):
+    if not (np.isfinite(delta).all() and np.isfinite(gamma).all()):
         raise InvalidParams(f"c = {params.c!r} leaves Gamma or Delta not finite")
     return TransportProblem(params=params, q=q, e=e, delta=delta, gamma=gamma)
 

@@ -87,7 +87,7 @@ def _rational_sums(poles, *nums):
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _secular_roots(fn, lo, hi, sign_lo, poles):
+def _secular_roots(fn, lo, hi, sign_lo, poles, residues=(np.nan, np.nan)):
     """Find the root in every bracket [lo_k, hi_k] at once, to relative accuracy,
     by safeguarded Newton on its distance tau = lam - o from the nearer end o.
 
@@ -95,37 +95,54 @@ def _secular_roots(fn, lo, hi, sign_lo, poles):
     origin + tau of brackets ``ks``; ``sign_lo`` is each bracket's sign just
     right of lo.  The sign at the midpoint picks o, the end on the root's side,
     so tau and the pole distances (p - o) - tau keep their relative accuracy
-    however near a pole the root sits, as in LAPACK's dlaed4.  The step divides
-    out the poles ``(a, m_a, b, m_b)``, a <= lo and b >= hi of orders m_a, m_b:
+    however near a pole the root sits, as in LAPACK's dlaed4.  Where the ends are
+    simple poles of f with the numerators ``residues`` (w_lo, w_hi), the first
+    step goes to the root of the two-pole model w_lo/(lo - lam) + w_hi/(hi - lam)
+    + C, C matching f at the midpoint, if it lies strictly inside the root's half
+    (Li, LAPACK Working Note 89).  Every other step divides out the poles
+    ``(a, m_a, b, m_b)``, a <= lo and b >= hi of orders m_a, m_b:
     dt = f / (f' + f (m_a/(t - a) - m_b/(b - t))).  A step that leaves the
-    bracket, or is not below half the move two rounds before, takes the
-    midpoint.  A bracket stops at a step below 2 eps |tau|, at a step below
-    1e-8 |tau| that is not below half the last move (the function's rounding),
-    or at adjacent ends.  Only points strictly inside the starting brackets are
+    bracket, or is not below half the move two rounds before, takes the midpoint.
+    A bracket stops, taking its step, at a step below 2 eps |tau|; from the
+    second round, at a step below 1e-10 |tau| that shrank at least quadratically,
+    |step| |tau| <= 16 move^2 against the last move, so that the next would fall
+    below eps |tau| (a linear run never passes this); at a step below 1e-8 |tau|
+    that is not below half the last move (the function's rounding); or at
+    adjacent ends.  Only points strictly inside the starting brackets are
     evaluated, so their ends may be poles, and a root is returned strictly inside
     its bracket, as one within half an ulp of a pole would round onto it; but a
-    bracket with no float inside returns its left end.  ``interlaced_spectrum``'s
-    escape check and ``shifted_interlaced_spectrum``'s interlacing-pattern check
-    refuse such a root.
+    bracket with no float inside returns its left end.
+    ``interlaced_spectrum``'s escape check and ``shifted_interlaced_spectrum``'s
+    interlacing-pattern check refuse such a root.
     ``BracketFailure`` names a bracket still open after ``MAX_ROUNDS``.
     """
     lo, hi = np.array(lo, dtype=np.float64), np.array(hi, dtype=np.float64)
     roots, ks = lo.copy(), np.flatnonzero(lo < hi)
-    a, m_a, b, m_b, s_lo = (np.broadcast_to(v, lo.shape)[ks] for v in (*poles, sign_lo))
+    a, m_a, b, m_b, s_lo, w_lo, w_hi = (np.broadcast_to(v, lo.shape)[ks]
+                                        for v in (*poles, sign_lo, *residues))
     half = 0.5 * (hi - lo)[ks]
     f, df = fn(lo[ks], half, ks)
     right = np.sign(f) * s_lo > 0  # the root lies right of the midpoint: o = hi
     o, t = np.where(right, hi[ks], lo[ks]), np.where(right, -half, half)
+    # the two-pole model's root in tau: with its poles at tau 0 (the origin) and
+    # 2 t (the far end), it solves c x^2 - beta x + gamma = 0, c = C
+    c = f + (w_lo - w_hi) / half
+    beta, gamma = 2.0 * t * c + w_lo + w_hi, 2.0 * t * np.where(right, w_hi, w_lo)
+    model = 2.0 * gamma / (beta + np.sqrt(beta * beta - 4.0 * c * gamma))
     # a column per open bracket: origin, ends and point in tau, its last two
     # moves, poles, sign, and the values at the point
     state = np.array([o, np.minimum(t, 0.0), np.maximum(t, 0.0), t, 2.0 * half, 2.0 * half,
                       a - o, m_a, b - o, m_b, s_lo, f, df])
-    for _ in range(MAX_ROUNDS):
+    for r in range(MAX_ROUNDS):
         o, t_lo, t_hi, t, move, move2, a, m_a, b, m_b, s_lo, f, df = state
         step = f / (df + f * (m_a / (t - a) - m_b / (b - t)))
-        tn, mid, size = t - step, 0.5 * (t_lo + t_hi), np.abs(step)
-        done = ((size <= 2.0 * np.finfo(np.float64).eps * np.abs(t)) | (mid == t_lo)
-                | (size <= 1e-8 * np.abs(t)) & (size > 0.5 * move) | (mid == t_hi))
+        if r == 0:
+            step = np.where((t_lo < model) & (model < t_hi), t - model, step)
+        tn, mid, size, at = t - step, 0.5 * (t_lo + t_hi), np.abs(step), np.abs(t)
+        done = ((size <= 2.0 * np.finfo(np.float64).eps * at) | (mid == t_lo) | (mid == t_hi)
+                | (size <= 1e-8 * at) & (size > 0.5 * move))
+        if r:
+            done |= (size <= 1e-10 * at) & (size * at <= 16.0 * move * move)
         roots[ks[done]] = (o + np.clip(tn, t_lo, t_hi))[done]
         tn = np.where((t_lo < tn) & (tn < t_hi) & (size <= 0.5 * move2), tn, mid)
         move2[:], move[:], t[:] = move, np.abs(tn - t), tn
@@ -148,15 +165,18 @@ def _gap_roots(problem, num, poles, level=0.0, m_lo=1.0, gaps=slice(None)):
     """The root of s(num) = ``level`` (a scalar, or one value per gap) in each of the
     ``gaps`` of the sorted ``poles``, in order, the left poles divided out at order ``m_lo``.
 
-    s falls from +inf just right of each pole to -inf just left of the next.
+    With positive ``num``, s rises from -inf just right of each pole to +inf just
+    left of the next, so its sign just right of a gap's left pole is -1.  The
+    numerators at a gap's two poles are the residues of its two-pole model.
     """
     require_critical(problem, "the secular machinery")
     sums = _rational_sums(poles, num)
-    poles = np.sort(poles)
+    order = np.argsort(poles)
+    poles, num = poles[order], num[order]
     lo, hi = poles[:-1][gaps], poles[1:][gaps]
     level = np.broadcast_to(level, poles[:-1].shape)[gaps] * np.array([[1.0], [0.0]])
     return _secular_roots(lambda origins, taus, ks: sums(origins, taus)[:, 0] - level[:, ks],
-                          lo, hi, -1.0, (lo, m_lo, hi, 1))
+                          lo, hi, -1.0, (lo, m_lo, hi, 1), (num[:-1][gaps], num[1:][gaps]))
 
 
 def interlaced_spectrum(problem):

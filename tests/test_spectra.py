@@ -326,6 +326,70 @@ def test_a_bracket_open_at_the_round_cap_is_named(prob8, monkeypatch):
         interlaced_spectrum(prob8)
 
 
+def counting_sums(monkeypatch):
+    """Route ``spectra._rational_sums`` through a wrapper; return its one-element
+    list of evaluations of the sums."""
+    count, sums_of = [0], spectra._rational_sums
+
+    def counting(poles, *nums):
+        sums = sums_of(poles, *nums)
+
+        def counted(origins, taus):
+            count[0] += 1
+            return sums(origins, taus)
+
+        return counted
+
+    monkeypatch.setattr(spectra, "_rational_sums", counting)
+    return count
+
+
+def test_sum_evaluations_per_spectrum(monkeypatch):
+    # every evaluation is one round of every open bracket; the two-pole first
+    # step and the quadratic stop took these from 7, 7, 6 and 19
+    problem = build_problem(quadrature_params(64))
+    spec = default_shift(problem, "double")
+    count = counting_sums(monkeypatch)
+    for call, evaluations in ((lambda: interlaced_spectrum(problem), 6),
+                              (lambda: closed_loop_spectrum(problem), 5),
+                              (lambda: sda_rate_bound(problem, spec), 5),
+                              (lambda: shifted_interlaced_spectrum(problem, spec), 17)):
+        count[0] = 0
+        call()
+        assert count[0] == evaluations
+
+
+def test_a_linear_run_is_not_stopped_early():
+    # Newton on sign(x) |x|^1.5 shrinks the error by 3 a round, so a step of
+    # 1e-10 |tau| leaves an error half its size: the quadratic test must not stop
+    # it.  The root 1.25 + 2^-60 is no float, so f' never vanishes at a point
+    def fn(origins, taus, ks):
+        x = (origins + taus - 1.25) - 2.0 ** -60
+        return np.array([np.sign(x) * np.abs(x) ** 1.5, 1.5 * np.sqrt(np.abs(x))])
+
+    root = spectra._secular_roots(fn, np.array([1.0]), np.array([2.0]), -1.0,
+                                  (1.0, 0.0, 2.0, 0.0))
+    assert np.abs(root[0] - 1.25) <= 2 * np.spacing(1.25)
+
+
+def test_a_root_next_to_a_double_pole_keeps_its_digits(monkeypatch):
+    # small-weight draw 58 (n = 3): shifted root 3 sits 2.6e-13 of its interval
+    # from a double pole, and its bracket closes on it linearly, halving its
+    # distance to the pole for more than 40 rounds
+    problem = list(small_weight_problems(59))[58]
+    spec = default_shift(problem, "double")
+    count = counting_sums(monkeypatch)
+    roots = shifted_interlaced_spectrum(problem, spec).free_roots
+    assert count[0] >= 40
+    poles = np.sort(1.0 / problem.omegas)
+    ends = np.repeat(np.concatenate([[0.0], poles]), 2)
+    lo, hi = ends[:-2], ends[2:]
+    near = np.minimum(np.where(lo > 0.0, roots - lo, np.inf), hi - roots) <= 1e-2 * (hi - lo)
+    assert near[3]
+    ref = oracles.secular_roots_mp(problem, shift=spec)["shifted"]
+    assert_within_units(roots[near], ref[near], lo[near], hi[near])
+
+
 def test_shifted_spectrum_n1_boundary_coalesced(prob1):
     spec = make_shift(prob1, 1.0, -1.0, "double")
     report = shifted_interlaced_spectrum(prob1, spec)
