@@ -139,13 +139,14 @@ def sda_solve(problem, quad, config=None):
     if quad.n != problem.n:
         raise ValueError(f"quadruple of size {quad.n} for a problem of size {problem.n}")
     config = config or SdaConfig()
-    return iterate(problem, sda_init(quad, config), sda_step, partial(_doubling_metrics, problem),
-                   1, lambda s: s.H, config, f"sda[{quad.tag}]", y_of=lambda s: s.G)
+    return iterate(problem, sda_init(quad, config), partial(_doubling_step, problem),
+                   lambda s: s.H, config, f"sda[{quad.tag}]", y_of=lambda s: s.G)
 
 
-def _doubling_metrics(problem, states):
-    """The update error and the residual of one doubling step, states (before, after)."""
-    prev, cur = states
+def _doubling_step(problem, prev):
+    """``iterate``'s ``advance``: one doubling step from ``prev``, its update error and
+    the residual of its H."""
+    cur = sda_step(prev)
     norms = inf_norms(cur.GH)  # ||G||, ||H||: one set of calls on the stack, for both metrics
-    return [(diagnostics.relative_update_error(((prev.GH, cur.GH),), norms),
-             diagnostics.relative_residual(problem, cur.H, norms[1]))]
+    return [(cur, (diagnostics.relative_update_error(((prev.GH, cur.GH),), norms),
+                   diagnostics.relative_residual(problem, cur.H, norms[1])))]

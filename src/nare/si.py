@@ -118,20 +118,20 @@ def si_solution(kernel, m, n):
 
 
 def _blocks(step, kernel, metric, size):
-    """``iterate``'s (step, metric, size) for ``step(kernel, state, out)``: step k of a block
-    writes its rows and X's row sums, its ``out``, into row k + 2 of a (size + 2, 2, r, n) stack
-    and row k of a (size, n) one, which ``metric`` reads as they stand; a block takes new stacks,
-    so none is reused."""
-    stacks, slots = [], []
+    """``iterate``'s ``advance`` for ``step(kernel, state, out)``: a block of ``size`` steps,
+    step k writing its rows and X's row sums, its ``out``, into row k + 2 of a new
+    (size + 2, 2, r, n) stack and row k of a new (size, n) one, which ``metric`` then reads;
+    a block takes new stacks, so a state the driver keeps is never written over."""
+    def advance(state):
+        sweeps, rows = np.empty((size + 2, *state.ab.shape)), np.empty((size, len(state.x_rows)))
+        sweeps[:2] = state.mn, state.ab
+        states = []
+        for k in range(size):
+            state = step(kernel, state, (sweeps[k + 2], rows[k]))
+            states.append(state)
+        return zip(states, metric(sweeps, rows))
 
-    def block_step(state):
-        if not slots:
-            stacks[:] = np.empty((size + 2, *state.ab.shape)), np.empty((size, len(state.x_rows)))
-            stacks[0][:2] = state.mn, state.ab
-            slots[:] = zip(stacks[0][:1:-1], stacks[1][::-1])
-        return step(kernel, state, slots.pop())
-
-    return block_step, lambda states: metric(*stacks), size
+    return advance
 
 
 def si_solve(problem, config=None):
@@ -141,8 +141,8 @@ def si_solve(problem, config=None):
     which case the iteration is expected to hit max_iter.
     """
     kernel = build_kernel(problem)
-    blocks = _blocks(si_step, kernel, diagnostics.classic_sweep_metrics, SWEEP_BLOCK)
-    return iterate(problem, si_init(kernel), *blocks, lambda s: si_solution(kernel, *s.mn),
+    advance = _blocks(si_step, kernel, diagnostics.classic_sweep_metrics, SWEEP_BLOCK)
+    return iterate(problem, si_init(kernel), advance, lambda s: si_solution(kernel, *s.mn),
                    config or SiConfig(), "si")
 
 
@@ -174,6 +174,6 @@ def si_shifted_solve(problem, shift, config=None):
     """Shifted low-rank iteration from M = N = 0 (closure of the region allowed)."""
     kernel = build_kernel(problem, shift)
     size = max(1, min(SWEEP_BLOCK, diagnostics.SHIFT_STACK // problem.n ** 2))
-    blocks = _blocks(si_shift_step, kernel, diagnostics.factor_sweep_metrics, size)
-    return iterate(problem, si_init(kernel), *blocks, lambda s: si_solution(kernel, *s.mn),
+    advance = _blocks(si_shift_step, kernel, diagnostics.factor_sweep_metrics, size)
+    return iterate(problem, si_init(kernel), advance, lambda s: si_solution(kernel, *s.mn),
                    config or SiConfig(), f"si-{shift.mode}")

@@ -69,43 +69,32 @@ def resolve_tol(tol, n):
     return tol
 
 
-def measured_steps(step, metric, size, state):
-    """Steps from ``state``, run ``size`` at a time, as ``(state, err, res)``: the
-    update error from the state before and the relative residual of the new one.
+def iterate(problem, state, advance, x_of, config, method, y_of=None):
+    """Draw measured steps from ``advance`` to the stopping rule.
 
-    ``metric(states)`` measures a block in one call: it takes the block's ``size + 1``
-    states, the one before it first, and returns each step's ``(err, res)``.
-    """
-    while True:
-        states = [state]
-        for _ in range(size):
-            states.append(step(states[-1]))
-        for state, (err, res) in zip(states[1:], metric(states)):
-            yield state, err, res
-
-
-def iterate(problem, state, step, metric, size, x_of, config, method, y_of=None):
-    """Draw ``measured_steps(step, metric, size, state)`` to the stopping rule.
-
-    Solvers look the step and the metrics up on their modules (``diagnostics``
-    for the metrics), where patched instrumentation sees them.  At most
-    ``config.max_iter`` steps are drawn; the rest of a block, up to ``size - 1``
-    steps past the stop or the cap, is dropped.  ``x_of`` builds the returned
-    iterate once.  A step whose residual is not finite (critical-case doubling
-    blows up past its attainable accuracy) ends the run on the iterate before it.
+    ``advance(state)`` runs one block of steps from ``state`` and returns them as
+    ``(state, (err, res))``: the update error from the state before and the relative
+    residual of the new one.  Each block starts from the last state of the one before.
+    Solvers look the step and the metrics up on their modules (``diagnostics`` for
+    the metrics) when the solve runs, where patched instrumentation sees them.
+    At most ``config.max_iter`` steps are drawn, and no block runs after the one
+    that holds the stop; the rest of that block is dropped.  ``x_of`` builds the
+    returned iterate once.  A step whose residual is not finite (critical-case
+    doubling blows up past its attainable accuracy) ends the run on the iterate before it.
     """
     tol, rule = resolve_tol(config.tol, problem.n), config.stop_rule
     errs, ress = [], []
     reason = "max_iter"
-    for nxt, err, res in islice(measured_steps(step, metric, size, state), config.max_iter):
-        if not math.isfinite(res):
-            reason = "nonfinite"
-            break
-        state = nxt
-        errs.append(err)
-        ress.append(res)
-        if (rule != "residual" and err < tol) or (rule != "error" and res < tol):
-            reason = "converged"
-            break
+    while reason == "max_iter" and len(ress) < config.max_iter:
+        for nxt, (err, res) in islice(advance(state), config.max_iter - len(ress)):
+            if not math.isfinite(res):
+                reason = "nonfinite"
+                break
+            state = nxt
+            errs.append(err)
+            ress.append(res)
+            if (rule != "residual" and err < tol) or (rule != "error" and res < tol):
+                reason = "converged"
+                break
     return Solution(x=x_of(state), y=y_of(state) if y_of else None, method=method,
                     stop_reason=reason, err_history=errs, res_history=ress)

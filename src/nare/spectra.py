@@ -103,6 +103,7 @@ def _secular_roots(fn, lo, hi, sign_lo, poles, residues=(np.nan, np.nan)):
     ``(a, m_a, b, m_b)``, a <= lo and b >= hi of orders m_a, m_b:
     dt = f / (f' + f (m_a/(t - a) - m_b/(b - t))).  A step that leaves the
     bracket, or is not below half the move two rounds before, takes the midpoint.
+    A point with f = 0 takes no step, even where f' = 0 too (dt would be 0/0).
     A bracket stops, taking its step, at a step below 2 eps |tau|; from the
     second round, at a step below 1e-10 |tau| that shrank at least quadratically,
     |step| |tau| <= 16 move^2 against the last move, so that the next would fall
@@ -135,9 +136,9 @@ def _secular_roots(fn, lo, hi, sign_lo, poles, residues=(np.nan, np.nan)):
                       a - o, m_a, b - o, m_b, s_lo, f, df])
     for r in range(MAX_ROUNDS):
         o, t_lo, t_hi, t, move, move2, a, m_a, b, m_b, s_lo, f, df = state
-        step = f / (df + f * (m_a / (t - a) - m_b / (b - t)))
+        step = np.where(f == 0.0, 0.0, f / (df + f * (m_a / (t - a) - m_b / (b - t))))
         if r == 0:
-            step = np.where((t_lo < model) & (model < t_hi), t - model, step)
+            step = np.where((t_lo < model) & (model < t_hi) & (f != 0.0), t - model, step)
         tn, mid, size, at = t - step, 0.5 * (t_lo + t_hi), np.abs(step), np.abs(t)
         done = ((size <= 2.0 * np.finfo(np.float64).eps * at) | (mid == t_lo) | (mid == t_hi)
                 | (size <= 1e-8 * at) & (size > 0.5 * move))

@@ -31,7 +31,7 @@ from nare.cli import run_solver
 from nare.linalg import EPS
 from nare.sda import SdaConfig, sda_solve
 from nare.shift import ShiftSpec, make_shift, omega_lower_bound
-from nare.si import SiConfig, SiState
+from nare.si import SWEEP_BLOCK, SiConfig, SiState
 
 
 def test_kernel_scalar_case(prob1):
@@ -225,25 +225,29 @@ def test_si_shift_blocks_match_per_sweep_loop(n, mode, max_iter):
     assert sol.stop_reason == reason
 
 
-@pytest.mark.parametrize("max_iter", [5, None])
+@pytest.mark.parametrize("max_iter, solver", [(5, "si-double"), (None, "si-double"), (5, "si")],
+                         ids=["5", "None", "5-classic"])
 @pytest.mark.parametrize("n", [8, 256])
-def test_si_shift_block_size_rule(n, max_iter, monkeypatch):
+def test_si_shift_block_size_rule(n, max_iter, solver, monkeypatch):
     # a block of B shifted sweeps stacks B n^2 residual entries: 16 sweeps a
     # block at n = 8, so a run of k sweeps makes ceil(k / 16) 16 of them, and
-    # one at n = 256, where no sweep runs past the stop
+    # one at n = 256, where no sweep runs past the stop.  Classic sweeps run
+    # SWEEP_BLOCK a block at every n (capped: classic si does not converge at (0, 1))
     import nare.si
 
+    name = "si_step" if solver == "si" else "si_shift_step"
     calls = [0]
 
-    def counted(kernel, state, out, _step=nare.si.si_shift_step):
+    def counted(kernel, state, out, _step=getattr(nare.si, name)):
         calls[0] += 1
         return _step(kernel, state, out)
 
-    monkeypatch.setattr(nare.si, "si_shift_step", counted)
-    sol, _, _ = run_solver(build_problem(quadrature_params(n)), "si-double", max_iter=max_iter)
+    monkeypatch.setattr(nare.si, name, counted)
+    sol, _, _ = run_solver(build_problem(quadrature_params(n)), solver, max_iter=max_iter)
     k = sol.iterations
     assert k == max_iter if max_iter else sol.converged
-    assert calls[0] == (-(-k // 16) * 16 if n == 8 else k)
+    size = 1 if solver == "si-double" and n == 256 else SWEEP_BLOCK
+    assert calls[0] == -(-k // size) * size
 
 
 @pytest.mark.parametrize("config", [SdaConfig, SiConfig])

@@ -372,6 +372,18 @@ def test_a_linear_run_is_not_stopped_early():
     assert np.abs(root[0] - 1.25) <= 2 * np.spacing(1.25)
 
 
+@pytest.mark.parametrize("root", [1.125, 1.25, 1.3, 1.5, 1.75])
+def test_a_point_on_a_root_where_the_slope_vanishes_is_that_root(root):
+    # sign(x) |x|^1.5 at a float root: a point on it has f = f' = 0, whose Newton
+    # step would be 0/0 (NaN); it takes no step, and the root comes back exactly
+    def fn(origins, taus, ks):
+        x = origins + taus - root
+        return np.array([np.sign(x) * np.abs(x) ** 1.5, 1.5 * np.sqrt(np.abs(x))])
+
+    assert spectra._secular_roots(fn, np.array([1.0]), np.array([2.0]), -1.0,
+                                  (1.0, 0.0, 2.0, 0.0)).tolist() == [root]
+
+
 def test_a_root_next_to_a_double_pole_keeps_its_digits(monkeypatch):
     # small-weight draw 58 (n = 3): shifted root 3 sits 2.6e-13 of its interval
     # from a double pole, and its bracket closes on it linearly, halving its
