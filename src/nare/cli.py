@@ -120,39 +120,28 @@ def cmd_solve(args, out):
                      (time.perf_counter() - t0) * 1e3)
     code = EXIT_OK if sol.converged else EXIT_MAX_ITER
     if args.format == "csv":
-        print(CSV_HEADER, file=out)
-        print(_csv_row(fields), file=out)
+        print(CSV_HEADER, _csv_row(fields), sep="\n", file=out)
         return code
     # the run checked the shift's region
     shifted_quad = shift.shifted_coefficients(problem, spec, check=False) if spec else None
     t0 = time.perf_counter()
     report = diagnostics.solution_report(problem, sol, shifted_quad)
     report_ms = (time.perf_counter() - t0) * 1e3
-    if args.format == "json":
-        payload = {**fields, "stop_reason": sol.stop_reason, "res_normalized": report.res,
-                   "identity_gaps": report.identity_gaps,
-                   "m_matrix_certificates": report.m_matrix_certificates,
-                   "report_ms": report_ms, "env": run_environment()}
-        print(json.dumps(payload, default=float), file=out)
-    else:
-        print(f"solver      : {args.solver}", file=out)
-        print(f"n           : {problem.n}", file=out)
-        if spec is not None:
-            print(f"eta, xi     : {spec.eta:.6g}, {spec.xi:.6g}", file=out)
-        if gamma_used is not None:
-            print(f"gamma       : {gamma_used:.6g}", file=out)
-        print(f"iterations  : {sol.iterations}", file=out)
-        print(f"residual    : {sol.res_final:.1e}", file=out)
-        print(f"update err  : {sol.err_final:.1e}", file=out)
-        print(f"converged   : {sol.converged}", file=out)
-        print(f"stop reason : {sol.stop_reason}", file=out)
-        for key, val in report.identity_gaps.items():
-            print(f"{key:<12s}: {val:.1e}", file=out)
-        for key, val in report.m_matrix_certificates.items():
-            print(f"{key:<12s}: {val}", file=out)
-        if not (report.rate_estimate != report.rate_estimate):  # not NaN
-            print(f"rate, order : {report.rate_estimate:.3f}, "
-                  f"{report.order_estimate:.2f}", file=out)
+    record = {**fields, "stop_reason": sol.stop_reason, "res_normalized": report.res,
+              "rate_estimate": report.rate_estimate, "order_estimate": report.order_estimate,
+              "identity_gaps": report.identity_gaps,
+              "m_matrix_certificates": report.m_matrix_certificates,
+              "report_ms": report_ms}
+    if args.format == "json":  # JSON has no NaN or Infinity: they are written as null
+        safe = json.loads(json.dumps(record), parse_constant=lambda _: None)
+        print(json.dumps({**safe, "env": run_environment()}, allow_nan=False), file=out)
+        return code
+    # one line an entry, nested maps flattened; a NaN rate or order had too short a history
+    lines = [(k.replace("_", " "), v) for key, val in record.items()
+             for k, v in (val.items() if isinstance(val, dict) else [(key, val)]) if v == v]
+    width = max(len(key) for key, _ in lines)
+    for key, val in lines:
+        print(f"{key:<{width}} : {f'{val:.6g}' if isinstance(val, float) else val}", file=out)
     return code
 
 

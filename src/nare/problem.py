@@ -112,10 +112,9 @@ class CoefficientQuadruple:
 
 
 @dataclass(frozen=True)
-class TransportProblem:
-    """Derived vectors for one parameter set."""
+class TransportProblem(TransportParams):
+    """A parameter set plus its derived vectors q, e, delta, gamma."""
 
-    params: TransportParams
     q: np.ndarray
     e: np.ndarray
     delta: np.ndarray
@@ -126,28 +125,12 @@ class TransportProblem:
         """The original coefficient quadruple, built on each access, not stored."""
         return low_rank_form(self)
 
-    @property
-    def n(self):
-        return self.params.n
-
-    @property
-    def omegas(self):
-        return self.params.omegas
-
-    @property
-    def weights(self):
-        return self.params.weights
-
-    @property
-    def is_critical(self):
-        return self.params.is_critical
-
 
 def require_critical(problem, what):
     """Raise NotCriticalCase, naming ``what``, unless (alpha, c) = (0, 1) exactly."""
     if not problem.is_critical:
         raise NotCriticalCase(f"{what} requires the critical case (alpha, c) = (0, 1); "
-                              f"got ({problem.params.alpha}, {problem.params.c})")
+                              f"got ({problem.alpha}, {problem.c})")
 
 
 def gauss_legendre_composite(n):
@@ -176,7 +159,7 @@ def quadrature_params(n, alpha=0.0, c=1.0):
 
 
 def build_problem(params):
-    """Construct a TransportProblem, validating parameter invariants."""
+    """Validate ``params`` and return them, as a TransportProblem, with their vectors."""
     params.validate()
     om = params.omegas
     q = params.weights / (2.0 * om)
@@ -186,7 +169,7 @@ def build_problem(params):
         gamma = 1.0 / (params.c * om * (1.0 - params.alpha))
     if not (np.isfinite(delta).all() and np.isfinite(gamma).all()):
         raise InvalidParams(f"c = {params.c!r} leaves Gamma or Delta not finite")
-    return TransportProblem(params=params, q=q, e=e, delta=delta, gamma=gamma)
+    return TransportProblem(params.alpha, params.c, params.weights, om, q, e, delta, gamma)
 
 
 def low_rank_form(problem, eta=0.0, xi=0.0, tag="original"):

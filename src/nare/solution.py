@@ -54,19 +54,14 @@ def auto_tol(n):
 
 
 def check_config(config):
+    """Refuse a run config when built: a cap below 1, an unknown stop rule, or a
+    ``tol`` that is neither None (``auto_tol``) nor positive and finite."""
     if config.max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {config.max_iter}")
     if config.stop_rule not in STOP_RULES:
         raise ValueError(f"stop rule must be one of {STOP_RULES}, got {config.stop_rule!r}")
-
-
-def resolve_tol(tol, n):
-    if tol is None:
-        return auto_tol(n)
-    tol = float(tol)
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol}")
-    return tol
+    if config.tol is not None and not 0 < float(config.tol) < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {float(config.tol)}")
 
 
 def iterate(problem, state, advance, x_of, config, method, y_of=None):
@@ -81,8 +76,10 @@ def iterate(problem, state, advance, x_of, config, method, y_of=None):
     that holds the stop; the rest of that block is dropped.  ``x_of`` builds the
     returned iterate once.  A step whose residual is not finite (critical-case
     doubling blows up past its attainable accuracy) ends the run on the iterate before it.
+    The threshold is ``config.tol``, checked when the config was built, or ``auto_tol(n)``.
     """
-    tol, rule = resolve_tol(config.tol, problem.n), config.stop_rule
+    tol = auto_tol(problem.n) if config.tol is None else float(config.tol)
+    rule = config.stop_rule
     errs, ress = [], []
     reason = "max_iter"
     while reason == "max_iter" and len(ress) < config.max_iter:

@@ -53,8 +53,9 @@ def test_solve_json_fields(capsys):
     assert code == 0
     payload = json.loads(out)
     for key in ("n", "solver", "eta", "xi", "gamma", "iterations", "res",
-                "err_final", "wall_ms", "converged", "stop_reason",
-                "identity_gaps", "report_ms", "env"):
+                "err_final", "wall_ms", "converged", "stop_reason", "res_normalized",
+                "rate_estimate", "order_estimate", "identity_gaps",
+                "m_matrix_certificates", "report_ms", "env"):
         assert key in payload
     assert payload["converged"] is True
     assert payload["stop_reason"] == "converged"
@@ -66,6 +67,46 @@ def test_solve_json_fields(capsys):
     assert env["scipy"] and env["blas"]
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         assert env[name] == os.environ.get(name)
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise AssertionError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("solver", ["sda-double", "si-single"])
+def test_table_and_json_report_one_record(capsys, solver):
+    code, out, _ = run_cli(capsys, "solve", "--n", "8", "--solver", solver, "--format", "json")
+    assert code == 0
+    payload = _strict_json(out)
+    del payload["env"]
+    keys = [key for key, val in payload.items() if not isinstance(val, dict)]
+    keys += [key for val in payload.values() if isinstance(val, dict) for key in val]
+    code, out, _ = run_cli(capsys, "solve", "--n", "8", "--solver", solver)
+    assert code == 0
+    labels = [line.split(" : ")[0].strip() for line in out.splitlines()]
+    assert sorted(labels) == sorted(key.replace("_", " ") for key in keys)
+
+
+def test_json_writes_non_finite_values_as_null(capsys, nan_from_step):
+    # a doubling run that blows up at its first step has no finite residual or error
+    nan_from_step(1)
+    code, out, _ = run_cli(capsys, "solve", "--n", "8", "--format", "json")
+    assert code == 2
+    payload = _strict_json(out)
+    assert payload["stop_reason"] == "nonfinite" and payload["iterations"] == 0
+    assert payload["res"] is None and payload["err_final"] is None
+
+
+def test_json_writes_an_unestimated_rate_as_null_and_the_table_leaves_it_out(capsys):
+    # one step is too short a history to estimate a rate or an order
+    code, out, _ = run_cli(capsys, "solve", "--n", "8", "--max-iter", "1", "--format", "json")
+    payload = _strict_json(out)
+    assert code == 2 and payload["iterations"] == 1
+    assert payload["rate_estimate"] is None and payload["order_estimate"] is None
+    code, out, _ = run_cli(capsys, "solve", "--n", "8", "--max-iter", "1")
+    assert "rate estimate" not in out and "order estimate" not in out
 
 
 def test_run_solver_checks_the_shift_region_once(monkeypatch):
@@ -356,11 +397,13 @@ def test_gamma_and_tol_overrides(capsys):
 
 
 @pytest.mark.parametrize("flag,value", [("--tol", "inf"), ("--tol", "nan"),
+                                        ("--tol", "0"), ("--tol", "-1e-12"),
                                         ("--gamma", "nan"), ("--gamma", "inf")])
 def test_nonfinite_tol_and_gamma_are_invalid_input(capsys, flag, value):
     # an infinite tolerance used to stop after one step as "converged", a NaN
-    # one ran to the cap, and a non-finite gamma ran no step at all
-    code, out, err = run_cli(capsys, "solve", "--n", "8", flag, value)
+    # one ran to the cap, and a non-finite gamma ran no step at all; "=" joins the
+    # value to its flag, since argparse reads a separate "-1e-12" as an option
+    code, out, err = run_cli(capsys, "solve", "--n", "8", f"{flag}={value}")
     assert code == 1
     assert out == "" and "finite" in err
 

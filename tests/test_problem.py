@@ -77,7 +77,12 @@ def test_critical_sum_identity(prob32):
 
 
 def test_noncritical_vectors_scalar_recomputation():
-    problem = build_problem(quadrature_params(4, alpha=0.5, c=0.5))
+    params = quadrature_params(4, alpha=0.5, c=0.5)
+    problem = build_problem(params)
+    # a problem is its parameters plus its vectors
+    assert isinstance(problem, TransportParams)
+    assert (problem.alpha, problem.c) == (params.alpha, params.c)
+    assert problem.weights is params.weights and problem.omegas is params.omegas
     q, delta, d = oracles.transport_arrays(0.5, 0.5, problem.weights,
                                            problem.omegas)
     assert np.all(np.abs(problem.delta - delta) < 1e-14 * np.abs(delta))

@@ -257,6 +257,14 @@ def test_unknown_stop_rule_rejected_when_config_built(config):
     assert config(stop_rule="residual").stop_rule == "residual"
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+@pytest.mark.parametrize("config", [SdaConfig, SiConfig])
+def test_bad_tolerance_rejected_when_config_built(config, tol):
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        config(tol=tol)
+    assert config(tol=1e-300).tol == 1e-300 and config().tol is None
+
+
 def test_si_critical_symmetry_and_bounds(prob8):
     # at alpha = 0 the kernel is the one half T = T^T, so m and n stay bitwise
     # equal; iterates sit between e and the limit vector.  (0, 0.9) is off the
@@ -474,7 +482,7 @@ def test_factored_residual_matches_dense_residual(run):
         step = partial(si_shift_step, kernel)
     state = si_init(kernel)
     # both metrics round at the scale of Gamma and Delta, 1/(c (1 -+ alpha))
-    tol = 4 * problem.n * EPS / (problem.params.c * (1.0 - problem.params.alpha))
+    tol = 4 * problem.n * EPS / (problem.c * (1.0 - problem.alpha))
     for res in sol.res_history:
         state = step(state)
         assert abs(res - relative_residual(problem, si_solution(kernel, *state.mn))) <= tol
