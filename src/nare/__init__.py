@@ -21,7 +21,6 @@ from .diagnostics import (
 from .errors import (
     BracketFailure,
     Breakdown,
-    InsufficientHistory,
     InvalidParams,
     InvalidSize,
     NareError,

@@ -9,6 +9,7 @@ import io
 import json
 import os
 import platform
+import re
 import sys
 import time
 import warnings
@@ -34,6 +35,11 @@ SI_CAP = SiConfig.max_iter
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads a separate "-5e-1" as an option: its own pattern has no exponent
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with 2 on usage errors; the artifact reserves 2 for
     # max-iterations, so raise usage problems for main to report as invalid input.
     def error(self, message):
@@ -54,10 +60,8 @@ def build_from_args(args):
             raise ValueError(f"{args.nodes}: expected 'weight node' pairs, one per line")
         weights, nodes = pairs[np.argsort(-pairs[:, 1])].T.copy()  # descending nodes
         params = TransportParams(args.alpha, args.c, weights, nodes)
-    elif args.n is not None:
-        params = quadrature_params(args.n, args.alpha, args.c)
     else:
-        raise ValueError("provide --n or --nodes")
+        params = quadrature_params(args.n, args.alpha, args.c)
     return build_problem(params)
 
 
@@ -91,7 +95,7 @@ def run_solver(problem, solver, eta=None, xi=None, gamma=None, tol=None,
     spec = _shift_for(problem, mode, eta, xi) if mode else None
     quad = shift.shifted_coefficients(problem, spec) if spec else problem.quad
     config = SdaConfig(gamma=gamma, tol=tol, **cap)
-    return sda_solve(problem, quad, config), spec, resolve_gamma(quad, config)
+    return sda_solve(problem, quad, config), spec, resolve_gamma(quad, gamma)
 
 
 def _fields(n, solver, sol, spec, gamma_used, wall_ms):
@@ -235,10 +239,11 @@ def make_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_problem_flags(p):
-        p.add_argument("--n", type=int, help="composite quadrature size (multiple of 4)")
+        size = p.add_mutually_exclusive_group(required=True)
+        size.add_argument("--n", type=int, help="composite quadrature size (multiple of 4)")
+        size.add_argument("--nodes", help="node file: 'weight node' per line, any order")
         p.add_argument("--alpha", type=float, default=0.0, help="alpha in [0, 1)")
         p.add_argument("--c", type=float, default=1.0, help="c in (0, 1]")
-        p.add_argument("--nodes", help="node file: 'weight node' per line, any order")
 
     solve = sub.add_parser("solve", help="run one solver")
     add_problem_flags(solve)

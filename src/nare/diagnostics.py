@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientHistory, SingularMatrix
+from .errors import SingularMatrix
 from .linalg import inf_norm, inf_norms, lu_inverse, smw_factors
 from .problem import require_critical
 
@@ -292,10 +292,7 @@ def solution_report(problem, solution, shifted_quad=None):
                                           np.vstack([quad.q1, quad.e2]),
                                           np.vstack([quad.e1, quad.q2])).status,
     }
-    try:
-        rate, order = convergence_order(solution.err_history)
-    except InsufficientHistory:
-        rate, order = math.nan, math.nan
+    rate, order = convergence_order(solution.err_history)
     return SolutionReport(
         res=normalized_residual(problem, x),
         err_final=solution.err_final,
@@ -311,7 +308,7 @@ def convergence_order(err_history):
 
     Works on the trailing strictly-decreasing positive run: rate is the
     geometric mean of successive ratios, order the least-squares slope of
-    log e_{k+1} against log e_k.
+    log e_{k+1} against log e_k.  A run shorter than 4 entries gives (nan, nan).
     """
     run = []
     for e in reversed([float(e) for e in err_history]):
@@ -321,9 +318,7 @@ def convergence_order(err_history):
         run.append(e)
     run.reverse()
     if len(run) < 4:
-        raise InsufficientHistory(
-            f"need at least 4 strictly decreasing positive entries, have {len(run)}"
-        )
+        return math.nan, math.nan
     logs = np.log(run)
     rate = float(np.exp((logs[-1] - logs[0]) / (len(run) - 1)))
     x, y = logs[:-1], logs[1:]

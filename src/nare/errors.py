@@ -42,7 +42,3 @@ class Breakdown(NareError):
     def __init__(self, iteration, message=""):
         self.iteration = iteration
         super().__init__(message or f"doubling breakdown at iteration {iteration}")
-
-
-class InsufficientHistory(NareError):
-    """Convergence-order estimation needs a longer positive history."""

@@ -77,7 +77,6 @@ class CoefficientQuadruple:
     """The coefficient quadruple of a Riccati instance: the diagonals Gamma, Delta and
     the n x 2 factors Q1, Q2, E1, E2 of D = Gamma - Q1 E1^T, C = Q1 Q2^T, B = E2 E1^T
     and A = Delta - E2 Q2^T, whose dense forms are built on each access, not stored.
-    ``tag`` records how it was generated (original, single-shift, double-shift);
     ``symmetric`` marks A = D^T with B, C symmetric, where the doubling keeps F = E^T.
     """
 
@@ -87,7 +86,6 @@ class CoefficientQuadruple:
     q2: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
-    tag: str = "original"
     symmetric: bool = False
 
     @property
@@ -172,7 +170,7 @@ def build_problem(params):
     return TransportProblem(params.alpha, params.c, params.weights, om, q, e, delta, gamma)
 
 
-def low_rank_form(problem, eta=0.0, xi=0.0, tag="original"):
+def low_rank_form(problem, eta=0.0, xi=0.0):
     """The quadruple shifted by (eta, xi); (0, 0) is the original.
 
     Q1 = [(I - eta G^-1) q, q]      Q2 = [q, xi D^-1 q]
@@ -186,7 +184,7 @@ def low_rank_form(problem, eta=0.0, xi=0.0, tag="original"):
     factors = np.empty((4, len(q), 2))  # Q1, Q2, E1, E2, each a C-contiguous n x 2
     factors[:, :, 0] = (1.0 - eta / gamma) * q, q, e, (1.0 + eta / delta) * e
     factors[:, :, 1] = q, xi * q / delta, -xi * e / gamma, e
-    return CoefficientQuadruple(gamma, delta, *factors, tag=tag,
+    return CoefficientQuadruple(gamma, delta, *factors,
                                 symmetric=eta == -xi and np.array_equal(gamma, delta))
 
 

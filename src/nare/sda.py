@@ -66,13 +66,13 @@ class SdaState:
     G, H = property(lambda self: self.GH[0]), property(lambda self: self.GH[1])
 
 
-def resolve_gamma(quad, config):
+def resolve_gamma(quad, gamma=None):
     # diag(A) = Delta - rowsum(E2 o Q2) and diag(D) = Gamma - rowsum(Q1 o E1), O(n)
     bound = max(float((quad.delta - (quad.e2 * quad.q2).sum(axis=1)).max()),
                 float((quad.gamma - (quad.q1 * quad.e1).sum(axis=1)).max()))
-    if config.gamma is None:
+    if gamma is None:
         return bound
-    gamma = float(config.gamma)
+    gamma = float(gamma)
     if not 0 < gamma < np.inf:
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if gamma < bound:
@@ -82,12 +82,13 @@ def resolve_gamma(quad, config):
     return gamma
 
 
-def sda_init(quad, config=None):
-    """Initial doubling state for a coefficient quadruple, in O(n^2) on its factors.
+def sda_init(quad, gamma=None):
+    """Initial doubling state for a coefficient quadruple, in O(n^2) on its factors;
+    ``gamma`` is checked, or taken when None, by ``resolve_gamma``.
 
     Raises SingularMatrix if D_g or W_g is degenerate: an invalid quadruple or gamma.
     """
-    gamma = resolve_gamma(quad, config or SdaConfig())
+    gamma = resolve_gamma(quad, gamma)
     n, (d, w) = quad.n, (dw := np.concatenate([quad.gamma, quad.delta]).reshape(2, -1) + gamma)
     u1, s1 = smw_factors(d, quad.q1, quad.e1)
     u2, s2 = smw_factors(w, quad.e2 @ s1, quad.q2)
@@ -139,8 +140,8 @@ def sda_solve(problem, quad, config=None):
     if quad.n != problem.n:
         raise ValueError(f"quadruple of size {quad.n} for a problem of size {problem.n}")
     config = config or SdaConfig()
-    return iterate(problem, sda_init(quad, config), partial(_doubling_step, problem),
-                   lambda s: s.H, config, f"sda[{quad.tag}]", y_of=lambda s: s.G)
+    return iterate(problem, sda_init(quad, config.gamma), partial(_doubling_step, problem),
+                   lambda s: s.H, config, y_of=lambda s: s.G)
 
 
 def _doubling_step(problem, prev):

@@ -91,5 +91,4 @@ def shifted_coefficients(problem, shift, check=True):
         if not (shift.eta > 0.0 and (shift.mode == "single" or shift.xi < 0.0 and shift.eta < top)):
             raise ShiftOutOfRegion(f"the doubling needs eta > 0 and, for a double shift, xi < 0 "
                                    f"and eta < 1/omega1; eta = {shift.eta}, xi = {shift.xi}")
-    tag = "single-shift" if shift.mode == "single" else "double-shift"
-    return low_rank_form(problem, shift.eta, shift.xi, tag)
+    return low_rank_form(problem, shift.eta, shift.xi)

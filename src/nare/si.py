@@ -143,7 +143,7 @@ def si_solve(problem, config=None):
     kernel = build_kernel(problem)
     advance = _blocks(si_step, kernel, diagnostics.classic_sweep_metrics, SWEEP_BLOCK)
     return iterate(problem, si_init(kernel), advance, lambda s: si_solution(kernel, *s.mn),
-                   config or SiConfig(), "si")
+                   config or SiConfig())
 
 
 def si_shift_step(kernel, state, out=(None, None)):
@@ -176,4 +176,4 @@ def si_shifted_solve(problem, shift, config=None):
     size = max(1, min(SWEEP_BLOCK, diagnostics.SHIFT_STACK // problem.n ** 2))
     advance = _blocks(si_shift_step, kernel, diagnostics.factor_sweep_metrics, size)
     return iterate(problem, si_init(kernel), advance, lambda s: si_solution(kernel, *s.mn),
-                   config or SiConfig(), f"si-{shift.mode}")
+                   config or SiConfig())

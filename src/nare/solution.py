@@ -18,7 +18,7 @@ class Solution:
     """Outcome of an iterative solve.
 
     ``x`` is the minimal nonnegative solution iterate; ``y`` the dual
-    iterate when the method produces one (the dual of the quadruple that
+    iterate when the solver produces one (the dual of the quadruple that
     was actually solved, so the shifted dual for shifted runs).
     Histories hold one entry per iteration; ``x`` is the iterate of the
     last entry.  ``stop_reason`` is one of ``STOP_REASONS``.
@@ -26,7 +26,6 @@ class Solution:
 
     x: np.ndarray
     y: Optional[np.ndarray]
-    method: str
     stop_reason: str
     err_history: list = field(default_factory=list)
     res_history: list = field(default_factory=list)
@@ -64,7 +63,7 @@ def check_config(config):
         raise ValueError(f"tolerance must be positive and finite, got {float(config.tol)}")
 
 
-def iterate(problem, state, advance, x_of, config, method, y_of=None):
+def iterate(problem, state, advance, x_of, config, y_of=None):
     """Draw measured steps from ``advance`` to the stopping rule.
 
     ``advance(state)`` runs one block of steps from ``state`` and returns them as
@@ -93,5 +92,5 @@ def iterate(problem, state, advance, x_of, config, method, y_of=None):
             if (rule != "residual" and err < tol) or (rule != "error" and res < tol):
                 reason = "converged"
                 break
-    return Solution(x=x_of(state), y=y_of(state) if y_of else None, method=method,
-                    stop_reason=reason, err_history=errs, res_history=ress)
+    return Solution(x=x_of(state), y=y_of(state) if y_of else None, stop_reason=reason,
+                    err_history=errs, res_history=ress)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BracketFailure, PoleHit
 from .problem import low_rank_form, require_critical
-from .sda import SdaConfig, resolve_gamma
+from .sda import resolve_gamma
 from .shift import omega_lower_bound, validate_shift
 
 POLE_GUARD = 1e-14
@@ -305,7 +305,7 @@ def sda_rate_bound(problem, shift=None, gamma=None):
     if shift is not None:
         validate_shift(problem, shift)
     # sda_solve's gamma rule, on the quadruple that the shifted run iterates
-    gamma = resolve_gamma(low_rank_form(problem, eta, xi), SdaConfig(gamma=gamma))
+    gamma = resolve_gamma(low_rank_form(problem, eta, xi), gamma)
     # a single shift's xi = 0 gives |cayley(-0.0)| = 1, as an unshifted zero does
     rho1 = float(np.max(np.abs(cayley(np.concatenate([[eta], lams]), gamma))))
     rho2 = float(np.max(np.abs(cayley(np.concatenate([[-xi], lams]), gamma))))

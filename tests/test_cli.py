@@ -192,7 +192,8 @@ def test_size_zero_reports_invalid_size(capsys, command):
 
 
 def test_unknown_flag_prints_usage_and_error(capsys):
-    code, out, err = run_cli(capsys, "solve", "--bogus")
+    # the size is given: without one, the missing size is reported first
+    code, out, err = run_cli(capsys, "solve", "--n", "8", "--bogus")
     assert code == 1 and out == ""
     assert err == ("usage: nare [-h] {solve,table51,spectrum} ...\n"
                    "error: unrecognized arguments: --bogus\n")
@@ -401,11 +402,31 @@ def test_gamma_and_tol_overrides(capsys):
                                         ("--gamma", "nan"), ("--gamma", "inf")])
 def test_nonfinite_tol_and_gamma_are_invalid_input(capsys, flag, value):
     # an infinite tolerance used to stop after one step as "converged", a NaN
-    # one ran to the cap, and a non-finite gamma ran no step at all; "=" joins the
-    # value to its flag, since argparse reads a separate "-1e-12" as an option
-    code, out, err = run_cli(capsys, "solve", "--n", "8", f"{flag}={value}")
-    assert code == 1
-    assert out == "" and "finite" in err
+    # one ran to the cap, and a non-finite gamma ran no step at all
+    for argv in ([f"{flag}={value}"], [flag, value]):
+        code, out, err = run_cli(capsys, "solve", "--n", "8", *argv)
+        assert code == 1, argv
+        assert out == "" and "finite" in err, argv
+
+
+def test_negative_exponent_value_as_a_separate_word(capsys):
+    # argparse's own pattern reads "-5e-1" as an option, not as a negative number
+    runs = [run_cli(capsys, "solve", "--n", "8", "--solver", "sda-double", "--eta", "0.5",
+                    *xi, "--format", "csv") for xi in (["--xi", "-5e-1"], ["--xi=-5e-1"])]
+    assert [code for code, _, _ in runs] == [0, 0]
+    assert strip_wall(runs[0][1]) == strip_wall(runs[1][1])
+    assert strip_wall(runs[0][1])[1].split(",")[3] == "-0.5"
+
+
+@pytest.mark.parametrize("command", ["solve", "spectrum"])
+@pytest.mark.parametrize("both", [True, False], ids=["both", "neither"])
+def test_n_and_nodes_exclude_each_other(tmp_path, capsys, command, both):
+    # --n was dropped when --nodes was given; neither is invalid input too
+    path = tmp_path / "nodes.txt"
+    path.write_text("1.0 0.5\n")  # a valid n = 1 node file
+    code, out, err = run_cli(capsys, command, *(["--n", "8", "--nodes", str(path)] if both else []))
+    assert code == 1 and out == ""
+    assert "--n" in err.splitlines()[-1] and "--nodes" in err.splitlines()[-1]
 
 
 def test_numerical_failure_exit_code(capsys, monkeypatch):

@@ -7,7 +7,6 @@ import scipy.linalg
 from nare import SingularMatrix, inf_norm, lu_solve
 from nare.linalg import EPS, lu_factor, lu_inverse, smw_factors
 from nare.sda import resolve_gamma
-from nare.sda import SdaConfig
 
 
 def test_identity_solve():
@@ -72,7 +71,7 @@ def test_inner_matrices_inverse_roundtrip(n):
     for quad in (problem.quad,
                  shifted_coefficients(problem, default_shift(problem, "single")),
                  shifted_coefficients(problem, default_shift(problem, "double"))):
-        gamma = resolve_gamma(quad, SdaConfig())
+        gamma = resolve_gamma(quad)
         a_g = quad.A + gamma * eye
         d_g = quad.D + gamma * eye
         w_g = a_g - quad.B @ lu_solve(d_g, quad.C)

@@ -20,7 +20,7 @@ from oracles import critical_null_vectors, sda_init_reference, sda_step_referenc
 
 
 def test_init_scalar_case(prob1):
-    state = sda_init(prob1.quad, SdaConfig(gamma=1.0))
+    state = sda_init(prob1.quad, 1.0)
     assert state.E[0, 0] == pytest.approx(-1.0 / 3.0, abs=1e-15)
     assert state.F[0, 0] == pytest.approx(-1.0 / 3.0, abs=1e-15)
     assert state.G[0, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
@@ -28,8 +28,8 @@ def test_init_scalar_case(prob1):
 
 
 def test_init_auto_gamma_matches_explicit(prob1):
-    auto = sda_init(prob1.quad, SdaConfig())
-    explicit = sda_init(prob1.quad, SdaConfig(gamma=1.0))
+    auto = sda_init(prob1.quad)
+    explicit = sda_init(prob1.quad, 1.0)
     assert np.array_equal(auto.H, explicit.H)
     assert np.array_equal(auto.E, explicit.E)
 
@@ -49,7 +49,7 @@ def factor_quadruple(gamma, delta):
 def test_init_degenerate_raises():
     quad = factor_quadruple(-1.0, 1.0)  # D + gamma I = 0 at the bound gamma = 1
     with pytest.raises(SingularMatrix, match="zero diagonal"):
-        sda_init(quad, SdaConfig(gamma=1.0))
+        sda_init(quad, 1.0)
 
 
 def test_init_singular_shifted_d_raises_through_pivot_gate():
@@ -59,7 +59,7 @@ def test_init_singular_shifted_d_raises_through_pivot_gate():
     quad = CoefficientQuadruple(np.ones(2), np.ones(2), rank_one, zero, rank_one, zero)
     assert np.linalg.det(quad.D + np.eye(2)) == 0.0
     with pytest.raises(SingularMatrix, match="pivot .* below threshold"):
-        sda_init(quad, SdaConfig(gamma=1.0))
+        sda_init(quad, 1.0)
 
 
 def test_init_singular_schur_complement_raises_through_pivot_gate():
@@ -70,11 +70,11 @@ def test_init_singular_schur_complement_raises_through_pivot_gate():
     w_gamma = quad.A + np.eye(2) - quad.B @ np.linalg.solve(quad.D + np.eye(2), quad.C)
     assert np.linalg.det(w_gamma) == 0.0
     with pytest.raises(SingularMatrix, match="pivot .* below threshold"):
-        sda_init(quad, SdaConfig(gamma=1.0))
+        sda_init(quad, 1.0)
 
 
 def test_step_scalar_recurrence(prob1):
-    state = sda_step(sda_init(prob1.quad, SdaConfig(gamma=1.0)))
+    state = sda_step(sda_init(prob1.quad, 1.0))
     # 2/3 + (-1/3)(1 - 4/9)^-1 (2/3)(-1/3) = 0.8
     assert state.H[0, 0] == pytest.approx(0.8, abs=1e-15)
     assert state.k == 1
@@ -139,7 +139,7 @@ def test_init_matches_textbook_formulas(case, request):
     quad = problem.quad if mode is None else shifted_coefficients(
         problem, default_shift(problem, mode))
     state = sda_init(quad)
-    ref = sda_init_reference(quad, resolve_gamma(quad, SdaConfig()))
+    ref = sda_init_reference(quad, resolve_gamma(quad))
     for got, want in zip((state.E, state.F, state.G, state.H), ref):
         assert _rel_gap(got, want) <= 1e-13
 
@@ -238,7 +238,6 @@ def test_solve_unshifted_count(prob32):
     assert sol.converged
     assert 25 <= sol.iterations <= 29
     assert sol.res_final <= 1e-12
-    assert sol.method == "sda[original]"
 
 
 def test_solve_double_shift_count(prob32):
@@ -297,9 +296,9 @@ def test_max_iter_returns_unconverged(prob32):
 
 def test_gamma_below_bound_rejected(prob32):
     with pytest.raises(ValueError):
-        sda_init(prob32.quad, SdaConfig(gamma=1.0))
+        sda_init(prob32.quad, 1.0)
     with pytest.raises(ValueError):
-        sda_init(prob32.quad, SdaConfig(gamma=-2.0))
+        sda_init(prob32.quad, -2.0)
 
 
 def test_quadruple_size_mismatch_rejected(prob8, monkeypatch):

@@ -136,7 +136,6 @@ def test_single_shift_coefficients_n1(prob1):
     assert quad.A[0, 0] == 0.5
     eigs = np.sort(np.linalg.eigvals(block_of(quad)).real)
     assert np.allclose(eigs, [0.0, 2.0], atol=1e-14)
-    assert quad.tag == "single-shift"
 
 
 def test_double_shift_coefficients_n1(prob1):

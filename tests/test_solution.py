@@ -24,7 +24,7 @@ def run(planted, size=1, **config):
     def advance(state):
         blocks[0] += 1
         return [(s, planted.get(s, (1.0, 1.0))) for s in range(state + 1, state + size + 1)]
-    sol = iterate(PROBLEM, 0, advance, lambda s: 10 * s, SdaConfig(tol=1e-3, **config), "toy",
+    sol = iterate(PROBLEM, 0, advance, lambda s: 10 * s, SdaConfig(tol=1e-3, **config),
                   y_of=lambda s: -s)
     return sol, blocks[0]
 

@@ -566,7 +566,7 @@ def test_rate_bound_equals_the_max_of_scalar_cayley_calls(n):
                  make_shift(problem, 0.3 / om1, -0.2 / om1, "double")):
         eta, xi = (spec.eta, spec.xi) if spec else (0.0, 0.0)
         quad = shifted_coefficients(problem, spec) if spec else problem.quad
-        gamma = resolve_gamma(quad, SdaConfig())
+        gamma = resolve_gamma(quad)
         rho1 = max(abs(float(cayley(z, gamma))) for z in np.concatenate([[eta], lams]))
         rho2 = max(abs(float(cayley(z, gamma))) for z in np.concatenate([[-xi], lams]))
         assert sda_rate_bound(problem, spec) == rho1 * rho2
