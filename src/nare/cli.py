@@ -71,11 +71,11 @@ def _shift_for(problem, mode, eta_arg, xi_arg):
     return shift.make_shift(problem, eta, xi, mode)
 
 
-def run_solver(problem, solver, eta=None, xi=None, gamma=None, tol=None,
-               max_iter=None):
+def run_solver(problem, solver, eta=None, xi=None, tol=None, max_iter=None):
     """Dispatch one solver run; returns (solution, shift_spec, gamma_used).
 
     Unset settings take the config defaults; the solver checks the shift's region.
+    ``gamma_used`` is the doubling's ``resolve_gamma`` bound; a vector run has none.
     """
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r}")
@@ -83,8 +83,6 @@ def run_solver(problem, solver, eta=None, xi=None, gamma=None, tol=None,
     # a setting the solver would not read is refused, not dropped
     if not mode and (eta is not None or xi is not None):
         raise ValueError(f"{solver} is not shifted: eta and xi apply to the shifted solvers")
-    if family == "si" and gamma is not None:
-        raise ValueError(f"{solver} takes no gamma: it applies to the doubling solvers")
     cap = {} if max_iter is None else {"max_iter": max_iter}
     if family == "si":
         config = SiConfig(tol=tol, **cap)
@@ -94,8 +92,7 @@ def run_solver(problem, solver, eta=None, xi=None, gamma=None, tol=None,
         return si_shifted_solve(problem, spec, config), spec, None
     spec = _shift_for(problem, mode, eta, xi) if mode else None
     quad = shift.shifted_coefficients(problem, spec) if spec else problem.quad
-    config = SdaConfig(gamma=gamma, tol=tol, **cap)
-    return sda_solve(problem, quad, config), spec, resolve_gamma(quad, gamma)
+    return sda_solve(problem, quad, SdaConfig(tol=tol, **cap)), spec, resolve_gamma(quad)
 
 
 def _fields(n, solver, sol, spec, gamma_used, wall_ms):
@@ -118,8 +115,7 @@ def cmd_solve(args, out):
     problem = build_from_args(args)
     t0 = time.perf_counter()
     sol, spec, gamma_used = run_solver(
-        problem, args.solver, eta=args.eta, xi=args.xi, gamma=args.gamma,
-        tol=args.tol, max_iter=args.max_iter)
+        problem, args.solver, eta=args.eta, xi=args.xi, tol=args.tol, max_iter=args.max_iter)
     fields = _fields(problem.n, args.solver, sol, spec, gamma_used,
                      (time.perf_counter() - t0) * 1e3)
     code = EXIT_OK if sol.converged else EXIT_MAX_ITER
@@ -250,7 +246,6 @@ def make_parser():
     solve.add_argument("--solver", default="sda", choices=SOLVERS)
     solve.add_argument("--eta", help="shift eta or 'auto'")
     solve.add_argument("--xi", help="shift xi or 'auto'")
-    solve.add_argument("--gamma", type=float, help="doubling scalar override")
     solve.add_argument("--tol", type=float, help="stopping threshold (default n^2 eps)")
     solve.add_argument("--max-iter", type=int, dest="max_iter")
     solve.add_argument("--format", default="table", choices=("table", "csv", "json"))

@@ -1,6 +1,6 @@
 """Structure-preserving doubling algorithm.
 
-Initialization (scalar gamma >= max diagonal of A and D) is O(n^2) on the factors:
+Initialization (gamma = the max diagonal of A and D) is O(n^2) on the factors:
 with d = Gamma + gamma and w = Delta + gamma, ``smw_factors`` inverts D_g = D + gamma I
 = diag(d) - Q1 E1^T and W_g = A + gamma I - B D_g^-1 C = diag(w) - (E2 S1^-1) Q2^T by
 their 2 x 2 capacitances S1 = I - E1^T U1, U1 = Q1/d, and S2 = I - Q2^T U2, U2 = E2 S1^-1/w.
@@ -41,12 +41,10 @@ from .solution import check_config, iterate
 class SdaConfig:
     """Doubling-run controls; these are the defaults of every doubling run.
 
-    ``gamma=None`` takes equality in the admissibility bound,
-    gamma = max(max_i A_ii, max_i D_ii); smaller gamma gives smaller
-    Cayley radii on the positive axis.  ``tol=None`` is n^2 * eps.
+    ``tol=None`` is n^2 * eps.  gamma is not a control: it is always the bound
+    of ``resolve_gamma``.
     """
 
-    gamma: Optional[float] = None
     tol: Optional[float] = None
     max_iter: int = 100
     stop_rule: str = "either"
@@ -66,29 +64,19 @@ class SdaState:
     G, H = property(lambda self: self.GH[0]), property(lambda self: self.GH[1])
 
 
-def resolve_gamma(quad, gamma=None):
+def resolve_gamma(quad):
+    """The doubling's gamma, the admissibility bound max(max_i A_ii, max_i D_ii): a larger
+    gamma only raises each Cayley radius (gamma - z)/(gamma + z), z < gamma.  It keeps its
+    name: ``bench/tracing.py`` traces it and ``cli.run_solver`` reports it."""
     # diag(A) = Delta - rowsum(E2 o Q2) and diag(D) = Gamma - rowsum(Q1 o E1), O(n)
-    bound = max(float((quad.delta - (quad.e2 * quad.q2).sum(axis=1)).max()),
-                float((quad.gamma - (quad.q1 * quad.e1).sum(axis=1)).max()))
-    if gamma is None:
-        return bound
-    gamma = float(gamma)
-    if not 0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    if gamma < bound:
-        # below the diagonal bound the initial iterates lose their
-        # M-matrix structure and monotone convergence is forfeit
-        raise ValueError(f"gamma = {gamma} is below the admissible bound {bound}")
-    return gamma
+    return max(float((quad.delta - (quad.e2 * quad.q2).sum(axis=1)).max()),
+               float((quad.gamma - (quad.q1 * quad.e1).sum(axis=1)).max()))
 
 
-def sda_init(quad, gamma=None):
-    """Initial doubling state for a coefficient quadruple, in O(n^2) on its factors;
-    ``gamma`` is checked, or taken when None, by ``resolve_gamma``.
-
-    Raises SingularMatrix if D_g or W_g is degenerate: an invalid quadruple or gamma.
-    """
-    gamma = resolve_gamma(quad, gamma)
+def sda_init(quad):
+    """Initial doubling state at gamma = ``resolve_gamma(quad)``, O(n^2) on the factors;
+    raises SingularMatrix if D_g or W_g is degenerate: an invalid quadruple."""
+    gamma = resolve_gamma(quad)
     n, (d, w) = quad.n, (dw := np.concatenate([quad.gamma, quad.delta]).reshape(2, -1) + gamma)
     u1, s1 = smw_factors(d, quad.q1, quad.e1)
     u2, s2 = smw_factors(w, quad.e2 @ s1, quad.q2)
@@ -140,7 +128,7 @@ def sda_solve(problem, quad, config=None):
     if quad.n != problem.n:
         raise ValueError(f"quadruple of size {quad.n} for a problem of size {problem.n}")
     config = config or SdaConfig()
-    return iterate(problem, sda_init(quad, config.gamma), partial(_doubling_step, problem),
+    return iterate(problem, sda_init(quad), partial(_doubling_step, problem),
                    lambda s: s.H, config, y_of=lambda s: s.G)
 
 

@@ -289,7 +289,7 @@ def cayley(z, gamma):
     return (z - gamma) / (z + gamma)
 
 
-def sda_rate_bound(problem, shift=None, gamma=None):
+def sda_rate_bound(problem, shift=None):
     """Doubling convergence-rate bound rho(C(D-CX)) * rho(C(A-BY)).
 
     The spectra are the closed-loop spectrum {0, lam_2..lam_n} with 0
@@ -304,8 +304,8 @@ def sda_rate_bound(problem, shift=None, gamma=None):
     eta, xi = (shift.eta, shift.xi) if shift is not None else (0.0, 0.0)
     if shift is not None:
         validate_shift(problem, shift)
-    # sda_solve's gamma rule, on the quadruple that the shifted run iterates
-    gamma = resolve_gamma(low_rank_form(problem, eta, xi), gamma)
+    # sda_solve's gamma, the bound of the quadruple that the shifted run iterates
+    gamma = resolve_gamma(low_rank_form(problem, eta, xi))
     # a single shift's xi = 0 gives |cayley(-0.0)| = 1, as an unshifted zero does
     rho1 = float(np.max(np.abs(cayley(np.concatenate([[eta], lams]), gamma))))
     rho2 = float(np.max(np.abs(cayley(np.concatenate([[-xi], lams]), gamma))))

@@ -7,7 +7,7 @@ import pytest
 from nare import (TransportParams, build_problem, diagnostics, quadrature_params, shift,
                   si, spectra)
 from nare.cli import CSV_HEADER, main, run_solver
-from nare.sda import SdaConfig
+from nare.sda import SdaConfig, resolve_gamma
 from nare.si import SiConfig
 
 
@@ -164,10 +164,9 @@ def test_noncritical_refused_by_the_library_gate(capsys, argv):
 
 @pytest.mark.parametrize("solver,flag,value", [
     ("sda", "--eta", "1"), ("sda", "--xi", "-0.5"), ("si", "--eta", "auto"),
-    ("si", "--xi", "-0.5"), ("si", "--gamma", "5"), ("si-single", "--gamma", "5"),
-    ("si-double", "--gamma", "5")])
+    ("si", "--xi", "-0.5")])
 def test_flag_the_solver_would_not_read_is_refused(capsys, solver, flag, value):
-    # sda used to print an empty eta column, and si to run to its cap with gamma unread
+    # sda used to print an empty eta column
     code, out, err = run_cli(capsys, "solve", "--n", "8", "--solver", solver, flag, value)
     assert code == 1 and out == ""
     assert err.startswith(f"error: {solver} ") and flag[2:] in err
@@ -388,21 +387,22 @@ def test_scalar_problem_via_node_file(tmp_path, capsys):
 
 def test_gamma_and_tol_overrides(capsys):
     code, out, _ = run_cli(capsys, "solve", "--n", "8", "--solver", "sda",
-                           "--gamma", "50", "--tol", "1e-10", "--format", "csv")
+                           "--tol", "1e-10", "--format", "csv")
     assert code == 0
     fields = out.strip().splitlines()[1].split(",")
-    assert float(fields[4]) == 50.0
-    code, _, err = run_cli(capsys, "solve", "--n", "8", "--solver", "sda",
-                           "--gamma", "0.5")
-    assert code == 1  # below the admissible bound
+    assert float(fields[4]) == resolve_gamma(build_problem(quadrature_params(8)).quad)
+    # gamma is no setting: the flag is refused as unknown, for a doubling and a vector solver
+    for solver in ("sda", "si"):
+        code, out, err = run_cli(capsys, "solve", "--n", "8", "--solver", solver,
+                                 "--gamma", "5")
+        assert code == 1 and out == "" and "--gamma" in err, solver
 
 
 @pytest.mark.parametrize("flag,value", [("--tol", "inf"), ("--tol", "nan"),
-                                        ("--tol", "0"), ("--tol", "-1e-12"),
-                                        ("--gamma", "nan"), ("--gamma", "inf")])
+                                        ("--tol", "0"), ("--tol", "-1e-12")])
 def test_nonfinite_tol_and_gamma_are_invalid_input(capsys, flag, value):
-    # an infinite tolerance used to stop after one step as "converged", a NaN
-    # one ran to the cap, and a non-finite gamma ran no step at all
+    # an infinite tolerance used to stop after one step as "converged", and a NaN
+    # one ran to the cap
     for argv in ([f"{flag}={value}"], [flag, value]):
         code, out, err = run_cli(capsys, "solve", "--n", "8", *argv)
         assert code == 1, argv

@@ -22,11 +22,12 @@ rate bounds.
 
 ``--check`` prints every record that differs, and a summary line with the number of
 records whose hashes or ``res_final`` differ.  It exits 1 only when an
-iteration count or a stop reason differs, or a record is missing: hashes and
-residuals depend on the BLAS build.  BLAS threads default to one, as in the
-committed record; the environment can override them.  The record's ``env`` is
-``cli.run_environment()``: the Python, numpy and scipy versions, the BLAS that
-made the hashes and the thread variables.
+iteration count, a stop reason or a gamma differs, or a record is missing: hashes
+and residuals depend on the BLAS build, and gamma (elementwise arithmetic, no BLAS
+call) does not.  BLAS threads default to one, as in the committed record; the
+environment can override them.  The record's ``env`` is ``cli.run_environment()``:
+the Python, numpy and scipy versions, the BLAS that made the hashes and the thread
+variables.
 """
 
 import argparse
@@ -64,7 +65,7 @@ from nare.cli import SOLVERS, run_environment, run_solver  # noqa: E402
 
 SIZES = (1, 2, 4, 8, 32, 64, 128, 256)
 CAPS = (None, 1, 17)
-GATED = ("iterations", "stop_reason")
+GATED = ("iterations", "stop_reason", "gamma")
 SPECTRA = ("interlaced", "closed_loop", "shifted_default", "shifted_interior",
            "rate_unshifted", "rate_single", "rate_double")
 HASHED = ("x", "y", "err_history", "res_history") + SPECTRA
@@ -142,7 +143,8 @@ def answers():
 
 
 def check(path):
-    """Print each differing record; return 1 if a count, a stop reason or a record differs."""
+    """Print each differing record; return 1 if a count, a stop reason, a gamma or a
+    record differs."""
     want = json.loads(Path(path).read_text())["runs"]
     got = answers()
     failed, moved = False, 0
@@ -159,7 +161,8 @@ def check(path):
             failed |= any(name in GATED for name in diff)
             moved += any(name in HASHED or name == "res_final" for name in diff)
     print(f"{len(got)} records checked against {path}: "
-          + ("counts or stop reasons differ" if failed else "counts and stop reasons agree")
+          + ("counts, stop reasons or gammas differ" if failed
+             else "counts, stop reasons and gammas agree")
           + f", {moved} differ in hashes or res_final")
     return int(failed)
 
