@@ -164,11 +164,7 @@ def solution_identities(problem, x):
     gap_u = inf_norm(u2 @ x + u1) / inf_norm(u1)
     nx = inf_norm(x)
     gap_sym = inf_norm(x - x.T) / nx if nx > 0 else 0.0
-    return {
-        "Xv1_minus_v2": gap_v,
-        "u2X_plus_u1": gap_u,
-        "symmetry_gap": gap_sym,
-    }
+    return {"Xv1_minus_v2": gap_v, "u2X_plus_u1": gap_u, "symmetry_gap": gap_sym}
 
 
 def shift_equivalence_gap(problem, quad, x):
@@ -254,6 +250,8 @@ def _certify_low_rank(dg, u, v):
     """``certify_m_matrix`` of diag(dg) - U V^T, dg > 0, U and V N x r, in O(N^2 r).
 
     The inverse is diag(dg)^-1 + (dg^-1 U) S^-1 (V^T dg^-1), gated on S by ``smw_factors``.
+    |P| and the inverse overwrite P = U V^T: with a second N x N temporary (2 MB at N = 512)
+    malloc could hand both back to the system on each call and fault them in on the next.
     """
     p = u @ v.T
     diag = dg - p.diagonal()
@@ -261,13 +259,13 @@ def _certify_low_rank(dg, u, v):
     worst = max(0.0, -float(p.min()))
     # ||M|| >= max |M_ii|: the row sums are read only for an entry above that gate
     if worst > Z_PATTERN_TOL * np.abs(diag).max() and worst > Z_PATTERN_TOL * (
-            np.abs(p).sum(axis=1) + np.abs(diag)).max():
+            np.abs(p, out=p).sum(axis=1) + np.abs(diag)).max():
         return MMatrixCertificate(status="z_matrix_violation", worst_offdiag=worst)
     try:
         ud, s_inv = smw_factors(dg, u, v)
     except SingularMatrix:
         return MMatrixCertificate(status="singular_or_not", worst_offdiag=worst)
-    inv = ud @ (s_inv @ (v.T / dg))
+    inv = np.matmul(ud, s_inv @ (v.T / dg), out=p)
     inv.flat[::len(dg) + 1] += 1.0 / dg
     return _sign_certificate(worst, inv)
 

@@ -336,6 +336,26 @@ def test_solution_report_forms_no_dense_inverse(prob32, monkeypatch):
     assert set(report.m_matrix_certificates.values()) == {"nonsingular_m_matrix"}
 
 
+def test_solution_report_holds_one_block_sized_temporary():
+    # a second N x N temporary, freed on every call, let malloc hand both back to the system
+    # and fault them in again on the next call: the n = 256 report then ran 2 ms slower
+    import tracemalloc
+
+    from nare import solution_report
+
+    prob = build_problem(quadrature_params(64))
+    quad = shifted_coefficients(prob, default_shift(prob, "double"))
+    sol = sda_solve(prob, quad)
+    tracemalloc.start()
+    try:
+        solution_report(prob, sol, quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = (2 * prob.n) ** 2 * 8  # bytes of one block-matrix-sized array
+    assert block <= peak < 1.5 * block
+
+
 def test_convergence_order_geometric():
     rate, order = convergence_order([2.0 ** -k for k in range(1, 15)])
     assert rate == pytest.approx(0.5, rel=1e-12)
